@@ -35,10 +35,13 @@ from .stability import RationalFunction
 __all__ = [
     "SystemParams",
     "VirtualCoupler",
+    "PlantCoefficients",
     "DerivedCoefficients",
     "HybridMatrix",
     "nominal_params",
     "nominal_coupler",
+    "plant_coefficients",
+    "coupler_coefficients",
     "derive_coefficients",
     "hybrid_matrix",
     "eval_h",
@@ -121,6 +124,35 @@ def nominal_coupler() -> VirtualCoupler:
 
 
 @dataclass(frozen=True)
+class PlantCoefficients:
+    """Exact coefficients that do not depend on the virtual coupler.
+
+    a4..a0, mu, nu, kappa1..kappa3, tau2 and r3..r0 as in
+    DerivedCoefficients, plus the plant factors of the coupler terms:
+    Bf4 = 4*Bf, M2 = M**2 and ia2 = (Im + alpha*Kf)**2.
+    """
+
+    a4: Fraction
+    a3: Fraction
+    a2: Fraction
+    a1: Fraction
+    a0: Fraction
+    mu: Fraction
+    nu: Fraction
+    kappa1: Fraction
+    kappa2: Fraction
+    kappa3: Fraction
+    tau2: Fraction
+    r3: Fraction
+    r2: Fraction
+    r1: Fraction
+    r0: Fraction
+    Bf4: Fraction
+    M2: Fraction
+    ia2: Fraction
+
+
+@dataclass(frozen=True)
 class DerivedCoefficients:
     """Exact derived coefficients of the coupled system.
 
@@ -159,14 +191,11 @@ class DerivedCoefficients:
     t0: Fraction
 
 
-def derive_coefficients(
-    params: SystemParams, coupler: VirtualCoupler
-) -> DerivedCoefficients:
-    """Exact derived coefficients for a plant/coupler pair."""
+def plant_coefficients(params: SystemParams) -> PlantCoefficients:
+    """The coupler-independent part of derive_coefficients."""
     Kf, Bf, M = _exact(params.Kf), _exact(params.Bf), _exact(params.M)
     B, Pm, Im = _exact(params.B), _exact(params.Pm), _exact(params.Im)
     Pf, If, al = _exact(params.Pf), _exact(params.If), _exact(params.alpha)
-    k22, b22 = _exact(coupler.k22), _exact(coupler.b22)
 
     mu = Im / Pm
     nu = If / Pf
@@ -181,7 +210,6 @@ def derive_coefficients(
     kappa1 = Pf * Im - B * If
     kappa2 = B + Pm - M * (mu + nu)
     kappa3 = al * (B + Pm) + Pm * Pf * kappa2
-    tau1 = 4 * Bf - b22
     ia = Im + al * Kf
     tau2 = 2 * M * ia - (B + Pm + al * Bf) ** 2
 
@@ -190,19 +218,45 @@ def derive_coefficients(
     r1 = Kf * Kf * kappa3 + Bf * Im * Im + Bf * Bf * Im * kappa1
     r0 = Im * Kf * Kf * kappa1
 
-    t3 = b22 * M * M * tau1
-    t2 = 4 * b22 * r2 + b22 * b22 * tau2 - k22 * k22 * M * M
-    t1 = 4 * b22 * r1 + k22 * k22 * tau2 - b22 * b22 * ia * ia
-    t0 = 4 * b22 * r0 - k22 * k22 * ia * ia
-
-    return DerivedCoefficients(
+    return PlantCoefficients(
         a4=a4, a3=a3, a2=a2, a1=a1, a0=a0,
         mu=mu, nu=nu,
         kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
-        tau1=tau1, tau2=tau2,
+        tau2=tau2,
         r3=r3, r2=r2, r1=r1, r0=r0,
+        Bf4=4 * Bf, M2=M * M, ia2=ia * ia,
+    )
+
+
+def coupler_coefficients(
+    plant: PlantCoefficients, coupler: VirtualCoupler
+) -> DerivedCoefficients:
+    """Combine a plant's coefficients with a coupler (k22, b22)."""
+    p = plant
+    k22, b22 = _exact(coupler.k22), _exact(coupler.b22)
+    K, b4, bb = k22 * k22, 4 * b22, b22 * b22
+
+    tau1 = p.Bf4 - b22
+    t3 = b22 * p.M2 * tau1
+    t2 = b4 * p.r2 + bb * p.tau2 - K * p.M2
+    t1 = b4 * p.r1 + K * p.tau2 - bb * p.ia2
+    t0 = b4 * p.r0 - K * p.ia2
+
+    return DerivedCoefficients(
+        a4=p.a4, a3=p.a3, a2=p.a2, a1=p.a1, a0=p.a0,
+        mu=p.mu, nu=p.nu,
+        kappa1=p.kappa1, kappa2=p.kappa2, kappa3=p.kappa3,
+        tau1=tau1, tau2=p.tau2,
+        r3=p.r3, r2=p.r2, r1=p.r1, r0=p.r0,
         t3=t3, t2=t2, t1=t1, t0=t0,
     )
+
+
+def derive_coefficients(
+    params: SystemParams, coupler: VirtualCoupler
+) -> DerivedCoefficients:
+    """Exact derived coefficients for a plant/coupler pair."""
+    return coupler_coefficients(plant_coefficients(params), coupler)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,19 @@ search inside a golden-section scan of the feedforward blend alpha.
 Two criteria are supported: "passivity" maximizes the exact two-port bound
 k22_upper_bound; "absolute" bisects the sampled Llewellyn margin used by
 check_absolute_stability on the same default grid, so the returned optimum
-is consistent with that checker's verdicts.  Both objectives are evaluated
-through a per-plant cache of the coupler-independent entries h11 and h12;
-only the coupler port Re h22 = b22*w^2 / (k22^2 + b22^2*w^2) is recomputed
-per candidate.
+is consistent with that checker's verdicts.  Both bisect through the same
+loop, and each search builds its objective once per plant:
+
+- passivity derives the coupler-independent coefficients once.  Per b22,
+  three exact derivations give the determinant cubic as base + k22**2*step;
+  base and step are scaled to Python ints once, so every bisection probe
+  k22 = kn/kd decides the integer cubic base*kd**2 + step*kn**2 in closed
+  form, with no Fraction normalization and the same verdict;
+- absolute samples the coupler-independent entries h11 and h12 once; only
+  the coupler port Re h22 = b22*w^2 / (k22^2 + b22^2*w^2) is recomputed per
+  candidate.
+
+Each objective lives for one maximize_k22 call.
 """
 
 from __future__ import annotations
@@ -30,11 +39,12 @@ from .errors import BaselineNotPassive
 from .model import SystemParams, VirtualCoupler, hybrid_matrix
 from .passivity import (
     _TINY,
+    _DeterminantBound,
+    _sup_feasible,
     check_condition_a,
     check_condition_b,
     check_condition_c_i,
     default_grid,
-    k22_upper_bound,
 )
 
 __all__ = [
@@ -139,26 +149,14 @@ class _LlewellynBound:
             return 0.0
         if not self.feasible(0.0, b22):
             return 0.0
-        hi = 1.0
-        while self.feasible(hi, b22):
-            hi *= 2.0
-            if hi > 1e15:
-                raise RuntimeError("k22 bound bracket failed to close")
-        lo = 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.feasible(mid, b22):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return _sup_feasible(lambda k22: self.feasible(k22, b22), 0.0, None, tol)
 
 
 def _make_objective(
     params: SystemParams, criterion: str, grid: Optional[np.ndarray]
 ) -> Callable[[float], float]:
     if criterion == "passivity":
-        return lambda b22: k22_upper_bound(params, b22)
+        return _DeterminantBound(params).bound
     cache = _LlewellynBound(params, default_grid(4000) if grid is None else grid)
     return cache.bound
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -38,9 +38,11 @@ from .model import (
     SystemParams,
     VirtualCoupler,
     characteristic_polynomial,
+    coupler_coefficients,
     derive_coefficients,
     h11_numerator_cubic,
     hybrid_matrix,
+    plant_coefficients,
 )
 from .poly import (
     POS_INF,
@@ -50,6 +52,7 @@ from .poly import (
     is_nonnegative_on,
 )
 from .stability import (
+    RationalFunction,
     analyze_denominator,
     imaginary_axis_pole,
     quartic_hurwitz,
@@ -348,11 +351,7 @@ def check_condition_c_i(params: SystemParams) -> ConditionReport:
     return _c_i_cached(params)
 
 
-def check_condition_c_ii(
-    params: SystemParams,
-    coupler: VirtualCoupler,
-    _verify_identity: bool = True,
-) -> ConditionReport:
+def check_condition_c_ii(params: SystemParams, coupler: VirtualCoupler) -> ConditionReport:
     """Two-port real-part determinant condition, decided exactly.
 
     Reduces to t3 x^3 + t2 x^2 + t1 x + t0 >= 0 on x = w**2 >= 0.  The
@@ -362,8 +361,7 @@ def check_condition_c_ii(
     beyond the static bound), and an interior dip ('interior').
     """
     c = derive_coefficients(params, coupler)
-    if _verify_identity:
-        _verify_c_ii_identity(params, coupler, c)
+    _verify_c_ii_identity(params, coupler, c)
     passed, witness_x = _decide_cubic(c.t3, c.t2, c.t1, c.t0, "condition (c-ii)")
 
     branch: Optional[str] = None
@@ -392,6 +390,85 @@ def check_condition_c_ii(
 # coupler bounds
 
 
+def _sup_feasible(
+    feasible: Callable[[float], bool], lo: float, hi: Optional[float], tol: float
+) -> float:
+    """Bisect for the supremum of a feasible interval [lo, k*].
+
+    feasible(lo) must hold.  hi is a point known to fail, or None to find
+    one by doubling from 1.0.  Returns the feasible end of the final
+    bracket, whose width is at most tol.
+    """
+    if hi is None:
+        hi = 1.0
+        while feasible(hi):
+            hi *= 2.0
+            if hi > 1e15:
+                raise RuntimeError("k22 bound bracket failed to close")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class _DeterminantBound:
+    """sup{k22 >= 0 : condition (c-ii) holds} for one plant, at any b22.
+
+    The coupler-independent coefficients are derived once, on construction;
+    each bound(b22) combines them with the coupler.  An instance holds no
+    state beyond its plant, so a caller keeps it for one search only.
+    """
+
+    def __init__(self, params: SystemParams) -> None:
+        self._plant = plant_coefficients(params)
+        self._ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
+        self._r0x4 = max(float(4 * self._plant.r0), 0.0)
+
+    def _t_cubic(self, k22: float, b22: float) -> Tuple[Fraction, ...]:
+        c = coupler_coefficients(self._plant, VirtualCoupler(k22, b22))
+        return (c.t0, c.t1, c.t2, c.t3)
+
+    def bound(self, b22: float, tol: float = 1e-3) -> float:
+        if b22 <= 0 or not math.isfinite(b22):
+            return 0.0
+
+        # t0..t2 are affine in K = k22**2 and t3 is constant, so two exact
+        # derivations pin the whole family; a third verifies the affine shape.
+        base = self._t_cubic(0.0, b22)
+        step = tuple(u - b for b, u in zip(base, self._t_cubic(1.0, b22)))
+        if self._t_cubic(2.0, b22) != tuple(b + 4 * s for b, s in zip(base, step)):
+            raise RuntimeError("internal: t-coefficients are not affine in k22**2")
+
+        # Clear denominators once: at k22 = kn/kd the cubic times
+        # scale*kd**2 > 0 has integer coefficients base*kd**2 + step*kn**2,
+        # and a positive scale leaves the closed-form verdict unchanged.
+        scale = math.lcm(*(q.denominator for q in base + step))
+        ibase = tuple(q.numerator * (scale // q.denominator) for q in base)
+        istep = tuple(q.numerator * (scale // q.denominator) for q in step)
+
+        def feasible(k22: float) -> bool:
+            # closed-form rule only: exact, and proven equivalent to the Sturm
+            # route (which the condition checks still run on every verdict).
+            kn, kd = k22.as_integer_ratio()
+            n2, d2 = kn * kn, kd * kd
+            t0, t1, t2, t3 = (b * d2 + s * n2 for b, s in zip(ibase, istep))
+            return cubic_nonneg_closed_form(t3, t2, t1, t0)
+
+        if not feasible(0.0):
+            return 0.0
+        hi = None
+        if self._ia > 0:
+            hi = math.sqrt(self._r0x4 * b22) / self._ia
+            if hi == 0.0:
+                return 0.0
+            if feasible(hi):
+                return hi
+        return _sup_feasible(feasible, 0.0, hi, tol)
+
+
 def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> float:
     """sup{k22 >= 0 : determinant condition (c-ii) holds}, by bisection.
 
@@ -400,51 +477,14 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
     sqrt(4*b22*r0)/(Im + alpha*Kf) when that is finite and found to
     absolute tolerance tol.  Returns 0.0 when no positive k22 is feasible
     (including b22 <= 0 and b22 > 4*Bf).
+
+    The coupler-independent coefficients are derived once per plant; to
+    bound many b22 values of one plant, the optimizer keeps that part for
+    the whole search.  The t-cubic is affine in k22**2, so it is scaled to
+    integers once per b22 and every bisection probe decides a cubic with
+    Python int coefficients, without Fraction normalization.
     """
-    if b22 <= 0 or not math.isfinite(b22):
-        return 0.0
-
-    # t0..t2 are affine in K = k22**2 and t3 is constant, so two exact
-    # derivations pin the whole family; a third verifies the affine shape.
-    cA = derive_coefficients(params, VirtualCoupler(0.0, b22))
-    cB = derive_coefficients(params, VirtualCoupler(1.0, b22))
-    base = (cA.t0, cA.t1, cA.t2, cA.t3)
-    step = (cB.t0 - cA.t0, cB.t1 - cA.t1, cB.t2 - cA.t2, cB.t3 - cA.t3)
-    cC = derive_coefficients(params, VirtualCoupler(2.0, b22))
-    if (cC.t0, cC.t1, cC.t2, cC.t3) != tuple(b + 4 * s for b, s in zip(base, step)):
-        raise RuntimeError("internal: t-coefficients are not affine in k22**2")
-
-    def feasible(k22: float) -> bool:
-        # closed-form rule only: exact, and proven equivalent to the Sturm
-        # route (which the condition checks still run on every verdict).
-        K = _exact(k22) * _exact(k22)
-        t0, t1, t2, t3 = (b + s * K for b, s in zip(base, step))
-        return cubic_nonneg_closed_form(t3, t2, t1, t0)
-
-    if not feasible(0.0):
-        return 0.0
-
-    ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
-    if ia > 0:
-        hi = math.sqrt(max(float(4 * cA.r0), 0.0) * b22) / ia
-        if hi == 0.0:
-            return 0.0
-        if feasible(hi):
-            return hi
-    else:
-        hi = 1.0
-        while feasible(hi):
-            hi *= 2.0
-            if hi > 1e15:
-                raise RuntimeError("k22 bound bracket failed to close")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _DeterminantBound(params).bound(b22, tol)
 
 
 # --------------------------------------------------------------------------
@@ -471,13 +511,46 @@ def two_port_grid_margins(
     Non-finite samples (exactly at a pole) come back as NaN.
     """
     h11, h12, h22 = _entry_grids(params, coupler, omegas)
+    return _two_port_margins(h11, h12 - 1.0, h22)
+
+
+def _two_port_margins(h11: np.ndarray, h12m1: np.ndarray, h22: np.ndarray):
+    """(m11, m22, mdet) from samples of h11, h12 - 1 and h22."""
     m11 = h11.real / (np.abs(h11) + _TINY)
     m22 = h22.real / (np.abs(h22) + _TINY)
-    cross = 0.25 * np.abs(h12 - 1.0) ** 2
+    cross = 0.25 * np.abs(h12m1) ** 2
     det = h11.real * h22.real - cross
     scale = np.abs(h11.real * h22.real) + cross + _TINY
-    mdet = det / scale
-    return m11, m22, mdet
+    return m11, m22, det / scale
+
+
+def _confirm_sampled_dip(
+    params: SystemParams,
+    coupler: VirtualCoupler,
+    omegas: np.ndarray,
+    m11: np.ndarray,
+    margin_tol: float,
+) -> None:
+    """Raise if the sampled margins still dip with h12 - 1 formed exactly.
+
+    Near DC h12 -> 1, so h12 - 1 taken from sampled h12 loses its digits to
+    cancellation and the determinant margin can dip falsely.  Forming
+    h12 - 1 = (N12 - D)/D exactly and sampling it afterwards does not.
+    """
+    h = hybrid_matrix(params, coupler)
+    h12m1 = RationalFunction(h.h12.num - h.h12.den, h.h12.den)
+    _, _, mdet = _two_port_margins(
+        h.h11.eval_grid(omegas), h12m1.eval_grid(omegas), h.h22.eval_grid(omegas)
+    )
+    worst = np.minimum(m11, mdet)
+    ok = np.isfinite(worst)
+    idx = int(np.argmin(worst[ok]))
+    dip = float(worst[ok][idx])
+    if dip < -margin_tol:
+        raise RuntimeError(
+            "internal: exact passivity verdict passes but sampled "
+            f"margins dip to {dip:.3e} near omega = {float(omegas[ok][idx]):.6g} rad/s"
+        )
 
 
 def llewellyn_grid_margins(
@@ -512,7 +585,9 @@ def check_two_port_passivity(
     the exact verdict passes and the two-port is stable, the sampled
     determinant margins over the grid must confirm it (within -margin_tol);
     a decisive sampled violation of an exact pass raises, because one of
-    the routes must then be wrong.
+    the routes must then be wrong.  A dip is first rechecked with h12 - 1
+    formed exactly, which removes the cancellation near DC; the reported
+    grid margins stay those of the sampled h12.
     """
     a = check_condition_a(params)
     b = check_condition_b(params)
@@ -538,11 +613,7 @@ def check_two_port_passivity(
             grid_min_re11 = float(np.min(m11[ok]))
             grid_argmin = float(omegas[ok][idx])
             if overall and min(grid_min_det, grid_min_re11) < -margin_tol:
-                raise RuntimeError(
-                    "internal: exact passivity verdict passes but sampled "
-                    f"margins dip to {min(grid_min_det, grid_min_re11):.3e} "
-                    f"near omega = {grid_argmin:.6g} rad/s"
-                )
+                _confirm_sampled_dip(params, coupler, omegas, m11, margin_tol)
             if np.any(m22[ok] < -margin_tol):
                 raise RuntimeError("internal: coupler one-port real part negative")
 

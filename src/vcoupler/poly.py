@@ -523,8 +523,13 @@ def cubic_nonneg_closed_form(p3: Number, p2: Number, p1: Number, p0: Number) -> 
     double root, which does not break nonnegativity.  A degenerate leading
     coefficient (p3 == 0) delegates to the Sturm route; p3 < 0 or p0 < 0 is
     an immediate failure (behaviour at x -> inf, resp. at x = 0).
+
+    Every clause compares terms of equal degree in the coefficients, so a
+    positive common scale never changes the verdict.  Python ints are used
+    as they are, without conversion to Fraction: a caller holding a
+    rational cubic can clear its denominators once and decide on integers.
     """
-    c3, c2, c1, c0 = (_exact(p3), _exact(p2), _exact(p1), _exact(p0))
+    c3, c2, c1, c0 = (p if type(p) is int else _exact(p) for p in (p3, p2, p1, p0))
     if c3 == 0:
         verdict, _ = is_nonnegative_on(Polynomial([c0, c1, c2]), (0, POS_INF))
         return verdict

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_coupler, draw_plant
-from vcoupler.model import VirtualCoupler, nominal_params
+from vcoupler import passivity
+from vcoupler.model import SystemParams, VirtualCoupler, derive_coefficients, nominal_params
 from vcoupler.passivity import (
+    ConditionReport,
     check_absolute_stability,
     check_condition_a,
     check_condition_b,
@@ -24,6 +27,7 @@ from vcoupler.passivity import (
     llewellyn_grid_margins,
     two_port_grid_margins,
 )
+from vcoupler.poly import cubic_nonneg_closed_form
 
 NOM = nominal_params()
 
@@ -80,9 +84,80 @@ def test_zero_motor_integral_gain_leaves_no_passive_stiffness():
     assert k22_upper_bound(dataclasses.replace(NOM, Im=0.0), 0.15) == 0.0
 
 
+def _fraction_bisection_bound(params, b22, tol=1e-3):
+    """Reference: the k22 bisection on Fraction coefficients, coupler by coupler."""
+    if b22 <= 0 or not math.isfinite(b22):
+        return 0.0
+    cA = derive_coefficients(params, VirtualCoupler(0.0, b22))
+    cB = derive_coefficients(params, VirtualCoupler(1.0, b22))
+    base = (cA.t0, cA.t1, cA.t2, cA.t3)
+    step = (cB.t0 - cA.t0, cB.t1 - cA.t1, cB.t2 - cA.t2, cB.t3 - cA.t3)
+
+    def feasible(k22):
+        K = Fraction(k22) * Fraction(k22)
+        t0, t1, t2, t3 = (b + s * K for b, s in zip(base, step))
+        return cubic_nonneg_closed_form(t3, t2, t1, t0)
+
+    if not feasible(0.0):
+        return 0.0
+    ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
+    if ia > 0:
+        hi = math.sqrt(max(float(4 * cA.r0), 0.0) * b22) / ia
+        if hi == 0.0:
+            return 0.0
+        if feasible(hi):
+            return hi
+    else:
+        hi = 1.0
+        while feasible(hi):
+            hi *= 2.0
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize(
+    "params",
+    [NOM, dataclasses.replace(NOM, alpha=0.3), dataclasses.replace(NOM, Im=0.0, alpha=0.0)],
+    ids=["nominal", "alpha0.3", "no-static-bracket"],
+)
+@pytest.mark.parametrize("b22", [0.013, 0.1, 0.17, 0.1999, 0.2, 0.2000001])
+def test_bound_is_bit_identical_to_fraction_bisection(params, b22):
+    assert k22_upper_bound(params, b22) == _fraction_bisection_bound(params, b22)
+
+
 # ---------------------------------------------------------------------------
 # verdicts at named operating points
 # ---------------------------------------------------------------------------
+
+
+def test_sampled_cross_check_survives_h12_cancellation_near_dc():
+    # near DC h12 -> 1; from sampled h12 the determinant margin dips to
+    # -7.66e-07 at omega = 1.19e-3 rad/s, from h12 - 1 formed exactly it
+    # stays positive
+    p = SystemParams(
+        Kf=353.0783219184373, Bf=0.046525951251330765, M=0.0006176012647941691,
+        B=0.16943116692453286, Pm=0.30639309405417603, Im=106.55072135168415,
+        Pf=38.359651364628526, If=77.18265782775515, alpha=0.8854381999831757,
+    )
+    rep = check_two_port_passivity(p, vc(411.408757647875, 0.13738834038504244))
+    assert rep.overall
+    assert rep.grid_min_determinant == pytest.approx(-7.659147e-07, rel=1e-6)
+
+
+def test_sampled_cross_check_still_raises_on_a_real_dip(monkeypatch):
+    # force an exact pass on a coupler far beyond the frontier
+    monkeypatch.setattr(
+        passivity, "check_condition_c_ii",
+        lambda params, coupler: ConditionReport(name="condition_c_ii", passed=True),
+    )
+    with pytest.raises(RuntimeError, match="sampled margins dip"):
+        check_two_port_passivity(NOM, vc(600.0, 0.17))
 
 
 def test_verdicts_straddle_the_bound_at_nominal_damping():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcoupler import poly
 from vcoupler.errors import InvalidInterval, ZeroPolynomial
 from vcoupler.poly import (
     Polynomial,
@@ -240,3 +241,31 @@ def test_closed_form_matches_chain_route(p3, p2, p1, p0):
     closed = cubic_nonneg_closed_form(p3, p2, p1, p0)
     chained, _ = is_nonnegative_on(Polynomial([p0, p1, p2, p3]), (0.0, math.inf))
     assert closed == chained
+
+
+# dyadic rationals, as every float is; small numerators hit the touching and
+# equality cases of the closed form often
+_DYADIC = st.one_of(
+    st.floats(-10, 10).map(Fraction),
+    st.builds(lambda n, e: Fraction(n, 2**e), st.integers(-12, 12), st.integers(0, 70)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DYADIC, _DYADIC, _DYADIC, _DYADIC, st.integers(0, 200))
+def test_closed_form_verdict_is_unchanged_by_integer_scaling(p3, p2, p1, p0, shift):
+    cubic = (p3, p2, p1, p0)
+    scale = math.lcm(*(c.denominator for c in cubic)) << shift
+    ints = tuple(c.numerator * (scale // c.denominator) for c in cubic)
+    assert all(type(c) is int for c in ints)
+    assert cubic_nonneg_closed_form(*ints) == cubic_nonneg_closed_form(*cubic)
+
+
+def test_closed_form_decides_integers_without_fractions(monkeypatch):
+    def refuse(value):
+        raise AssertionError(f"{value!r} converted to Fraction")
+
+    monkeypatch.setattr(poly, "_exact", refuse)
+    assert cubic_nonneg_closed_form(1, -3, 1, 1) is False
+    assert cubic_nonneg_closed_form(1, -1, 1, 1) is True
+    assert cubic_nonneg_closed_form(4, -12, 9, 0) is True  # x*(2x - 3)**2 touches zero
