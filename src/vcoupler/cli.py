@@ -9,7 +9,9 @@ Four subcommands drive the library from a JSON parameter file:
 
 Exit codes are a stable scripting contract: 0 means the requested verdict
 passed (or data was produced), 1 means a fail verdict or infeasibility,
-2 means a configuration or usage error.  CSV output is deterministic
+2 means a configuration or usage error, 3 means an internal error (a failed
+cross-check or any other unexpected exception), reported as one
+"internal error: ..." line on stderr.  CSV output is deterministic
 byte-for-byte for identical inputs: 9 significant digits, "." decimal
 separator, "\n" line endings, fixed headers.
 """
@@ -21,23 +23,20 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BaselineNotPassive, ConfigError, InvalidParams, PoleAtFrequency
+from .errors import (
+    BaselineNotPassive,
+    ConfigError,
+    InvalidParams,
+    PoleAtFrequency,
+    VcouplerError,
+)
 from .model import SystemParams, VirtualCoupler, hybrid_matrix, load_config
 from .optimize import OptimizationResult, maximize_k22, maximize_k22_over_alpha
-from .passivity import (
-    check_absolute_stability,
-    check_condition_a,
-    check_condition_b,
-    check_two_port_passivity,
-    default_grid,
-    llewellyn_grid_margins,
-    two_port_grid_margins,
-)
+from .passivity import check_absolute_stability, check_two_port_passivity, default_grid
 from .perf import EnvironmentModel, frequency_response, transmitted_impedance
 
 __all__ = ["RunConfig", "main"]
@@ -45,10 +44,7 @@ __all__ = ["RunConfig", "main"]
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
-
-_DEFAULT_TOLERANCES: Mapping[str, float] = MappingProxyType(
-    {"two_port_margin": 1e-7, "absolute_margin": 1e-8}
-)
+EXIT_INTERNAL = 3
 
 _SWEEPABLE = ("k22", "b22", "alpha")
 
@@ -61,21 +57,19 @@ class RunConfig:
     """One invocation's resolved inputs.
 
     grid is None when the user did not pass --grid, letting each command
-    fall back to the library defaults; tolerances are the margin
-    tolerances forwarded to the checkers.
+    fall back to the library defaults.
     """
 
     params: SystemParams
     vc: Optional[VirtualCoupler]
     grid: Optional[Tuple[float, float, int]]
-    tolerances: Mapping[str, float]
     output: Optional[str]
     fmt: str
 
 
-def _f(x: float) -> str:
-    """Deterministic 9-significant-digit decimal rendering."""
-    return f"{float(x):.9g}"
+def _f(x: Optional[float]) -> str:
+    """Deterministic 9-significant-digit decimal rendering; None is "nan"."""
+    return "nan" if x is None else f"{float(x):.9g}"
 
 
 def _parse_grid(text: str) -> Tuple[float, float, int]:
@@ -189,9 +183,7 @@ def cmd_check(cfg: RunConfig, criterion: str) -> int:
     vc = _require_vc(cfg)
     grid = _grid_array(cfg)
     if criterion == "passivity":
-        rep = check_two_port_passivity(
-            cfg.params, vc, grid=grid, margin_tol=cfg.tolerances["two_port_margin"]
-        )
+        rep = check_two_port_passivity(cfg.params, vc, grid=grid)
         conditions = (
             rep.condition_a,
             rep.condition_b,
@@ -211,9 +203,7 @@ def cmd_check(cfg: RunConfig, criterion: str) -> int:
             "grid_argmin_omega": rep.grid_argmin_omega,
         }
     else:
-        rep = check_absolute_stability(
-            cfg.params, vc, grid=grid, margin_tol=cfg.tolerances["absolute_margin"]
-        )
+        rep = check_absolute_stability(cfg.params, vc, grid=grid)
         conditions = (rep.condition_a, rep.condition_b, rep.condition_c_i)
         ll = "PASS" if rep.llewellyn_ok else "FAIL"
         extras_text = [
@@ -259,19 +249,20 @@ def _sweep_point(
 ) -> Tuple[float, bool]:
     """(criterion margin, verdict) for one sweep point.
 
-    The margin is the minimum normalized grid margin of the selected
-    criterion; -1.0 is the sentinel when the pole-location conditions (a)
-    or (b) already fail, where frequency-domain margins are meaningless.
+    The margin is the checker's minimum normalized grid margin of the
+    selected criterion (NaN when no grid sample is finite); -1.0 is the
+    sentinel when the pole-location conditions (a) or (b) already fail,
+    where frequency-domain margins are meaningless.
     """
-    if not (check_condition_a(params).passed and check_condition_b(params).passed):
-        return -1.0, False
     if criterion == "passivity":
         rep = check_two_port_passivity(params, vc, grid=omegas)
-        _, _, mdet = two_port_grid_margins(params, vc, omegas)
-        return float(np.nanmin(mdet)), rep.overall
-    rep = check_absolute_stability(params, vc, grid=omegas)
-    margins = llewellyn_grid_margins(params, vc, omegas)
-    return float(np.nanmin(margins)), rep.overall
+        margin = rep.grid_min_determinant
+    else:
+        rep = check_absolute_stability(params, vc, grid=omegas)
+        margin = rep.min_margin
+    if not (rep.condition_a.passed and rep.condition_b.passed):
+        return -1.0, False
+    return math.nan if margin is None else margin, rep.overall
 
 
 def cmd_sweep(cfg: RunConfig, criterion: str, vary: str, rng: Tuple[float, float, int]) -> int:
@@ -459,7 +450,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             params=params,
             vc=vc,
             grid=_parse_grid(args.grid) if args.grid else None,
-            tolerances=_DEFAULT_TOLERANCES,
             output=args.output,
             fmt=args.fmt,
         )
@@ -473,6 +463,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, InvalidParams) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
+    except Exception as exc:
+        if isinstance(exc, VcouplerError):
+            raise
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -305,6 +305,28 @@ def h11_numerator_cubic(params: SystemParams) -> Tuple[Fraction, Fraction, Fract
     return b3, b2, b1, b0
 
 
+def unreduced_entries(
+    params: SystemParams, c: DerivedCoefficients
+) -> Tuple[Polynomial, Polynomial, Polynomial]:
+    """(N11, N12, D): numerators of h11, h12 and their common quartic, uncancelled.
+
+    c supplies the coupler-independent a4..a0, mu and nu, so any coupler's
+    derived coefficients serve.
+    """
+    Kf, Bf = _exact(params.Kf), _exact(params.Bf)
+    Im, If = _exact(params.Im), _exact(params.If)
+    pp = _exact(params.Pm) * _exact(params.Pf)
+    b3, b2, b1, b0 = h11_numerator_cubic(params)
+    n11 = Polynomial([0, b0, b1, b2, b3])  # s * cubic
+    n12 = Polynomial([
+        Kf * Im * If,
+        Bf * Im * If + Kf * pp * (c.mu + c.nu),
+        pp * (Kf + Bf * (c.mu + c.nu)),
+        Bf * pp,
+    ])
+    return n11, n12, characteristic_polynomial(c)
+
+
 def hybrid_matrix(params: SystemParams, coupler: VirtualCoupler) -> HybridMatrix:
     """Build the hybrid two-port for a plant/coupler pair.
 
@@ -313,22 +335,7 @@ def hybrid_matrix(params: SystemParams, coupler: VirtualCoupler) -> HybridMatrix
     returned entries have no removable singularity at s = 0.
     """
     c = derive_coefficients(params, coupler)
-    Kf, Bf = _exact(params.Kf), _exact(params.Bf)
-    Pm, Im = _exact(params.Pm), _exact(params.Im)
-    Pf, If = _exact(params.Pf), _exact(params.If)
-
-    den = characteristic_polynomial(c)
-    b3, b2, b1, b0 = h11_numerator_cubic(params)
-    n11 = Polynomial([0, b0, b1, b2, b3])  # s * cubic
-
-    pp = Pm * Pf
-    n12 = Polynomial([
-        Kf * Im * If,
-        Bf * Im * If + Kf * pp * (c.mu + c.nu),
-        pp * (Kf + Bf * (c.mu + c.nu)),
-        Bf * pp,
-    ])
-
+    n11, n12, den = unreduced_entries(params, c)
     k22, b22 = _exact(coupler.k22), _exact(coupler.b22)
     return HybridMatrix(
         h11=_cancel_s(n11, den),

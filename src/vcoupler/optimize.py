@@ -38,8 +38,8 @@ import numpy as np
 from .errors import BaselineNotPassive
 from .model import SystemParams, VirtualCoupler, hybrid_matrix
 from .passivity import (
-    _TINY,
     _DeterminantBound,
+    _llewellyn_margin,
     _sup_feasible,
     check_condition_a,
     check_condition_b,
@@ -116,9 +116,9 @@ class _LlewellynBound:
     """Bisected k22 bound against the sampled Llewellyn margin.
 
     h11 and h12 do not depend on the coupler, so their grid samples are
-    computed once; each candidate (k22, b22) only rebuilds Re h22.  The
-    margin formula and normalization mirror llewellyn_grid_margins exactly,
-    and the acceptance tolerance matches check_absolute_stability's default.
+    computed once; each candidate (k22, b22) only rebuilds Re h22 in closed
+    form.  The margin is the one llewellyn_grid_margins computes, and the
+    acceptance tolerance matches check_absolute_stability's default.
     """
 
     def __init__(
@@ -136,10 +136,8 @@ class _LlewellynBound:
 
     def min_margin(self, k22: float, b22: float) -> float:
         re22 = b22 * self._w2 / (k22 * k22 + b22 * b22 * self._w2)
-        prod = self._re11 * re22
-        L = 2.0 * prod + self._re12 - self._abs12
-        scale = 2.0 * np.abs(prod) + 2.0 * self._abs12 + _TINY
-        return float(np.nanmin(L / scale))
+        margins = _llewellyn_margin(self._re11, self._re12, self._abs12, re22)
+        return float(np.nanmin(margins))
 
     def feasible(self, k22: float, b22: float) -> bool:
         return self.min_margin(k22, b22) >= -self._margin_tol

@@ -37,18 +37,19 @@ from .model import (
     HybridMatrix,
     SystemParams,
     VirtualCoupler,
-    characteristic_polynomial,
     coupler_coefficients,
     derive_coefficients,
     h11_numerator_cubic,
     hybrid_matrix,
     plant_coefficients,
+    unreduced_entries,
 )
 from .poly import (
     POS_INF,
     Polynomial,
     _exact,
     cubic_nonneg_closed_form,
+    first_clause,
     is_nonnegative_on,
 )
 from .stability import (
@@ -255,27 +256,9 @@ def _decide_cubic(
     return closed, witness_x
 
 
-def _unreduced_parts(params: SystemParams, coupler: VirtualCoupler):
-    """(N11, N12, D) before any s-cancellation, as exact polynomials."""
-    c = derive_coefficients(params, coupler)
-    D = characteristic_polynomial(c)
-    b3, b2, b1, b0 = h11_numerator_cubic(params)
-    N11 = Polynomial([0, b0, b1, b2, b3])
-    Kf, Bf = _exact(params.Kf), _exact(params.Bf)
-    pp = _exact(params.Pm) * _exact(params.Pf)
-    Im, If = _exact(params.Im), _exact(params.If)
-    N12 = Polynomial([
-        Kf * Im * If,
-        Bf * Im * If + Kf * pp * (c.mu + c.nu),
-        pp * (Kf + Bf * (c.mu + c.nu)),
-        Bf * pp,
-    ])
-    return N11, N12, D, c
-
-
 def _verify_c_i_identity(params: SystemParams, c: DerivedCoefficients) -> None:
     """Re h11 * |D|**2 must equal x*(r3 x^3 + r2 x^2 + r1 x + r0) exactly."""
-    N11, _, D, _ = _unreduced_parts(params, _UNIT_COUPLER)
+    N11, _, D = unreduced_entries(params, c)
     f11 = real_part_even_polynomial(N11, D)
     direct = Polynomial([0, c.r0, c.r1, c.r2, c.r3])
     if f11 != direct:
@@ -293,7 +276,7 @@ def _verify_c_ii_identity(
     4*b22*x*f11(x) - (k22**2 + b22**2*x) * |N12 - D|**2(x)
       == x**2 * (t3 x^3 + t2 x^2 + t1 x + t0)
     """
-    N11, N12, D, _ = _unreduced_parts(params, coupler)
+    N11, N12, D = unreduced_entries(params, c)
     f11 = real_part_even_polynomial(N11, D)
     V = N12 - D
     W = real_part_even_polynomial(V, V)  # |V(j*w)|**2 as a polynomial in x
@@ -319,7 +302,7 @@ def _c_i_cached(params: SystemParams) -> ConditionReport:
     if params.Bf == 0:
         branch = "generic"  # quadratic shape; decided by the same exact routes
     elif passed:
-        branch = "i1" if _c_i_branch_i1(c) else "i2"
+        branch = "i1" if first_clause(c.r3, c.r2, c.r1) else "i2"
     else:
         failing = "r0" if c.r0 < 0 else "interior"
     return ConditionReport(
@@ -329,16 +312,6 @@ def _c_i_cached(params: SystemParams) -> ConditionReport:
         failing=failing,
         witness_omega=math.sqrt(witness_x) if witness_x is not None else None,
     )
-
-
-def _c_i_branch_i1(c: DerivedCoefficients) -> bool:
-    """Exact version of the first passing clause: r1 >= 0 and r2 >= -sqrt(3 r1 r3)."""
-    return c.r1 >= 0 and (c.r2 >= 0 or c.r2 * c.r2 <= 3 * c.r1 * c.r3)
-
-
-def _c_ii_branch_ii1(c: DerivedCoefficients) -> bool:
-    """Exact version of the first passing clause: t1 >= 0 and t2 >= -sqrt(3 t1 t3)."""
-    return c.t1 >= 0 and (c.t2 >= 0 or c.t2 * c.t2 <= 3 * c.t1 * c.t3)
 
 
 def check_condition_c_i(params: SystemParams) -> ConditionReport:
@@ -367,7 +340,7 @@ def check_condition_c_ii(params: SystemParams, coupler: VirtualCoupler) -> Condi
     branch: Optional[str] = None
     failing: Optional[str] = None
     if passed:
-        branch = "ii1" if _c_ii_branch_ii1(c) else "ii2"
+        branch = "ii1" if first_clause(c.t3, c.t2, c.t1) else "ii2"
     else:
         if c.t0 < 0:
             failing = "t0"
@@ -553,6 +526,14 @@ def _confirm_sampled_dip(
         )
 
 
+def _llewellyn_margin(re11, re12, abs12, re22):
+    """Normalized Llewellyn margin from samples of Re h11, Re h12, |h12| and Re h22."""
+    prod = re11 * re22
+    L = 2.0 * prod + re12 - abs12
+    scale = 2.0 * np.abs(prod) + 2.0 * abs12 + _TINY
+    return L / scale
+
+
 def llewellyn_grid_margins(
     params: SystemParams, coupler: VirtualCoupler, omegas: np.ndarray
 ):
@@ -563,10 +544,7 @@ def llewellyn_grid_margins(
     of its terms.
     """
     h11, h12, h22 = _entry_grids(params, coupler, omegas)
-    prod = h11.real * h22.real
-    L = 2.0 * prod + h12.real - np.abs(h12)
-    scale = 2.0 * np.abs(prod) + 2.0 * np.abs(h12) + _TINY
-    return L / scale
+    return _llewellyn_margin(h11.real, h12.real, np.abs(h12), h22.real)
 
 
 # --------------------------------------------------------------------------

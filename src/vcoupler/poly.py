@@ -507,6 +507,11 @@ def is_nonnegative_on(p: Polynomial, interval) -> Tuple[bool, Optional[float]]:
     return True, None
 
 
+def first_clause(c3: Number, c2: Number, c1: Number) -> bool:
+    """Clause (a) of cubic_nonneg_closed_form: c1 >= 0 and c2 >= -sqrt(3*c1*c3)."""
+    return c1 >= 0 and (c2 >= 0 or c2 * c2 <= 3 * c1 * c3)
+
+
 def cubic_nonneg_closed_form(p3: Number, p2: Number, p1: Number, p0: Number) -> bool:
     """Decide p3*x**3 + p2*x**2 + p1*x + p0 >= 0 for all x >= 0, in closed form.
 
@@ -535,7 +540,7 @@ def cubic_nonneg_closed_form(p3: Number, p2: Number, p1: Number, p0: Number) -> 
         return verdict
     if c3 < 0 or c0 < 0:
         return False
-    if c1 >= 0 and (c2 >= 0 or c2 * c2 <= 3 * c1 * c3):
+    if first_clause(c3, c2, c1):
         return True
     sigma = c2 * c2 - 3 * c1 * c3
     sigma3 = c1 * c2 - 9 * c0 * c3

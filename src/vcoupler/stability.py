@@ -145,14 +145,21 @@ def quartic_hurwitz(coeffs: Sequence[Number]) -> QuarticHurwitz:
     has no root with positive real part; at zero the quartic has exactly one
     conjugate root pair on the imaginary axis.
     """
-    a4, a3, a2, a1, a0 = _quartic_coeffs(coeffs)
-    margin = a1 * (a2 * a3 - a1 * a4) - a0 * a3 * a3
+    margin = _hurwitz_margin(_quartic_coeffs(coeffs))
     return QuarticHurwitz(no_open_rhp=margin >= 0, margin=margin)
 
 
-def _margin_scale(coeffs: Tuple[Fraction, ...]) -> Fraction:
-    a4, a3, a2, a1, a0 = coeffs
-    return a1 * a2 * a3 + a1 * a1 * a4 + a0 * a3 * a3
+def _hurwitz_margin(cs: Tuple[Fraction, ...]) -> Fraction:
+    """a1*(a2*a3 - a1*a4) - a0*a3**2 for cs = (a4, a3, a2, a1, a0)."""
+    a4, a3, a2, a1, a0 = cs
+    return a1 * (a2 * a3 - a1 * a4) - a0 * a3 * a3
+
+
+def _margin_vanishes(cs: Tuple[Fraction, ...], rel_tol: float) -> bool:
+    """|Hurwitz margin| within rel_tol of the sum of its terms' magnitudes."""
+    a4, a3, a2, a1, a0 = cs
+    scale = a1 * a2 * a3 + a1 * a1 * a4 + a0 * a3 * a3
+    return abs(_hurwitz_margin(cs)) <= _exact(rel_tol) * scale
 
 
 def imaginary_axis_pole(
@@ -166,10 +173,9 @@ def imaginary_axis_pole(
     None when the margin is bounded away from zero.
     """
     cs = _quartic_coeffs(coeffs)
-    a4, a3, a2, a1, a0 = cs
-    margin = a1 * (a2 * a3 - a1 * a4) - a0 * a3 * a3
-    if abs(margin) > _exact(rel_tol) * _margin_scale(cs):
+    if not _margin_vanishes(cs, rel_tol):
         return None
+    a4, a3, a2, a1, a0 = cs
     pivot = a2 * a3 - a1 * a4
     if pivot <= 0:
         # impossible when margin ~ 0 with positive coefficients
@@ -201,12 +207,11 @@ def residues_positive_real(
     if len(num_cubic) != 4:
         raise ValueError("expected four numerator coefficients (b3, b2, b1, b0)")
     den = _quartic_coeffs(den_quartic)
-    a4, a3, a2, a1, a0 = den
-    margin = a1 * (a2 * a3 - a1 * a4) - a0 * a3 * a3
-    if abs(margin) > _exact(rel_tol) * _margin_scale(den):
+    if not _margin_vanishes(den, rel_tol):
         raise NoImaginaryPole(
             "denominator has no imaginary-axis pole (Hurwitz margin is nonzero)"
         )
+    a4, a3, a2, a1, a0 = den
     b3, b2, b1, b0 = (_exact(c) for c in num_cubic)
     beta = a3 * b1 - a1 * b3
     lhs = beta * (a2 * a3 - 2 * a1 * a4)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from vcoupler.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
+from vcoupler import cli
+from vcoupler.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, main
 
 REPO = Path(__file__).resolve().parents[1]
 TABLE = str(REPO / "table1.json")
@@ -143,6 +144,17 @@ def test_sweep_over_the_feedback_split_finds_the_pocket(capsys, config_file):
     }
 
 
+@pytest.mark.parametrize("criterion", ["passivity", "absolute"])
+def test_sweep_reports_the_sentinel_where_condition_a_fails(capsys, config_file, criterion):
+    # J = 0.01 puts the characteristic quartic's roots in the right half plane
+    code, out, _ = run(
+        capsys, "sweep", "--config", config_file(J=0.01), "--criterion", criterion,
+        "--vary", "k22", "--range", "404:412:3",
+    )
+    assert code == EXIT_PASS
+    assert out == "param,criterion,pass\n404,-1,false\n408,-1,false\n412,-1,false\n"
+
+
 def test_sweep_is_deterministic(capsys):
     args = ("sweep", "--config", TABLE, "--vary", "b22", "--range", "0.01:0.2:8")
     _, first, _ = run(capsys, *args)
@@ -248,6 +260,32 @@ def test_bode_targets_each_hybrid_entry(capsys):
         )
         assert code == EXIT_PASS, target
         assert len(out.strip().splitlines()) == 6
+
+
+def test_absolute_check_with_no_finite_grid_sample_prints_nan(capsys):
+    code, out, _ = run(
+        capsys, "check", "--config", TABLE, "--criterion", "absolute",
+        "--grid", "1e200:1e300:2",
+    )
+    assert code == EXIT_FAIL
+    assert "llewellyn: FAIL (min margin nan at omega nan rad/s over 2 points)" in out
+    assert "overall: FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# internal errors (exit code 3, one line on stderr)
+# ---------------------------------------------------------------------------
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal: closed-form and Sturm verdicts disagree")
+
+    monkeypatch.setattr(cli, "check_two_port_passivity", broken)
+    code, out, err = run(capsys, "check", "--config", TABLE)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: internal: closed-form and Sturm verdicts disagree\n"
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,52 @@ def test_transmitted_impedance_matches_frequency_wise_composition():
             assert zt.eval(s) == pytest.approx(expected, rel=1e-9)
 
 
+_PLANTS = {
+    "nominal": NOM,
+    "Im=0": NOM.replace(Im=0.0),
+    "If=0": NOM.replace(If=0.0),
+    "Im=If=0": NOM.replace(Im=0.0, If=0.0),
+}
+_COUPLERS = {
+    "nominal": VC,
+    "k22=0": VirtualCoupler(k22=0.0, b22=VC.b22),
+    "b22=0": VirtualCoupler(k22=VC.k22, b22=0.0),
+}
+_TERMINATIONS = (
+    EnvironmentModel("spring", 200.0, 0.0),
+    EnvironmentModel("damper", 0.0, 0.3),
+    EnvironmentModel("voigt", 200.0, 0.05),
+)
+
+
+def _generic_transmitted_impedance(h, env) -> RationalFunction:
+    """(h11 + dh*Ze) / (1 + h22*Ze), dh = h11*h22 - h12*h21, composed generically."""
+    ze = env.impedance()
+    one = RationalFunction([1], [1])
+    dh = h.h11 * h.h22 - h.h12 * h.h21
+    return ((h.h11 + dh * ze) / (one + h.h22 * ze)).reduced()
+
+
+def _monic(rf: RationalFunction):
+    lead = rf.den.leading_coeff
+    return [c / lead for c in rf.num.coeffs], [c / lead for c in rf.den.coeffs]
+
+
+@pytest.mark.parametrize("plant", sorted(_PLANTS))
+def test_h11_and_h12_share_their_denominator(plant):
+    h = hybrid_matrix(_PLANTS[plant], VC)
+    assert h.h11.den == h.h12.den
+
+
+@pytest.mark.parametrize("coupler", sorted(_COUPLERS))
+@pytest.mark.parametrize("plant", sorted(_PLANTS))
+def test_closed_form_transmitted_impedance_equals_generic_composition(plant, coupler):
+    h = hybrid_matrix(_PLANTS[plant], _COUPLERS[coupler])
+    for env in _TERMINATIONS:
+        closed = transmitted_impedance(h, env)
+        assert _monic(closed) == _monic(_generic_transmitted_impedance(h, env)), env
+
+
 def test_transmitted_impedance_is_positive_real_at_passive_points():
     for env in (NULL, EnvironmentModel("spring", 200.0, 0.0),
                 EnvironmentModel("voigt", 200.0, 0.05)):
