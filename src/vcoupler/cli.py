@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,34 +72,34 @@ def _f(x: Optional[float]) -> str:
     return "nan" if x is None else f"{float(x):.9g}"
 
 
-def _parse_grid(text: str) -> Tuple[float, float, int]:
+def _parse_triple(
+    text: str, flag: str, shape: str, in_range: Callable[[float, float], bool], rule: str
+) -> Tuple[float, float, int]:
+    """lo:hi:points with finite lo, hi satisfying in_range (stated as rule) and points >= 2."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"--grid must look like min:max:points, got {text!r}")
+        raise ConfigError(f"{flag} must look like {shape}, got {text!r}")
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise ConfigError(f"--grid {text!r}: {exc}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
-        raise ConfigError(f"--grid requires 0 < min < max, got {text!r}")
+        raise ConfigError(f"{flag} {text!r}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and in_range(lo, hi)):
+        raise ConfigError(f"{flag} requires {rule}, got {text!r}")
     if n < 2:
-        raise ConfigError(f"--grid requires at least 2 points, got {n}")
+        raise ConfigError(f"{flag} requires at least 2 points, got {n}")
     return lo, hi, n
+
+
+def _parse_grid(text: str) -> Tuple[float, float, int]:
+    return _parse_triple(
+        text, "--grid", "min:max:points", lambda lo, hi: 0 < lo < hi, "0 < min < max"
+    )
 
 
 def _parse_range(text: str) -> Tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--range must look like lo:hi:points, got {text!r}")
-    try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"--range {text!r}: {exc}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ConfigError(f"--range requires finite lo <= hi, got {text!r}")
-    if n < 2:
-        raise ConfigError(f"--range requires at least 2 points, got {n}")
-    return lo, hi, n
+    return _parse_triple(
+        text, "--range", "lo:hi:points", lambda lo, hi: lo <= hi, "finite lo <= hi"
+    )
 
 
 def _grid_array(cfg: RunConfig) -> Optional[np.ndarray]:

@@ -359,18 +359,18 @@ def _den_magnitude_scale(den: Polynomial, omega: float) -> float:
     return acc
 
 
-def eval_h(h: HybridMatrix, omega: float, rel_tol: float = 1e-9) -> np.ndarray:
+def eval_h(h: HybridMatrix, omega: float) -> np.ndarray:
     """Evaluate H(j*omega) as a 2x2 complex array.
 
     Raises PoleAtFrequency when any entry's denominator vanishes at j*omega
-    relative to its coefficient magnitude scale.
+    to within 1e-9 of its coefficient magnitude scale.
     """
     s = 1j * float(omega)
     out = np.empty((2, 2), dtype=complex)
     for (i, j), rf in (((0, 0), h.h11), ((0, 1), h.h12), ((1, 0), h.h21), ((1, 1), h.h22)):
         dv = rf.den.eval(s)
         scale = _den_magnitude_scale(rf.den, omega)
-        if abs(dv) <= rel_tol * scale:
+        if abs(dv) <= 1e-9 * scale:
             raise PoleAtFrequency(
                 f"h{i+1}{j+1} has a pole at omega = {omega!r} rad/s"
             )

@@ -55,6 +55,7 @@ from .poly import (
 from .stability import (
     RationalFunction,
     analyze_denominator,
+    axis_residue_fault,
     imaginary_axis_pole,
     quartic_hurwitz,
     real_part_even_polynomial,
@@ -138,11 +139,6 @@ class AbsoluteStabilityReport:
 # conditions (a) and (b): pole locations and residues
 
 
-def _reduced_h11(params: SystemParams):
-    h = hybrid_matrix(params, _UNIT_COUPLER)
-    return h.h11
-
-
 def check_condition_a(params: SystemParams) -> ConditionReport:
     """No open-right-half-plane poles of the drive two-port.
 
@@ -152,9 +148,9 @@ def check_condition_a(params: SystemParams) -> ConditionReport:
     root-location analysis.  Degenerate integral gains reduce the
     denominator degree and only the generic analysis applies.
     """
-    c = derive_coefficients(params, _UNIT_COUPLER)
-    rf = _reduced_h11(params)
-    analysis = analyze_denominator(rf.den)
+    h = hybrid_matrix(params, _UNIT_COUPLER)
+    c = h.coeffs
+    analysis = analyze_denominator(h.h11.den)
 
     if params.Im > 0 and params.If > 0:
         qh = quartic_hurwitz((c.a4, c.a3, c.a2, c.a1, c.a0))
@@ -179,11 +175,12 @@ def check_condition_a(params: SystemParams) -> ConditionReport:
     )
 
 
-def check_condition_b(params: SystemParams, rel_tol: float = 1e-9) -> ConditionReport:
+def check_condition_b(params: SystemParams) -> ConditionReport:
     """Imaginary-axis poles (if any) are simple with real positive residues.
 
     The quartic has an axis pole pair exactly when the Hurwitz margin
-    vanishes; the test is relative with tolerance rel_tol.  When a pair is
+    vanishes; the test is relative (see stability.imaginary_axis_pole) and
+    runs on the same exact quartic as condition (a).  When a pair is
     present, the residue sign/reality conditions are evaluated in the
     multiplied-through closed form (see stability.residues_positive_real).
     Away from the boundary the condition is vacuously true.
@@ -191,7 +188,7 @@ def check_condition_b(params: SystemParams, rel_tol: float = 1e-9) -> ConditionR
     if params.Im > 0 and params.If > 0:
         c = derive_coefficients(params, _UNIT_COUPLER)
         den = (c.a4, c.a3, c.a2, c.a1, c.a0)
-        p = imaginary_axis_pole([float(v) for v in den], rel_tol=rel_tol)
+        p = imaginary_axis_pole(den)
         if p is None:
             return ConditionReport(
                 name="condition_b",
@@ -199,7 +196,7 @@ def check_condition_b(params: SystemParams, rel_tol: float = 1e-9) -> ConditionR
                 branch="no-axis-pole",
                 note="vacuous: characteristic quartic has no imaginary-axis pole",
             )
-        ok = residues_positive_real(h11_numerator_cubic(params), den, rel_tol=rel_tol)
+        ok = residues_positive_real(h11_numerator_cubic(params), den)
         beta = _beta(params, c)
         return ConditionReport(
             name="condition_b",
@@ -212,20 +209,15 @@ def check_condition_b(params: SystemParams, rel_tol: float = 1e-9) -> ConditionR
         )
 
     # degenerate integral gains: generic pole analysis + numeric residues
-    rf = _reduced_h11(params)
-    analysis = analyze_denominator(rf.den)
-    for pair in analysis.imaginary_pairs:
-        if pair.multiplicity > 1:
-            return ConditionReport(
-                name="condition_b", passed=False, branch="generic",
-                failing="multiple-pole", witness_omega=pair.omega,
-            )
-        r = rf.num.eval(1j * pair.omega) / rf.den.derivative().eval(1j * pair.omega)
-        if not (abs(r.imag) <= rel_tol * (abs(r) + _TINY) and r.real > 0):
-            return ConditionReport(
-                name="condition_b", passed=False, branch="generic",
-                failing="residue", witness_omega=pair.omega,
-            )
+    h11 = hybrid_matrix(params, _UNIT_COUPLER).h11
+    fault = axis_residue_fault(
+        h11.num, h11.den, analyze_denominator(h11.den).imaginary_pairs
+    )
+    if fault is not None:
+        return ConditionReport(
+            name="condition_b", passed=False, branch="generic",
+            failing=fault[0], witness_omega=fault[1],
+        )
     return ConditionReport(
         name="condition_b", passed=True, branch="generic",
         note="degenerate integral gain: numeric residue checks",

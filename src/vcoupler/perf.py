@@ -270,19 +270,26 @@ def frequency_response(
 ) -> List[Tuple[float, float, float]]:
     """(omega, magnitude dB, unwrapped phase deg) along an ascending grid.
 
-    Raises PoleAtFrequency when a grid point lands exactly on a pole.
+    Raises PoleAtFrequency when a grid point lands exactly on a pole (its
+    denominator sample is 0), and InvalidParams when a sample is not finite
+    for any other reason: the response overflows double precision there.
     """
     w = np.asarray(omegas, dtype=float)
     if w.size == 0:
         return []
     if np.any(w <= 0) or np.any(~np.isfinite(w)):
         raise InvalidParams("frequency grid must be positive and finite")
-    with np.errstate(all="ignore"):
-        z = rf.eval_grid(w)
+    z = rf.eval_grid(w)
     bad = ~np.isfinite(z)
     if np.any(bad):
-        raise PoleAtFrequency(
-            f"response has a pole at omega = {w[bad][0]:.6g} rad/s"
+        # dividing by 1 keeps the denominator samples bit for bit
+        pole = bad & (RationalFunction(rf.den, [1]).eval_grid(w) == 0)
+        if np.any(pole):
+            raise PoleAtFrequency(
+                f"response has a pole at omega = {w[pole][0]:.6g} rad/s"
+            )
+        raise InvalidParams(
+            f"response overflows double precision at omega = {w[bad][0]:.6g} rad/s"
         )
     with np.errstate(divide="ignore"):
         mag_db = 20.0 * np.log10(np.abs(z))

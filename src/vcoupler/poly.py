@@ -306,14 +306,34 @@ def eval(p: Polynomial, x):  # noqa: A001 - module-level name fixed by the API
 
 @dataclass(frozen=True)
 class SturmChain:
-    """Sturm chain of the square-free part of a polynomial."""
+    """Signed remainder chain of a pair of polynomials.
+
+    sturm_sequence builds it from a square-free polynomial and its
+    derivative; the Routh-Hurwitz count in stability builds it from the
+    even and odd parts of a polynomial.
+    """
 
     polys: Tuple[Polynomial, ...]
 
     @property
     def base(self) -> Polynomial:
-        """The (square-free) polynomial the chain was built from."""
+        """The polynomial the chain starts from."""
         return self.polys[0]
+
+
+def remainder_chain(a: Polynomial, b: Polynomial) -> SturmChain:
+    """Chain {a, b, -rem(a, b), ...} down to a constant, kept exactly as produced.
+
+    The chain stops early at a zero remainder, which only happens when a
+    and b share a nonconstant factor.
+    """
+    seq = [a, b]
+    while seq[-1].degree >= 1:
+        r = seq[-2] % seq[-1]
+        if r.is_zero:
+            break
+        seq.append(-r)
+    return SturmChain(tuple(seq))
 
 
 def sturm_sequence(p: Polynomial) -> SturmChain:
@@ -325,16 +345,9 @@ def sturm_sequence(p: Polynomial) -> SturmChain:
     if p.is_zero:
         raise ZeroPolynomial("Sturm chain of the zero polynomial is undefined")
     q = p.square_free_part()
-    seq = [q]
-    if q.degree >= 1:
-        seq.append(q.derivative())
-        while seq[-1].degree >= 1:
-            r = seq[-2] % seq[-1]
-            if r.is_zero:
-                # cannot happen for a square-free base; defensive only
-                break
-            seq.append(-r)
-    return SturmChain(tuple(seq))
+    if q.degree < 1:
+        return SturmChain((q,))
+    return remainder_chain(q, q.derivative())
 
 
 def sign_variations(chain: SturmChain, at) -> int:

@@ -10,9 +10,10 @@ Three layers:
 
 2. A generic exact root-location analysis for arbitrary denominators:
    the even/odd-part gcd isolates imaginary-axis root pairs (exactly, via
-   Sturm counts on the gcd), and an exact Routh recursion settles the
-   remaining factor.  A numeric root finder is used only as a fallback when
-   the Routh table hits a zero pivot, and to report pole frequencies.
+   Sturm counts on the gcd), and the Routh-Hurwitz count through the Cauchy
+   index of the even and odd parts, read off a signed remainder chain,
+   counts the right-half-plane roots of the remaining factor.  A numeric
+   root finder only reports the frequencies of the axis pairs counted.
 
 3. positive_real combines both with an exact nonnegativity test of the
    real part along the imaginary axis.
@@ -20,16 +21,25 @@ Three layers:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NoImaginaryPole, NonPositiveCoefficient, ZeroPolynomial
-from .poly import POS_INF, Number, Polynomial, _exact, is_nonnegative_on
+from .poly import (
+    NEG_INF,
+    POS_INF,
+    Number,
+    Polynomial,
+    _exact,
+    count_real_roots,
+    is_nonnegative_on,
+    remainder_chain,
+    sign_variations,
+)
 
 __all__ = [
     "RationalFunction",
@@ -39,9 +49,14 @@ __all__ = [
     "residues_positive_real",
     "DenominatorAnalysis",
     "analyze_denominator",
+    "axis_residue_fault",
     "PositiveRealVerdict",
     "positive_real",
 ]
+
+# Relative tolerance of the float-input tests: a vanishing Hurwitz margin,
+# a real residue.
+_REL_TOL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -86,13 +101,13 @@ class RationalFunction:
     def eval_grid(self, omegas: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at s = j*omega over a frequency array.
 
-        Points landing exactly on a pole come back as inf/nan; callers
-        filter with isfinite.
+        Points landing exactly on a pole, or where a float evaluation
+        overflows, come back as inf/nan; callers filter with isfinite.
         """
         s = 1j * np.asarray(omegas, dtype=float)
-        num = np.polyval(self.num.float_coeffs()[::-1] or [0.0], s)
-        den = np.polyval(self.den.float_coeffs()[::-1], s)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
+            num = np.polyval(self.num.float_coeffs()[::-1] or [0.0], s)
+            den = np.polyval(self.den.float_coeffs()[::-1], s)
             return num / den
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
@@ -155,25 +170,23 @@ def _hurwitz_margin(cs: Tuple[Fraction, ...]) -> Fraction:
     return a1 * (a2 * a3 - a1 * a4) - a0 * a3 * a3
 
 
-def _margin_vanishes(cs: Tuple[Fraction, ...], rel_tol: float) -> bool:
-    """|Hurwitz margin| within rel_tol of the sum of its terms' magnitudes."""
+def _margin_vanishes(cs: Tuple[Fraction, ...]) -> bool:
+    """|Hurwitz margin| within _REL_TOL of the sum of its terms' magnitudes."""
     a4, a3, a2, a1, a0 = cs
     scale = a1 * a2 * a3 + a1 * a1 * a4 + a0 * a3 * a3
-    return abs(_hurwitz_margin(cs)) <= _exact(rel_tol) * scale
+    return abs(_hurwitz_margin(cs)) <= _exact(_REL_TOL) * scale
 
 
-def imaginary_axis_pole(
-    coeffs: Sequence[Number], rel_tol: float = 1e-9
-) -> Optional[float]:
+def imaginary_axis_pole(coeffs: Sequence[Number]) -> Optional[float]:
     """Frequency of the simple imaginary-axis root pair, if one exists.
 
     For a positive-coefficient quartic, a root pair +/-j*p exists iff the
     Hurwitz margin vanishes; the test is relative (margin against the sum of
-    its constituent magnitudes) with tolerance rel_tol.  Returns p > 0, or
+    its constituent magnitudes) with tolerance _REL_TOL.  Returns p > 0, or
     None when the margin is bounded away from zero.
     """
     cs = _quartic_coeffs(coeffs)
-    if not _margin_vanishes(cs, rel_tol):
+    if not _margin_vanishes(cs):
         return None
     a4, a3, a2, a1, a0 = cs
     pivot = a2 * a3 - a1 * a4
@@ -184,9 +197,7 @@ def imaginary_axis_pole(
 
 
 def residues_positive_real(
-    num_cubic: Sequence[Number],
-    den_quartic: Sequence[Number],
-    rel_tol: float = 1e-9,
+    num_cubic: Sequence[Number], den_quartic: Sequence[Number]
 ) -> bool:
     """Residue conditions at the imaginary-axis pole pair of Z = s*N3 / D4.
 
@@ -207,7 +218,7 @@ def residues_positive_real(
     if len(num_cubic) != 4:
         raise ValueError("expected four numerator coefficients (b3, b2, b1, b0)")
     den = _quartic_coeffs(den_quartic)
-    if not _margin_vanishes(den, rel_tol):
+    if not _margin_vanishes(den):
         raise NoImaginaryPole(
             "denominator has no imaginary-axis pole (Hurwitz margin is nonzero)"
         )
@@ -220,7 +231,7 @@ def residues_positive_real(
         abs(beta) * abs(a2 * a3 - 2 * a1 * a4)
         + (abs(a3 * b0) + abs(a1 * b2)) * a3 * a3
     )
-    real_ok = abs(lhs - rhs) <= _exact(rel_tol) * scale if scale > 0 else lhs == rhs
+    real_ok = abs(lhs - rhs) <= _exact(_REL_TOL) * scale if scale > 0 else lhs == rhs
     return bool(real_ok and beta > 0)
 
 
@@ -243,52 +254,37 @@ class DenominatorAnalysis:
     open_rhp_free: bool
     zero_root_multiplicity: int
     imaginary_pairs: Tuple[ImaginaryAxisPair, ...]
-    method: str  # "routh-exact" or "roots-fallback"
-
-    @property
-    def all_imaginary_simple(self) -> bool:
-        return all(pair.multiplicity == 1 for pair in self.imaginary_pairs)
 
 
-def _routh_sign_changes(p: Polynomial) -> Optional[int]:
-    """Sign changes of the exact Routh first column; None on a zero pivot.
+def _rhp_root_count(p: Polynomial) -> int:
+    """Number of open-right-half-plane roots of p, which has none on the axis.
 
-    Precondition: p has no imaginary-axis roots (even/odd parts coprime), so
-    a full zero row cannot occur; a zero pivot with a nonzero row signals a
-    singular table and triggers the numeric fallback.
+    Routh-Hurwitz through the Cauchy index (Gantmacher, Theory of Matrices
+    vol. II ch. XV): for p(s) = E(s**2) + s*O(s**2) of even degree n, with
+    V the sign variations of the signed remainder chain of E(-u) and O(-u),
+    the count is n/2 + V(0) - V(+inf).  An odd-degree p is first multiplied
+    by s + 1, which adds one left-half-plane root.
     """
-    cs = list(reversed(p.coeffs))  # highest degree first
-    row0 = [cs[i] for i in range(0, len(cs), 2)]
-    row1 = [cs[i] for i in range(1, len(cs), 2)]
-    first_col = [row0[0]]
-    while row1:
-        if row1[0] == 0:
-            return None
-        first_col.append(row1[0])
-        width = len(row1)
-        nxt = []
-        for i in range(width - 1 if len(row0) == width else width):
-            a = row0[i + 1] if i + 1 < len(row0) else Fraction(0)
-            b = row1[i + 1] if i + 1 < len(row1) else Fraction(0)
-            nxt.append((row1[0] * a - row0[0] * b) / row1[0])
-        while nxt and nxt[-1] == 0:
-            nxt.pop()
-        if not nxt and len(row1) > 1:
-            # proportional rows => common factor; excluded by precondition
-            return None
-        row0, row1 = row1, nxt
-    changes = 0
-    for u, v in zip(first_col, first_col[1:]):
-        if (u > 0) != (v > 0):
-            changes += 1
-    return changes
+    if p.degree % 2:
+        p = p * Polynomial([1, 1])
+    even, odd = p.even_odd_parts()
+    chain = remainder_chain(even.reflect(), odd.reflect())
+    return p.degree // 2 + sign_variations(chain, 0) - sign_variations(chain, POS_INF)
 
 
-def _real_negative_roots_only(g: Polynomial) -> bool:
-    """True iff every root of square-free g is real and negative."""
-    from .poly import count_real_roots
+def _axis_frequencies(factor: Polynomial, count: int) -> List[float]:
+    """sqrt(-u) for the count negative real roots u of factor (reporting only).
 
-    return count_real_roots(g, float("-inf"), 0) == g.degree and g.eval_exact(0) != 0
+    The count is exact; numpy.roots supplies the values, taking the count
+    roots nearest the negative real half-line.
+    """
+    if count == 0:
+        return []
+    roots = sorted(
+        np.roots(factor.float_coeffs()[::-1]),
+        key=lambda u: abs(u.imag) if u.real < 0 else abs(u),
+    )
+    return [math.sqrt(abs(u.real)) for u in roots[:count]]
 
 
 def analyze_denominator(p: Polynomial) -> DenominatorAnalysis:
@@ -296,15 +292,14 @@ def analyze_denominator(p: Polynomial) -> DenominatorAnalysis:
 
     Writes p = s**k * g(s**2) * p1(s) where g = gcd of the even/odd parts
     (in u = s**2) after stripping the root at 0.  Roots of g with u < 0 are
-    the imaginary-axis pairs of p; any other root of g lies off the axis in
-    a right-half-plane-symmetric set.  p1 has coprime even/odd parts, hence
-    no imaginary-axis roots, and an exact Routh recursion counts its RHP
-    roots; numpy.roots is the fallback when the table is singular.
+    the imaginary-axis pairs of p, counted by Sturm chains; any other root
+    of g gives roots of p placed symmetrically about the axis, one of them in
+    the right half plane.  p1 has coprime even/odd parts, hence no
+    imaginary-axis roots, and _rhp_root_count counts its right-half-plane
+    roots.  No decision depends on floating point.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot analyze the zero polynomial")
-    if p.degree == 0:
-        return DenominatorAnalysis(True, 0, (), "routh-exact")
 
     k = p.valuation()
     q = p.shift_down(k)
@@ -314,49 +309,44 @@ def analyze_denominator(p: Polynomial) -> DenominatorAnalysis:
 
     pairs: List[ImaginaryAxisPair] = []
     rhp_free = True
-    method = "routh-exact"
+    for factor, mult in g.squarefree_decomposition():
+        on_axis = count_real_roots(factor, NEG_INF, 0)
+        rhp_free = rhp_free and on_axis == factor.degree
+        pairs += [ImaginaryAxisPair(w, mult) for w in _axis_frequencies(factor, on_axis)]
 
-    if g.degree > 0:
-        for factor, mult in g.squarefree_decomposition():
-            if not _real_negative_roots_only(factor):
-                rhp_free = False
-                # still report whatever imaginary pairs exist numerically
-                for u in np.roots(factor.float_coeffs()[::-1]):
-                    if abs(u.imag) < 1e-9 * max(1.0, abs(u)) and u.real < 0:
-                        pairs.append(
-                            ImaginaryAxisPair(math.sqrt(-u.real), mult)
-                        )
-                continue
-            for u in sorted(np.roots(factor.float_coeffs()[::-1]).real):
-                pairs.append(ImaginaryAxisPair(math.sqrt(-u), mult))
-        # g(s**2): interleave coefficients with zeros
-        interleaved: List[Fraction] = []
-        for i, c in enumerate(g.coeffs):
-            interleaved.append(c)
-            if i < g.degree:
-                interleaved.append(Fraction(0))
-        gs2 = Polynomial(interleaved)
-        p1 = q.exact_div(gs2)
-    else:
-        p1 = q
-
+    # p1 = q / g(s**2)
+    g_s2 = Polynomial([g.coeffs[i // 2] if i % 2 == 0 else 0 for i in range(2 * g.degree + 1)])
+    p1 = q.exact_div(g_s2)
     if rhp_free and p1.degree > 0:
-        changes = _routh_sign_changes(p1)
-        if changes is None:
-            method = "roots-fallback"
-            roots = np.roots(p1.float_coeffs()[::-1])
-            scale = max(1.0, float(np.max(np.abs(roots))) if roots.size else 1.0)
-            rhp_free = bool(np.all(roots.real < 1e-9 * scale))
-        else:
-            rhp_free = changes == 0
+        rhp_free = _rhp_root_count(p1) == 0
 
     pairs.sort(key=lambda pr: pr.omega)
     return DenominatorAnalysis(
         open_rhp_free=rhp_free,
         zero_root_multiplicity=k,
         imaginary_pairs=tuple(pairs),
-        method=method,
     )
+
+
+def axis_residue_fault(
+    num: Polynomial, den: Polynomial, pairs: Sequence[ImaginaryAxisPair]
+) -> Optional[Tuple[str, float]]:
+    """First imaginary-axis pole pair of num/den that breaks positive realness.
+
+    Returns ("multiple-pole", omega) for a pair of multiplicity above one,
+    ("residue", omega) for a simple pair whose residue num(j*omega) /
+    den'(j*omega) is not real (within _REL_TOL of its modulus) and
+    positive, and None when every pair passes.
+    """
+    slope = den.derivative()
+    for pair in pairs:
+        if pair.multiplicity > 1:
+            return "multiple-pole", pair.omega
+        s0 = 1j * pair.omega
+        r = num.eval(s0) / slope.eval(s0)
+        if not (abs(r.imag) <= _REL_TOL * (abs(r) + 1e-300) and r.real > 0):
+            return "residue", pair.omega
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -403,24 +393,15 @@ def real_part_even_polynomial(num: Polynomial, den: Polynomial) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _numeric_residue(num: Polynomial, den: Polynomial, s0: complex) -> complex:
-    """Residue of num/den at a simple pole s0: num(s0) / den'(s0)."""
-    return num.eval(complex(s0)) / den.derivative().eval(complex(s0))
-
-
-def positive_real(
-    rf: RationalFunction,
-    rel_tol: float = 1e-9,
-    grid: Optional[np.ndarray] = None,
-) -> PositiveRealVerdict:
+def positive_real(rf: RationalFunction) -> PositiveRealVerdict:
     """Positive realness of the impedance rf, decided exactly where possible.
 
     Pole-side checks run on the gcd-reduced function (true poles only); the
     quartic closed forms are dispatched when the reduced denominator is a
     positive quartic, with the generic exact analysis otherwise.  The
     real-part condition is an exact Sturm nonnegativity test; the reported
-    margin and (on failure) witness come from a log-spaced probe grid
-    augmented with the exact witness.
+    margin and (on failure) witness come from a 400-point log-spaced probe
+    grid over [1e-3, 1e6] rad/s augmented with the exact witness.
     """
     red = rf.reduced()
     num, den = red.num, red.den
@@ -453,14 +434,9 @@ def positive_real(
             if r0 <= 0:
                 residues_ok = False
 
-    for pair in analysis.imaginary_pairs:
-        pole_freqs.append(pair.omega)
-        if pair.multiplicity > 1:
-            residues_ok = False
-            continue
-        r = _numeric_residue(num, den, 1j * pair.omega)
-        if not (abs(r.imag) <= rel_tol * (abs(r) + 1e-300) and r.real > 0):
-            residues_ok = False
+    pole_freqs += [pair.omega for pair in analysis.imaginary_pairs]
+    if axis_residue_fault(num, den, analysis.imaginary_pairs) is not None:
+        residues_ok = False
 
     # real part along the axis, exact
     f = real_part_even_polynomial(num, den)
@@ -468,9 +444,7 @@ def positive_real(
     witness_omega = math.sqrt(witness_x) if (not nonneg and witness_x is not None) else None
 
     # dimensionless margin over a probe grid
-    if grid is None:
-        grid = np.logspace(-3, 6, 400)
-    z = red.eval_grid(grid)
+    z = red.eval_grid(np.logspace(-3, 6, 400))
     finite = np.isfinite(z)
     margin = float("inf")
     if np.any(finite):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,30 @@ def test_absolute_check_with_no_finite_grid_sample_prints_nan(capsys):
     assert "overall: FAIL" in out
 
 
+def test_bode_that_overflows_double_precision_is_a_config_error(capsys):
+    # h11 has no pole at 1e200 rad/s; its float evaluation overflows there
+    code, out, err = run(
+        capsys, "bode", "--config", TABLE, "--target", "h11",
+        "--grid", "1e200:1e300:2",
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == (
+        "config error: response overflows double precision at omega = 1e+200 rad/s\n"
+    )
+
+
+def test_check_on_an_overflowing_grid_leaks_no_numpy_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(
+            capsys, "check", "--config", TABLE, "--grid", "1e200:1e300:2",
+        )
+    assert code == EXIT_PASS
+    assert err == ""
+    assert "overall: PASS" in out
+
+
 # ---------------------------------------------------------------------------
 # internal errors (exit code 3, one line on stderr)
 # ---------------------------------------------------------------------------
@@ -342,6 +367,38 @@ def test_bad_grid_specifications(capsys):
         )
         assert code == EXIT_CONFIG, grid
         assert err.startswith("config error:"), grid
+
+
+GRID_ERRORS = [
+    ("1e6:1e-3:100", "--grid requires 0 < min < max, got '1e6:1e-3:100'"),
+    ("1e-3:1e6:0", "--grid requires at least 2 points, got 0"),
+    ("inf:1e6:5", "--grid requires 0 < min < max, got 'inf:1e6:5'"),
+    ("0:1:1", "--grid requires 0 < min < max, got '0:1:1'"),
+    ("1:2:3:4", "--grid must look like min:max:points, got '1:2:3:4'"),
+    ("1:2:x", "--grid '1:2:x': invalid literal for int() with base 10: 'x'"),
+]
+
+RANGE_ERRORS = [
+    ("1:nan:5", "--range requires finite lo <= hi, got '1:nan:5'"),
+    ("5:4:1", "--range requires finite lo <= hi, got '5:4:1'"),
+    ("1:2:1", "--range requires at least 2 points, got 1"),
+    ("a:b", "--range must look like lo:hi:points, got 'a:b'"),
+    ("1:2:2.5", "--range '1:2:2.5': invalid literal for int() with base 10: '2.5'"),
+]
+
+
+@pytest.mark.parametrize("grid,message", GRID_ERRORS, ids=[g for g, _ in GRID_ERRORS])
+def test_grid_error_messages(capsys, grid, message):
+    code, _, err = run(capsys, "check", "--config", TABLE, "--grid", grid)
+    assert code == EXIT_CONFIG
+    assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("rng,message", RANGE_ERRORS, ids=[r for r, _ in RANGE_ERRORS])
+def test_range_error_messages(capsys, rng, message):
+    code, _, err = run(capsys, "sweep", "--config", TABLE, "--vary", "k22", "--range", rng)
+    assert code == EXIT_CONFIG
+    assert err == f"config error: {message}\n"
 
 
 def test_bad_sweep_range(capsys):

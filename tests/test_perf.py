@@ -310,3 +310,8 @@ def test_evaluation_on_a_pole_is_reported():
     resonator = RationalFunction([0.0, 1.0], [1.0, 0.0, 1.0])  # s/(s^2+1)
     with pytest.raises(PoleAtFrequency):
         frequency_response(resonator, np.array([0.5, 1.0, 2.0]))
+
+
+def test_overflow_is_not_reported_as_a_pole():
+    with pytest.raises(InvalidParams, match="overflows double precision at omega = 1e\\+200"):
+        frequency_response(H.h11, np.array([1e200, 1e300]))

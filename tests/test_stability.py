@@ -152,6 +152,9 @@ def test_positive_real_failure_details():
     v3 = positive_real(RationalFunction([1], [1, 0, 2, 0, 1]))
     assert not v3.passive and v3.stable and not v3.residues_ok
 
+    v4 = positive_real(RationalFunction([1], [-25, -5, 12, 12, 5, 1]))  # root at s = 1
+    assert not v4.passive and not v4.stable
+
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -188,7 +191,72 @@ def test_denominator_analysis_classifies_roots():
 
     d = analyze_denominator(Polynomial([1, 2, 3, 2, 1, 1]))  # quintic, has rhp roots
     assert not d.open_rhp_free
-    assert isinstance(d.method, str) and d.method
+
+    # (s - 1)(s^2 + 4s + 5)(s^2 + 2s + 5): s = 1 is a root.  A Routh table that sizes
+    # each row from the previous one after popping its trailing zeros drops
+    # entries and sees no sign change here.
+    d = analyze_denominator(Polynomial([-25, -5, 12, 12, 5, 1]))
+    assert not d.open_rhp_free and not d.imaginary_pairs
+
+
+# Descending coefficients whose Routh table has a zero pivot; each has two
+# right-half-plane roots.
+ZERO_PIVOT_TABLES = [[1, 2, 2, 4, 11, 10], [1, 1, 2, 2, 3, 5], [1, 2, 3, 6, 5, 3]]
+
+
+@pytest.mark.parametrize("desc", ZERO_PIVOT_TABLES, ids=str)
+def test_zero_pivot_tables_are_decided_without_numeric_roots(desc, monkeypatch):
+    assert int(np.sum(np.roots(desc).real > 0)) == 2
+
+    def no_roots(*args, **kwargs):
+        raise AssertionError("numpy.roots called")
+
+    monkeypatch.setattr(np, "roots", no_roots)
+    d = analyze_denominator(Polynomial(desc[::-1]))
+    assert not d.open_rhp_free and not d.imaginary_pairs
+
+
+def _from_roots(real_roots, axis_freqs, complex_pairs):
+    """Integer polynomial with the given real roots, +/-j*w pairs and a +/- j*b pairs."""
+    p = Polynomial([1])
+    for r in real_roots:
+        p = p * Polynomial([-r, 1])
+    for w in axis_freqs:
+        p = p * Polynomial([w * w, 0, 1])
+    for a, b in complex_pairs:
+        p = p * Polynomial([a * a + b * b, -2 * a, 1])
+    return p
+
+
+def test_denominator_analysis_matches_integer_root_oracle():
+    rng = np.random.default_rng(90210)
+    parities = set()
+    for _ in range(400):
+        real_roots = [int(r) for r in rng.integers(-5, 6, size=int(rng.integers(0, 6)))]
+        if rng.random() < 0.3:  # a pair at +/-r
+            r = int(rng.integers(1, 5))
+            real_roots += [r, -r]
+        axis = [int(w) for w in rng.integers(1, 4, size=int(rng.integers(0, 3)))]
+        pairs = [
+            (int(rng.choice([-3, -2, -1, 1, 2, 3])), int(rng.integers(1, 4)))
+            for _ in range(int(rng.integers(0, 2)))
+        ]
+        p = _from_roots(real_roots, axis, pairs)
+        if p.degree < 1:
+            continue
+        parities.add(p.degree % 2)
+        if rng.random() < 0.5:
+            p = p.scale(-3)
+
+        d = analyze_denominator(p)
+        rhp = any(r > 0 for r in real_roots) or any(a > 0 for a, _ in pairs)
+        assert d.open_rhp_free is (not rhp), (real_roots, axis, pairs)
+        assert d.zero_root_multiplicity == real_roots.count(0)
+        expected = sorted((w, axis.count(w)) for w in set(axis))
+        got = [(p.omega, p.multiplicity) for p in d.imaginary_pairs]
+        assert [m for _, m in got] == [m for _, m in expected]
+        assert [w for w, _ in got] == pytest.approx([w for w, _ in expected], rel=1e-6)
+    assert parities == {0, 1}
 
 
 def test_real_part_polynomial_matches_sampled_real_part():
