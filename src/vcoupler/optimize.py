@@ -15,11 +15,12 @@ check_absolute_stability on the same default grid, so the returned optimum
 is consistent with that checker's verdicts.  Both bisect through the same
 loop, and each search builds its objective once per plant:
 
-- passivity derives the coupler-independent coefficients once.  Per b22,
-  three exact derivations give the determinant cubic as base + k22**2*step;
-  base and step are scaled to Python ints once, so every bisection probe
-  k22 = kn/kd decides the integer cubic base*kd**2 + step*kn**2 in closed
-  form, with no Fraction normalization and the same verdict;
+- passivity tabulates the determinant cubic once per plant as integer
+  quadratic forms qa*b22**2 + qb*b22 + qg*k22**2, one per coefficient.  A
+  bisection probe at b22 = bn/bd, k22 = kn/kd decides the integer cubic
+  (qa*bn**2 + qb*bn*bd)*kd**2 + qg*bd**2*kn**2 in closed form (a quadratic
+  one at b22 = 4*Bf, where the cubic term vanishes), with no Fraction
+  work per b22 and the same verdict as the exact cubic;
 - absolute samples the coupler-independent entries h11 and h12 once; only
   the coupler port Re h22 = b22*w^2 / (k22^2 + b22^2*w^2) is recomputed per
   candidate.

@@ -382,44 +382,55 @@ def _sup_feasible(
 class _DeterminantBound:
     """sup{k22 >= 0 : condition (c-ii) holds} for one plant, at any b22.
 
-    The coupler-independent coefficients are derived once, on construction;
-    each bound(b22) combines them with the coupler.  An instance holds no
-    state beyond its plant, so a caller keeps it for one search only.
+    Each coefficient of the determinant cubic is a quadratic form
+    t_i = qa_i*b22**2 + qb_i*b22 + qg_i*k22**2 with plant-only q's.  On
+    construction the table is interpolated exactly from coupler_coefficients
+    at (k22, b22) = (0, 1), (0, 2), (1, 1), verified at two further couplers
+    and scaled to Python ints once.  An instance holds no state beyond its
+    plant, so a caller keeps it for one search only.
     """
 
     def __init__(self, params: SystemParams) -> None:
-        self._plant = plant_coefficients(params)
-        self._ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
-        self._r0x4 = max(float(4 * self._plant.r0), 0.0)
+        plant = plant_coefficients(params)
 
-    def _t_cubic(self, k22: float, b22: float) -> Tuple[Fraction, ...]:
-        c = coupler_coefficients(self._plant, VirtualCoupler(k22, b22))
-        return (c.t0, c.t1, c.t2, c.t3)
+        def t(k22: float, b22: float) -> Tuple[Fraction, ...]:
+            c = coupler_coefficients(plant, VirtualCoupler(k22, b22))
+            return (c.t0, c.t1, c.t2, c.t3)
+
+        t01, t02, t11 = t(0.0, 1.0), t(0.0, 2.0), t(1.0, 1.0)
+        qa = tuple((y - 2 * x) / 2 for x, y in zip(t01, t02))
+        qb = tuple(x - a for x, a in zip(t01, qa))
+        qg = tuple(z - x for x, z in zip(t01, t11))
+        for k22, b22 in ((2.0, 3.0), (0.5, 0.25)):
+            K, b = Fraction(k22) ** 2, Fraction(b22)
+            if t(k22, b22) != tuple(a * b * b + c * b + g * K for a, c, g in zip(qa, qb, qg)):
+                raise RuntimeError(
+                    "internal: t-coefficients are not qa*b22**2 + qb*b22 + qg*k22**2"
+                )
+        scale = math.lcm(*(q.denominator for q in qa + qb + qg))
+        self._qa, self._qb, self._qg = (
+            tuple(q.numerator * (scale // q.denominator) for q in row) for row in (qa, qb, qg)
+        )
+        self._ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
+        self._r0x4 = max(float(4 * plant.r0), 0.0)
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
         if b22 <= 0 or not math.isfinite(b22):
             return 0.0
 
-        # t0..t2 are affine in K = k22**2 and t3 is constant, so two exact
-        # derivations pin the whole family; a third verifies the affine shape.
-        base = self._t_cubic(0.0, b22)
-        step = tuple(u - b for b, u in zip(base, self._t_cubic(1.0, b22)))
-        if self._t_cubic(2.0, b22) != tuple(b + 4 * s for b, s in zip(base, step)):
-            raise RuntimeError("internal: t-coefficients are not affine in k22**2")
-
-        # Clear denominators once: at k22 = kn/kd the cubic times
-        # scale*kd**2 > 0 has integer coefficients base*kd**2 + step*kn**2,
-        # and a positive scale leaves the closed-form verdict unchanged.
-        scale = math.lcm(*(q.denominator for q in base + step))
-        ibase = tuple(q.numerator * (scale // q.denominator) for q in base)
-        istep = tuple(q.numerator * (scale // q.denominator) for q in step)
+        # At b22 = bn/bd and k22 = kn/kd the cubic times scale*bd**2*kd**2 > 0
+        # has integer coefficients base*kd**2 + step*kn**2, and a positive
+        # scale leaves the homogeneous closed-form verdict unchanged.
+        bn, bd = b22.as_integer_ratio()
+        base = tuple(a * bn * bn + c * bn * bd for a, c in zip(self._qa, self._qb))
+        step = tuple(g * bd * bd for g in self._qg)
 
         def feasible(k22: float) -> bool:
             # closed-form rule only: exact, and proven equivalent to the Sturm
             # route (which the condition checks still run on every verdict).
             kn, kd = k22.as_integer_ratio()
             n2, d2 = kn * kn, kd * kd
-            t0, t1, t2, t3 = (b * d2 + s * n2 for b, s in zip(ibase, istep))
+            t0, t1, t2, t3 = (b * d2 + s * n2 for b, s in zip(base, step))
             return cubic_nonneg_closed_form(t3, t2, t1, t0)
 
         if not feasible(0.0):
@@ -443,11 +454,12 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
     absolute tolerance tol.  Returns 0.0 when no positive k22 is feasible
     (including b22 <= 0 and b22 > 4*Bf).
 
-    The coupler-independent coefficients are derived once per plant; to
-    bound many b22 values of one plant, the optimizer keeps that part for
-    the whole search.  The t-cubic is affine in k22**2, so it is scaled to
-    integers once per b22 and every bisection probe decides a cubic with
-    Python int coefficients, without Fraction normalization.
+    Per plant, the determinant cubic is tabulated once as the exact integer
+    quadratic form qa*b22**2 + qb*b22 + qg*k22**2 in each coefficient; to
+    bound many b22 values of one plant, the optimizer keeps the table for
+    the whole search.  Every bisection probe at b22 = bn/bd, k22 = kn/kd
+    decides the integer cubic (qa*bn**2 + qb*bn*bd)*kd**2 + qg*bd**2*kn**2,
+    a positive multiple of the exact one, without Fraction normalization.
     """
     return _DeterminantBound(params).bound(b22, tol)
 

@@ -538,9 +538,13 @@ def cubic_nonneg_closed_form(p3: Number, p2: Number, p1: Number, p0: Number) -> 
     Branch (a) is the "no real critical dip" case (p2 >= -sqrt(3*p1*p3)
     squared out); branch (b) places the value at the interior minimum above
     zero, with equality admitted because equality corresponds to a touching
-    double root, which does not break nonnegativity.  A degenerate leading
-    coefficient (p3 == 0) delegates to the Sturm route; p3 < 0 or p0 < 0 is
+    double root, which does not break nonnegativity.  p3 < 0 or p0 < 0 is
     an immediate failure (behaviour at x -> inf, resp. at x = 0).
+
+    A degenerate leading coefficient (p3 == 0) leaves the quadratic
+    p2*x**2 + p1*x + p0, nonnegative on [0, inf) iff p2 >= 0, p0 >= 0 and
+    (p1 >= 0 or (p2 > 0 and p1**2 <= 4*p0*p2)): with p1 < 0 its vertex lies
+    at x > 0, and equality in the discriminant is a touching double root.
 
     Every clause compares terms of equal degree in the coefficients, so a
     positive common scale never changes the verdict.  Python ints are used
@@ -549,8 +553,7 @@ def cubic_nonneg_closed_form(p3: Number, p2: Number, p1: Number, p0: Number) -> 
     """
     c3, c2, c1, c0 = (p if type(p) is int else _exact(p) for p in (p3, p2, p1, p0))
     if c3 == 0:
-        verdict, _ = is_nonnegative_on(Polynomial([c0, c1, c2]), (0, POS_INF))
-        return verdict
+        return c2 >= 0 and c0 >= 0 and (c1 >= 0 or (c2 > 0 and c1 * c1 <= 4 * c0 * c2))
     if c3 < 0 or c0 < 0:
         return False
     if first_clause(c3, c2, c1):

@@ -101,14 +101,15 @@ class RationalFunction:
     def eval_grid(self, omegas: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at s = j*omega over a frequency array.
 
-        Points landing exactly on a pole, or where a float evaluation
-        overflows, come back as inf/nan; callers filter with isfinite.
+        Points landing exactly on a pole come back as inf or nan, and points
+        where the float evaluation of the numerator or the denominator
+        overflows come back as nan; callers filter with isfinite.
         """
         s = 1j * np.asarray(omegas, dtype=float)
         with np.errstate(all="ignore"):
             num = np.polyval(self.num.float_coeffs()[::-1] or [0.0], s)
             den = np.polyval(self.den.float_coeffs()[::-1], s)
-            return num / den
+            return np.where(np.isfinite(num) & np.isfinite(den), num / den, np.nan)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.num, self.den * other.den)

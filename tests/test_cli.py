@@ -286,6 +286,20 @@ def test_bode_that_overflows_double_precision_is_a_config_error(capsys):
     )
 
 
+def test_bode_whose_denominator_alone_overflows_is_a_config_error(capsys):
+    # |h12| is about 1e-80 here; only the float evaluation of its quartic
+    # denominator overflows, which must not read as a zero response
+    code, out, err = run(
+        capsys, "bode", "--config", TABLE, "--target", "h12",
+        "--grid", "1e80:1e90:3",
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == (
+        "config error: response overflows double precision at omega = 1e+80 rad/s\n"
+    )
+
+
 def test_check_on_an_overflowing_grid_leaks_no_numpy_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

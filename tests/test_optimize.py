@@ -50,9 +50,10 @@ def test_joint_optimum_over_the_feedback_split():
     t0 = time.perf_counter()
     r = maximize_k22_over_alpha(NOM)
     assert time.perf_counter() - t0 < 10.0
-    assert r.alpha_opt == pytest.approx(0.8905, abs=0.02)
-    assert r.b22_opt == pytest.approx(0.1485, abs=0.01)
-    assert r.k22_max == pytest.approx(417.109, abs=0.2)
+    assert r.alpha_opt == 0.8904631987238172
+    assert r.b22_opt == 0.14845824720006734
+    assert r.k22_max == 417.1094177087317
+    assert len(r.trace) == 16
 
 
 def test_restricted_split_candidates_pick_the_better_endpoint():

@@ -27,7 +27,7 @@ from vcoupler.passivity import (
     llewellyn_grid_margins,
     two_port_grid_margins,
 )
-from vcoupler.poly import cubic_nonneg_closed_form
+from vcoupler.poly import Polynomial, cubic_nonneg_closed_form, is_nonnegative_on
 
 NOM = nominal_params()
 
@@ -96,6 +96,8 @@ def _fraction_bisection_bound(params, b22, tol=1e-3):
     def feasible(k22):
         K = Fraction(k22) * Fraction(k22)
         t0, t1, t2, t3 = (b + s * K for b, s in zip(base, step))
+        if t3 == 0:  # b22 = 4*Bf: decided apart from the closed form's quadratic rule
+            return is_nonnegative_on(Polynomial([t0, t1, t2]), (0, math.inf))[0]
         return cubic_nonneg_closed_form(t3, t2, t1, t0)
 
     if not feasible(0.0):
@@ -129,6 +131,32 @@ def _fraction_bisection_bound(params, b22, tol=1e-3):
 @pytest.mark.parametrize("b22", [0.013, 0.1, 0.17, 0.1999, 0.2, 0.2000001])
 def test_bound_is_bit_identical_to_fraction_bisection(params, b22):
     assert k22_upper_bound(params, b22) == _fraction_bisection_bound(params, b22)
+
+
+# seeded plants whose frontier at b22 = 4*Bf is set by the discriminant of
+# the quadratic, not by its end coefficients
+@pytest.mark.parametrize("seed", [21, 52])
+def test_bound_is_bit_identical_to_fraction_bisection_at_the_window_edge(seed):
+    # b22 = 4*Bf makes t3 vanish exactly, so every probe decides a quadratic
+    params = draw_plant(np.random.default_rng(seed))
+    b22 = 4.0 * params.Bf
+    assert derive_coefficients(params, vc(0.0, b22)).t3 == 0
+    bound = k22_upper_bound(params, b22)
+    assert bound > 0.0
+    assert bound == _fraction_bisection_bound(params, b22)
+
+
+def test_determinant_table_rejects_coefficients_outside_its_form(monkeypatch):
+    real = passivity.coupler_coefficients
+
+    def with_cross_term(plant, coupler):
+        c = real(plant, coupler)
+        K = Fraction(coupler.k22) ** 2
+        return dataclasses.replace(c, t1=c.t1 + Fraction(coupler.b22) * K)
+
+    monkeypatch.setattr(passivity, "coupler_coefficients", with_cross_term)
+    with pytest.raises(RuntimeError, match="^internal: "):
+        passivity._DeterminantBound(NOM)
 
 
 # ---------------------------------------------------------------------------

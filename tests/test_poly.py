@@ -269,3 +269,32 @@ def test_closed_form_decides_integers_without_fractions(monkeypatch):
     assert cubic_nonneg_closed_form(1, -3, 1, 1) is False
     assert cubic_nonneg_closed_form(1, -1, 1, 1) is True
     assert cubic_nonneg_closed_form(4, -12, 9, 0) is True  # x*(2x - 3)**2 touches zero
+    assert cubic_nonneg_closed_form(0, 4, -12, 9) is True  # (2x - 3)**2 touches zero
+    assert cubic_nonneg_closed_form(0, 4, -12, 8) is False
+
+
+def test_quadratic_closed_form_matches_chain_route_on_integers():
+    # c3 = 0: the closed form decides the quadratic itself; the Sturm route is
+    # the oracle, on exact integers and on positive multiples of each case
+    rng = np.random.default_rng(4242)
+    cases = [tuple(int(v) for v in rng.integers(-6, 7, size=3)) for _ in range(300)]
+    cases += [(0, c1, c0) for c1 in (-2, 0, 3) for c0 in (-1, 0, 5)]
+    cases += [(c2, 0, c0) for c2 in (-3, 0, 2) for c0 in (-4, 0, 1)]
+    for _ in range(100):
+        # a*(q*x - p)**2 touches zero at x = p/q; c0 +/- 1 moves off the touch
+        a, p, q = int(rng.integers(-5, 6)), int(rng.integers(-9, 10)), int(rng.integers(1, 8))
+        c2, c1, c0 = a * q * q, -2 * a * p * q, a * p * p
+        assert c1 * c1 == 4 * c0 * c2
+        cases += [(c2, c1, c0), (c2, c1, c0 + 1), (c2, c1, c0 - 1)]
+    seen = {"c2 = 0": 0, "c1 = 0": 0, "touching, c1 < 0": 0, "pass": 0, "fail": 0}
+    for c2, c1, c0 in cases:
+        expected, _ = is_nonnegative_on(Polynomial([c0, c1, c2]), (0, math.inf))
+        for scale in (1, 3, 2**200 + 1, int(rng.integers(1, 10**6))):
+            assert cubic_nonneg_closed_form(0, scale * c2, scale * c1, scale * c0) is expected, (
+                c2, c1, c0, scale,
+            )
+        seen["c2 = 0"] += c2 == 0
+        seen["c1 = 0"] += c1 == 0
+        seen["touching, c1 < 0"] += c1 < 0 and c1 * c1 == 4 * c0 * c2
+        seen["pass" if expected else "fail"] += 1
+    assert min(seen.values()) >= 20, seen
