@@ -289,7 +289,7 @@ def _cancel_s(num: Polynomial, den: Polynomial) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def characteristic_polynomial(c: DerivedCoefficients) -> Polynomial:
+def characteristic_polynomial(c: Union[PlantCoefficients, DerivedCoefficients]) -> Polynomial:
     """The quartic a4*s^4 + a3*s^3 + a2*s^2 + a1*s + a0 (lowest first)."""
     return Polynomial([c.a0, c.a1, c.a2, c.a3, c.a4])
 
@@ -306,13 +306,9 @@ def h11_numerator_cubic(params: SystemParams) -> Tuple[Fraction, Fraction, Fract
 
 
 def unreduced_entries(
-    params: SystemParams, c: DerivedCoefficients
+    params: SystemParams, c: PlantCoefficients
 ) -> Tuple[Polynomial, Polynomial, Polynomial]:
-    """(N11, N12, D): numerators of h11, h12 and their common quartic, uncancelled.
-
-    c supplies the coupler-independent a4..a0, mu and nu, so any coupler's
-    derived coefficients serve.
-    """
+    """(N11, N12, D): numerators of h11, h12 and their common quartic, uncancelled."""
     Kf, Bf = _exact(params.Kf), _exact(params.Bf)
     Im, If = _exact(params.Im), _exact(params.If)
     pp = _exact(params.Pm) * _exact(params.Pf)
@@ -327,24 +323,32 @@ def unreduced_entries(
     return n11, n12, characteristic_polynomial(c)
 
 
-def hybrid_matrix(params: SystemParams, coupler: VirtualCoupler) -> HybridMatrix:
-    """Build the hybrid two-port for a plant/coupler pair.
+def _plant_entries(
+    params: SystemParams, plant: PlantCoefficients
+) -> Tuple[RationalFunction, RationalFunction]:
+    """(h11, h12), which no coupler changes, with common s-factors cancelled.
 
     Degenerate integral gains (Im == 0 or If == 0) put common s-factors into
     numerator and denominator of h11/h12; those are cancelled exactly so the
     returned entries have no removable singularity at s = 0.
     """
-    c = derive_coefficients(params, coupler)
-    n11, n12, den = unreduced_entries(params, c)
+    n11, n12, den = unreduced_entries(params, plant)
+    return _cancel_s(n11, den), _cancel_s(n12, den)
+
+
+def hybrid_matrix(params: SystemParams, coupler: VirtualCoupler) -> HybridMatrix:
+    """Build the hybrid two-port for a plant/coupler pair."""
+    plant = plant_coefficients(params)
+    h11, h12 = _plant_entries(params, plant)
     k22, b22 = _exact(coupler.k22), _exact(coupler.b22)
     return HybridMatrix(
-        h11=_cancel_s(n11, den),
-        h12=_cancel_s(n12, den),
+        h11=h11,
+        h12=h12,
         h21=RationalFunction([-1], [1]),
         h22=_cancel_s(Polynomial([0, 1]), Polynomial([k22, b22])),
         params=params,
         coupler=coupler,
-        coeffs=c,
+        coeffs=coupler_coefficients(plant, coupler),
     )
 
 

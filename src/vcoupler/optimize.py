@@ -37,10 +37,11 @@ from typing import Callable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .errors import BaselineNotPassive
-from .model import SystemParams, VirtualCoupler, hybrid_matrix
+from .model import SystemParams, _plant_entries
 from .passivity import (
     _DeterminantBound,
     _llewellyn_margin,
+    _plant_analysis,
     _sup_feasible,
     check_condition_a,
     check_condition_b,
@@ -125,10 +126,10 @@ class _LlewellynBound:
     def __init__(
         self, params: SystemParams, omegas: np.ndarray, margin_tol: float = 1e-8
     ) -> None:
-        h = hybrid_matrix(params, VirtualCoupler(1.0, 1.0))
+        h11, h12 = _plant_entries(params, _plant_analysis(params).coeffs)
         with np.errstate(all="ignore"):
-            h11 = h.h11.eval_grid(omegas)
-            h12 = h.h12.eval_grid(omegas)
+            h11 = h11.eval_grid(omegas)
+            h12 = h12.eval_grid(omegas)
         self._re11 = h11.real
         self._re12 = h12.real
         self._abs12 = np.abs(h12)

@@ -7,6 +7,11 @@ The hybrid two-port built by model.hybrid_matrix is passive iff
   (c-i)  the driving-point real part Re h11(j*w) is nonnegative for all w,
   (c-ii) Re h11 * Re h22 >= |(conj(h12) + h21)/2|**2 for all w.
 
+(a), (b) and (c-i) are properties of the drive alone: no coupler can repair
+them.  They are computed together once per plant, with the plant
+coefficients, and memoized; only (c-ii) and the Llewellyn margin depend on
+the coupler (k22, b22).
+
 Both (c) conditions reduce to the nonnegativity of a cubic in x = w**2 on
 [0, inf).  Each cubic verdict is computed twice independently -- by the
 closed-form rule (poly.cubic_nonneg_closed_form) and by an exact Sturm-chain
@@ -34,11 +39,11 @@ import numpy as np
 from .errors import InvalidParams
 from .model import (
     DerivedCoefficients,
-    HybridMatrix,
+    PlantCoefficients,
     SystemParams,
     VirtualCoupler,
+    _cancel_s,
     coupler_coefficients,
-    derive_coefficients,
     h11_numerator_cubic,
     hybrid_matrix,
     plant_coefficients,
@@ -78,8 +83,6 @@ __all__ = [
     "llewellyn_grid_margins",
     "default_grid",
 ]
-
-_UNIT_COUPLER = VirtualCoupler(1.0, 1.0)
 
 # Tiny additive guard so normalized margins never divide by zero.
 _TINY = 1e-300
@@ -136,101 +139,6 @@ class AbsoluteStabilityReport:
 
 
 # --------------------------------------------------------------------------
-# conditions (a) and (b): pole locations and residues
-
-
-def check_condition_a(params: SystemParams) -> ConditionReport:
-    """No open-right-half-plane poles of the drive two-port.
-
-    With both integral gains positive the characteristic quartic has
-    strictly positive coefficients and the closed-form Hurwitz margin
-    decides; the margin is cross-checked against the generic exact
-    root-location analysis.  Degenerate integral gains reduce the
-    denominator degree and only the generic analysis applies.
-    """
-    h = hybrid_matrix(params, _UNIT_COUPLER)
-    c = h.coeffs
-    analysis = analyze_denominator(h.h11.den)
-
-    if params.Im > 0 and params.If > 0:
-        qh = quartic_hurwitz((c.a4, c.a3, c.a2, c.a1, c.a0))
-        if qh.no_open_rhp != analysis.open_rhp_free:
-            raise RuntimeError(
-                "internal: quartic margin and generic root analysis disagree"
-            )
-        return ConditionReport(
-            name="condition_a",
-            passed=qh.no_open_rhp,
-            margin=float(qh.margin),
-            branch="quartic-margin",
-            failing=None if qh.no_open_rhp else "margin",
-        )
-    return ConditionReport(
-        name="condition_a",
-        passed=analysis.open_rhp_free,
-        margin=None,
-        branch="generic",
-        failing=None if analysis.open_rhp_free else "rhp-root",
-        note="degenerate integral gain: reduced-degree denominator",
-    )
-
-
-def check_condition_b(params: SystemParams) -> ConditionReport:
-    """Imaginary-axis poles (if any) are simple with real positive residues.
-
-    The quartic has an axis pole pair exactly when the Hurwitz margin
-    vanishes; the test is relative (see stability.imaginary_axis_pole) and
-    runs on the same exact quartic as condition (a).  When a pair is
-    present, the residue sign/reality conditions are evaluated in the
-    multiplied-through closed form (see stability.residues_positive_real).
-    Away from the boundary the condition is vacuously true.
-    """
-    if params.Im > 0 and params.If > 0:
-        c = derive_coefficients(params, _UNIT_COUPLER)
-        den = (c.a4, c.a3, c.a2, c.a1, c.a0)
-        p = imaginary_axis_pole(den)
-        if p is None:
-            return ConditionReport(
-                name="condition_b",
-                passed=True,
-                branch="no-axis-pole",
-                note="vacuous: characteristic quartic has no imaginary-axis pole",
-            )
-        ok = residues_positive_real(h11_numerator_cubic(params), den)
-        beta = _beta(params, c)
-        return ConditionReport(
-            name="condition_b",
-            passed=ok,
-            margin=float(beta),
-            branch="residue-closed-form",
-            failing=None if ok else "residue",
-            witness_omega=None if ok else p,
-            note=f"axis pole pair at omega = {p:.6g} rad/s",
-        )
-
-    # degenerate integral gains: generic pole analysis + numeric residues
-    h11 = hybrid_matrix(params, _UNIT_COUPLER).h11
-    fault = axis_residue_fault(
-        h11.num, h11.den, analyze_denominator(h11.den).imaginary_pairs
-    )
-    if fault is not None:
-        return ConditionReport(
-            name="condition_b", passed=False, branch="generic",
-            failing=fault[0], witness_omega=fault[1],
-        )
-    return ConditionReport(
-        name="condition_b", passed=True, branch="generic",
-        note="degenerate integral gain: numeric residue checks",
-    )
-
-
-def _beta(params: SystemParams, c: DerivedCoefficients) -> Fraction:
-    """a3*b1 - a1*b3 for the h11 numerator cubic: residue-positivity pivot."""
-    b3, _, b1, _ = h11_numerator_cubic(params)
-    return c.a3 * b1 - c.a1 * b3
-
-
-# --------------------------------------------------------------------------
 # cubic decisions shared by (c-i) and (c-ii)
 
 
@@ -248,27 +156,18 @@ def _decide_cubic(
     return closed, witness_x
 
 
-def _verify_c_i_identity(params: SystemParams, c: DerivedCoefficients) -> None:
-    """Re h11 * |D|**2 must equal x*(r3 x^3 + r2 x^2 + r1 x + r0) exactly."""
-    N11, _, D = unreduced_entries(params, c)
-    f11 = real_part_even_polynomial(N11, D)
-    direct = Polynomial([0, c.r0, c.r1, c.r2, c.r3])
-    if f11 != direct:
-        raise RuntimeError(
-            "internal: generic real-part polynomial of h11 does not match "
-            "the closed-form coefficients"
-        )
-
-
 def _verify_c_ii_identity(
-    params: SystemParams, coupler: VirtualCoupler, c: DerivedCoefficients
+    params: SystemParams,
+    coupler: VirtualCoupler,
+    plant: PlantCoefficients,
+    c: DerivedCoefficients,
 ) -> None:
     """The scaled determinant polynomial must equal x**2 * t-cubic exactly.
 
     4*b22*x*f11(x) - (k22**2 + b22**2*x) * |N12 - D|**2(x)
       == x**2 * (t3 x^3 + t2 x^2 + t1 x + t0)
     """
-    N11, N12, D = unreduced_entries(params, c)
+    N11, N12, D = unreduced_entries(params, plant)
     f11 = real_part_even_polynomial(N11, D)
     V = N12 - D
     W = real_part_even_polynomial(V, V)  # |V(j*w)|**2 as a polynomial in x
@@ -283,27 +182,120 @@ def _verify_c_ii_identity(
         )
 
 
-@functools.lru_cache(maxsize=512)
-def _c_i_cached(params: SystemParams) -> ConditionReport:
-    c = derive_coefficients(params, _UNIT_COUPLER)
-    _verify_c_i_identity(params, c)
-    passed, witness_x = _decide_cubic(c.r3, c.r2, c.r1, c.r0, "condition (c-i)")
+# --------------------------------------------------------------------------
+# the coupler-independent conditions (a), (b) and (c-i), once per plant
 
+
+@dataclass(frozen=True)
+class _PlantAnalysis:
+    """The plant coefficients and the (a), (b) and (c-i) reports of one plant."""
+
+    coeffs: PlantCoefficients
+    a: ConditionReport
+    b: ConditionReport
+    c_i: ConditionReport
+
+
+@functools.lru_cache(maxsize=512)
+def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
+    """(a), (b) and (c-i) of one plant, sharing one derivation of its entries.
+
+    One s-cancelled h11 and one exact root-location analysis of its
+    denominator serve (a) and the degenerate-gain branch of (b).
+    """
+    p = plant_coefficients(params)
+    N11, _, D = unreduced_entries(params, p)
+    h11 = _cancel_s(N11, D)
+    analysis = analyze_denominator(h11.den)
+
+    if params.Im > 0 and params.If > 0:
+        quartic = (p.a4, p.a3, p.a2, p.a1, p.a0)
+        qh = quartic_hurwitz(quartic)
+        if qh.no_open_rhp != analysis.open_rhp_free:
+            raise RuntimeError("internal: quartic margin and generic root analysis disagree")
+        a = ConditionReport(
+            name="condition_a", passed=qh.no_open_rhp, margin=float(qh.margin),
+            branch="quartic-margin", failing=None if qh.no_open_rhp else "margin",
+        )
+        if qh.margin != 0:
+            b = ConditionReport(
+                name="condition_b", passed=True, branch="no-axis-pole",
+                note="vacuous: characteristic quartic has no imaginary-axis pole",
+            )
+        else:
+            w = imaginary_axis_pole(quartic)  # exists: the margin is exactly zero
+            cubic = h11_numerator_cubic(params)
+            b3, _, b1, _ = cubic
+            ok = residues_positive_real(cubic, quartic)
+            b = ConditionReport(
+                name="condition_b", passed=ok, margin=float(p.a3 * b1 - p.a1 * b3),
+                branch="residue-closed-form", failing=None if ok else "residue",
+                witness_omega=None if ok else w,
+                note=f"axis pole pair at omega = {w:.6g} rad/s",
+            )
+    else:
+        a = ConditionReport(
+            name="condition_a", passed=analysis.open_rhp_free, branch="generic",
+            failing=None if analysis.open_rhp_free else "rhp-root",
+            note="degenerate integral gain: reduced-degree denominator",
+        )
+        fault = axis_residue_fault(h11.num, h11.den, analysis.imaginary_pairs)
+        b = ConditionReport(
+            name="condition_b", passed=fault is None, branch="generic",
+            failing=fault and fault[0], witness_omega=fault and fault[1],
+            note="" if fault else "degenerate integral gain: numeric residue checks",
+        )
+
+    # Re h11 * |D|**2 must equal x*(r3 x^3 + r2 x^2 + r1 x + r0) exactly
+    if real_part_even_polynomial(N11, D) != Polynomial([0, p.r0, p.r1, p.r2, p.r3]):
+        raise RuntimeError(
+            "internal: generic real-part polynomial of h11 does not match "
+            "the closed-form coefficients"
+        )
+    passed, witness_x = _decide_cubic(p.r3, p.r2, p.r1, p.r0, "condition (c-i)")
     branch: Optional[str] = None
     failing: Optional[str] = None
     if params.Bf == 0:
         branch = "generic"  # quadratic shape; decided by the same exact routes
     elif passed:
-        branch = "i1" if first_clause(c.r3, c.r2, c.r1) else "i2"
+        branch = "i1" if first_clause(p.r3, p.r2, p.r1) else "i2"
     else:
-        failing = "r0" if c.r0 < 0 else "interior"
-    return ConditionReport(
-        name="condition_c_i",
-        passed=passed,
-        branch=branch,
-        failing=failing,
+        failing = "r0" if p.r0 < 0 else "interior"
+    c_i = ConditionReport(
+        name="condition_c_i", passed=passed, branch=branch, failing=failing,
         witness_omega=math.sqrt(witness_x) if witness_x is not None else None,
     )
+    return _PlantAnalysis(p, a, b, c_i)
+
+
+# perfbench clears the plant memo under this name; ROADMAP item 2 drops the alias
+_c_i_cached = _plant_analysis
+
+
+def check_condition_a(params: SystemParams) -> ConditionReport:
+    """No open-right-half-plane poles of the drive two-port.
+
+    With both integral gains positive the characteristic quartic has
+    strictly positive coefficients and the closed-form Hurwitz margin
+    decides; the margin is cross-checked against the generic exact
+    root-location analysis.  Degenerate integral gains reduce the
+    denominator degree and only the generic analysis applies.
+    """
+    return _plant_analysis(params).a
+
+
+def check_condition_b(params: SystemParams) -> ConditionReport:
+    """Imaginary-axis poles (if any) are simple with real positive residues.
+
+    The quartic has an axis pole pair exactly when its Hurwitz margin, the
+    exact Fraction of condition (a), is zero.  When a pair is present, the
+    residue sign/reality conditions are evaluated in the multiplied-through
+    closed form (see stability.residues_positive_real).  Otherwise the
+    condition is vacuously true.  Degenerate integral gains take the axis
+    pairs from the exact root-location analysis of (a) and check their
+    residues numerically.
+    """
+    return _plant_analysis(params).b
 
 
 def check_condition_c_i(params: SystemParams) -> ConditionReport:
@@ -311,9 +303,9 @@ def check_condition_c_i(params: SystemParams) -> ConditionReport:
 
     Reduces to r3 x^3 + r2 x^2 + r1 x + r0 >= 0 on x = w**2 >= 0 (the
     common factor x is stripped; by continuity the verdicts agree).  The
-    reduction is verified against the two-port entries on every call.
+    reduction is verified against the two-port entries once per plant.
     """
-    return _c_i_cached(params)
+    return _plant_analysis(params).c_i
 
 
 def check_condition_c_ii(params: SystemParams, coupler: VirtualCoupler) -> ConditionReport:
@@ -325,8 +317,9 @@ def check_condition_c_ii(params: SystemParams, coupler: VirtualCoupler) -> Condi
     takes over as 't2'), the static violation (t0 < 0: coupler stiffness
     beyond the static bound), and an interior dip ('interior').
     """
-    c = derive_coefficients(params, coupler)
-    _verify_c_ii_identity(params, coupler, c)
+    plant = _plant_analysis(params).coeffs
+    c = coupler_coefficients(plant, coupler)
+    _verify_c_ii_identity(params, coupler, plant, c)
     passed, witness_x = _decide_cubic(c.t3, c.t2, c.t1, c.t0, "condition (c-ii)")
 
     branch: Optional[str] = None
@@ -391,7 +384,7 @@ class _DeterminantBound:
     """
 
     def __init__(self, params: SystemParams) -> None:
-        plant = plant_coefficients(params)
+        plant = _plant_analysis(params).coeffs
 
         def t(k22: float, b22: float) -> Tuple[Fraction, ...]:
             c = coupler_coefficients(plant, VirtualCoupler(k22, b22))
@@ -625,7 +618,7 @@ def check_sufficient_conditions(
     """
     a = check_condition_a(params)
     b = check_condition_b(params)
-    c = derive_coefficients(params, coupler)
+    c = coupler_coefficients(_plant_analysis(params).coeffs, coupler)
     failed = []
     if not a.passed:
         failed.append("condition_a")

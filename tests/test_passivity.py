@@ -1,6 +1,7 @@
 """Two-port passivity and coupled-stability verdicts, bounds, and oracles."""
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_coupler, draw_plant
-from vcoupler import passivity
+from vcoupler import model, passivity
 from vcoupler.model import SystemParams, VirtualCoupler, derive_coefficients, nominal_params
 from vcoupler.passivity import (
     ConditionReport,
@@ -257,6 +258,59 @@ def test_conditions_are_individually_addressable():
     assert a.passed and b.passed and ci.passed and cii.passed
     assert cii.name == "condition_c_ii" and cii.branch == "ii2"
     assert cii.failing is None and cii.witness_omega is None
+
+
+def test_condition_b_reads_the_exact_margin_of_condition_a():
+    # the Hurwitz margin is 7.27e-6, within the relative tolerance of
+    # stability.imaginary_axis_pole, yet not zero: there is no axis pole
+    p = NOM.replace(Im=766.9530028852691)
+    a = check_condition_a(p)
+    assert a.passed and 0 < a.margin < 1e-5
+    b = check_condition_b(p)
+    assert b.passed and b.branch == "no-axis-pole" and b.witness_omega is None
+
+
+def test_exact_axis_pole_pair_is_judged_by_its_residue():
+    # characteristic quartic 2s^4 + 2s^3 + 3s^2 + 2s + 1 = (s^2 + 1)(2s^2 + 2s + 1):
+    # Hurwitz margin exactly zero, and h11 has a real positive residue at s = j
+    p = SystemParams(Kf=1.0, Bf=0.0, M=2.0, B=1.0, Pm=1.0, Im=1.0, Pf=1.0, If=1.0)
+    a = check_condition_a(p)
+    assert a.passed and a.margin == 0
+    b = check_condition_b(p)
+    assert b.passed and b.branch == "residue-closed-form" and b.margin == 4.0
+    assert b.note == "axis pole pair at omega = 1 rad/s"
+
+
+def test_axis_pole_branch_iff_the_margin_is_exactly_zero(corpus):
+    for inst in corpus:
+        a, b = inst.two_port.condition_a, inst.two_port.condition_b
+        if a.branch == "quartic-margin":
+            assert (b.branch == "residue-closed-form") == (a.margin == 0), inst.params
+
+
+def test_plant_work_runs_once_for_the_three_checks(monkeypatch):
+    calls = collections.Counter()
+    names = ("analyze_denominator", "quartic_hurwitz", "derive_coefficients", "plant_coefficients")
+    for module in (passivity, model):
+        for name in names:
+            if name in vars(module):
+                real = getattr(module, name)
+
+                def counted(*args, _name=name, _real=real, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+
+    passivity._plant_analysis.cache_clear()
+    coupler = vc(408.0, 0.17)
+    check_two_port_passivity(NOM, coupler)
+    check_absolute_stability(NOM, coupler)
+    check_sufficient_conditions(NOM, coupler)
+    assert calls["analyze_denominator"] == 1
+    assert calls["quartic_hurwitz"] == 1
+    # the memo, plus hybrid_matrix for each of the two grid margins
+    assert calls["derive_coefficients"] + calls["plant_coefficients"] <= 3
 
 
 # ---------------------------------------------------------------------------
