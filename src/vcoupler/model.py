@@ -128,8 +128,10 @@ class PlantCoefficients:
     """Exact coefficients that do not depend on the virtual coupler.
 
     a4..a0, mu, nu, kappa1..kappa3, tau2 and r3..r0 as in
-    DerivedCoefficients, plus the plant factors of the coupler terms:
-    Bf4 = 4*Bf, M2 = M**2 and ia2 = (Im + alpha*Kf)**2.
+    DerivedCoefficients, plus Bf4 = 4*Bf and the quadratic
+    w(x) = w2 x^2 + w1 x + w0 = M**2 x^2 - tau2 x + (Im + alpha*Kf)**2 with
+    |N12 - D|**2 (j*w) = x**2 * w(x), x = w**2.  The coupler enters the
+    determinant cubic only through t = 4*b22*r - (k22**2 + b22**2*x)*w.
     """
 
     a4: Fraction
@@ -148,8 +150,9 @@ class PlantCoefficients:
     r1: Fraction
     r0: Fraction
     Bf4: Fraction
-    M2: Fraction
-    ia2: Fraction
+    w2: Fraction
+    w1: Fraction
+    w0: Fraction
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,7 @@ def plant_coefficients(params: SystemParams) -> PlantCoefficients:
         kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
         tau2=tau2,
         r3=r3, r2=r2, r1=r1, r0=r0,
-        Bf4=4 * Bf, M2=M * M, ia2=ia * ia,
+        Bf4=4 * Bf, w2=M * M, w1=-tau2, w0=ia * ia,
     )
 
 
@@ -236,17 +239,17 @@ def coupler_coefficients(
     k22, b22 = _exact(coupler.k22), _exact(coupler.b22)
     K, b4, bb = k22 * k22, 4 * b22, b22 * b22
 
-    tau1 = p.Bf4 - b22
-    t3 = b22 * p.M2 * tau1
-    t2 = b4 * p.r2 + bb * p.tau2 - K * p.M2
-    t1 = b4 * p.r1 + K * p.tau2 - bb * p.ia2
-    t0 = b4 * p.r0 - K * p.ia2
+    # t = 4*b22*r - (k22**2 + b22**2*x)*w, coefficient by coefficient
+    t3 = b4 * p.r3 - bb * p.w2
+    t2 = b4 * p.r2 - K * p.w2 - bb * p.w1
+    t1 = b4 * p.r1 - K * p.w1 - bb * p.w0
+    t0 = b4 * p.r0 - K * p.w0
 
     return DerivedCoefficients(
         a4=p.a4, a3=p.a3, a2=p.a2, a1=p.a1, a0=p.a0,
         mu=p.mu, nu=p.nu,
         kappa1=p.kappa1, kappa2=p.kappa2, kappa3=p.kappa3,
-        tau1=tau1, tau2=p.tau2,
+        tau1=p.Bf4 - b22, tau2=p.tau2,
         r3=p.r3, r2=p.r2, r1=p.r1, r0=p.r0,
         t3=t3, t2=t2, t1=t1, t0=t0,
     )
@@ -323,29 +326,26 @@ def unreduced_entries(
     return n11, n12, characteristic_polynomial(c)
 
 
-def _plant_entries(
-    params: SystemParams, plant: PlantCoefficients
-) -> Tuple[RationalFunction, RationalFunction]:
-    """(h11, h12), which no coupler changes, with common s-factors cancelled.
+def _coupler_port(coupler: VirtualCoupler) -> RationalFunction:
+    """h22 = s/(b22*s + k22), the coupler one-port."""
+    k22, b22 = _exact(coupler.k22), _exact(coupler.b22)
+    return _cancel_s(Polynomial([0, 1]), Polynomial([k22, b22]))
+
+
+def hybrid_matrix(params: SystemParams, coupler: VirtualCoupler) -> HybridMatrix:
+    """Build the hybrid two-port for a plant/coupler pair.
 
     Degenerate integral gains (Im == 0 or If == 0) put common s-factors into
     numerator and denominator of h11/h12; those are cancelled exactly so the
     returned entries have no removable singularity at s = 0.
     """
-    n11, n12, den = unreduced_entries(params, plant)
-    return _cancel_s(n11, den), _cancel_s(n12, den)
-
-
-def hybrid_matrix(params: SystemParams, coupler: VirtualCoupler) -> HybridMatrix:
-    """Build the hybrid two-port for a plant/coupler pair."""
     plant = plant_coefficients(params)
-    h11, h12 = _plant_entries(params, plant)
-    k22, b22 = _exact(coupler.k22), _exact(coupler.b22)
+    n11, n12, den = unreduced_entries(params, plant)
     return HybridMatrix(
-        h11=h11,
-        h12=h12,
+        h11=_cancel_s(n11, den),
+        h12=_cancel_s(n12, den),
         h21=RationalFunction([-1], [1]),
-        h22=_cancel_s(Polynomial([0, 1]), Polynomial([k22, b22])),
+        h22=_coupler_port(coupler),
         params=params,
         coupler=coupler,
         coeffs=coupler_coefficients(plant, coupler),

@@ -15,13 +15,15 @@ check_absolute_stability on the same default grid, so the returned optimum
 is consistent with that checker's verdicts.  Both bisect through the same
 loop, and each search builds its objective once per plant:
 
-- passivity tabulates the determinant cubic once per plant as integer
-  quadratic forms qa*b22**2 + qb*b22 + qg*k22**2, one per coefficient.  A
+- passivity tabulates the determinant cubic
+  t = 4*b22*r - (k22**2 + b22**2*x)*w once per plant, from the plant
+  polynomials r and w, as integer quadratic forms
+  qa*b22**2 + qb*b22 + qg*k22**2, one per coefficient.  A
   bisection probe at b22 = bn/bd, k22 = kn/kd decides the integer cubic
   (qa*bn**2 + qb*bn*bd)*kd**2 + qg*bd**2*kn**2 in closed form (a quadratic
   one at b22 = 4*Bf, where the cubic term vanishes), with no Fraction
   work per b22 and the same verdict as the exact cubic;
-- absolute samples the coupler-independent entries h11 and h12 once; only
+- absolute samples the plant's memoized entries h11 and h12 once; only
   the coupler port Re h22 = b22*w^2 / (k22^2 + b22^2*w^2) is recomputed per
   candidate.
 
@@ -36,8 +38,8 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BaselineNotPassive
-from .model import SystemParams, _plant_entries
+from .errors import BaselineNotPassive, InvalidParams
+from .model import SystemParams
 from .passivity import (
     _DeterminantBound,
     _llewellyn_margin,
@@ -121,23 +123,28 @@ class _LlewellynBound:
     computed once; each candidate (k22, b22) only rebuilds Re h22 in closed
     form.  The margin is the one llewellyn_grid_margins computes, and the
     acceptance tolerance matches check_absolute_stability's default.
+    Raises InvalidParams when no grid point has finite h11 and h12 samples.
     """
 
     def __init__(
         self, params: SystemParams, omegas: np.ndarray, margin_tol: float = 1e-8
     ) -> None:
-        h11, h12 = _plant_entries(params, _plant_analysis(params).coeffs)
-        with np.errstate(all="ignore"):
-            h11 = h11.eval_grid(omegas)
-            h12 = h12.eval_grid(omegas)
+        memo = _plant_analysis(params)
+        h11, h12 = memo.h11.eval_grid(omegas), memo.h12.eval_grid(omegas)
+        if not np.any(np.isfinite(h11) & np.isfinite(h12)):
+            raise InvalidParams(
+                "h11 and h12 overflow double precision at every grid point"
+            )
         self._re11 = h11.real
         self._re12 = h12.real
         self._abs12 = np.abs(h12)
-        self._w2 = np.asarray(omegas, dtype=float) ** 2
+        with np.errstate(all="ignore"):
+            self._w2 = np.asarray(omegas, dtype=float) ** 2
         self._margin_tol = margin_tol
 
     def min_margin(self, k22: float, b22: float) -> float:
-        re22 = b22 * self._w2 / (k22 * k22 + b22 * b22 * self._w2)
+        with np.errstate(all="ignore"):
+            re22 = b22 * self._w2 / (k22 * k22 + b22 * b22 * self._w2)
         margins = _llewellyn_margin(self._re11, self._re12, self._abs12, re22)
         return float(np.nanmin(margins))
 

@@ -17,9 +17,11 @@ Both (c) conditions reduce to the nonnegativity of a cubic in x = w**2 on
 closed-form rule (poly.cubic_nonneg_closed_form) and by an exact Sturm-chain
 test (poly.is_nonnegative_on) -- and the two must agree exactly; any
 disagreement raises, because both routes are exact.  The structural
-reduction itself (which cubic decides which condition) is re-derived from
-the two-port entries at runtime and compared coefficient-by-coefficient in
-exact rational arithmetic against the direct coefficient construction.
+reduction itself is verified once per plant, in exact rational arithmetic:
+the real-part polynomials built generically from the two-port entries must
+equal x*r(x) for h11 and x**2*w(x) for |h12 - 1|**2, coefficient by
+coefficient.  The (c-ii) cubic t = 4*b22*r - (k22**2 + b22**2*x)*w then
+needs no check per coupler.
 
 Absolute stability keeps (a), (b), (c-i) and replaces (c-ii) with the
 Llewellyn form 2*Re h11*Re h22 - Re(h12*h21) - |h12*h21| >= 0, decided on a
@@ -38,21 +40,19 @@ import numpy as np
 
 from .errors import InvalidParams
 from .model import (
-    DerivedCoefficients,
     PlantCoefficients,
     SystemParams,
     VirtualCoupler,
     _cancel_s,
+    _coupler_port,
     coupler_coefficients,
     h11_numerator_cubic,
-    hybrid_matrix,
     plant_coefficients,
     unreduced_entries,
 )
 from .poly import (
     POS_INF,
     Polynomial,
-    _exact,
     cubic_nonneg_closed_form,
     first_clause,
     is_nonnegative_on,
@@ -156,29 +156,18 @@ def _decide_cubic(
     return closed, witness_x
 
 
-def _verify_c_ii_identity(
-    params: SystemParams,
-    coupler: VirtualCoupler,
-    plant: PlantCoefficients,
-    c: DerivedCoefficients,
-) -> None:
-    """The scaled determinant polynomial must equal x**2 * t-cubic exactly.
+def _verify_c_ii_identity(N12: Polynomial, D: Polynomial, p: PlantCoefficients) -> None:
+    """|N12 - D|**2 (j*w) must equal x**2 * (w2 x^2 + w1 x + w0) exactly.
 
-    4*b22*x*f11(x) - (k22**2 + b22**2*x) * |N12 - D|**2(x)
-      == x**2 * (t3 x^3 + t2 x^2 + t1 x + t0)
+    With Re h11 * |D|**2 == x * r(x), this proves for every coupler that
+    4*b22*x*f11(x) - (k22**2 + b22**2*x) * |N12 - D|**2(x) == x**2 * t(x),
+    where t = 4*b22*r - (k22**2 + b22**2*x)*w is the cubic of condition (c-ii).
     """
-    N11, N12, D = unreduced_entries(params, plant)
-    f11 = real_part_even_polynomial(N11, D)
     V = N12 - D
-    W = real_part_even_polynomial(V, V)  # |V(j*w)|**2 as a polynomial in x
-    k22, b22 = _exact(coupler.k22), _exact(coupler.b22)
-    x_f11 = Polynomial([Fraction(0)] + list(f11.coeffs))
-    lhs = x_f11.scale(4 * b22) - Polynomial([k22 * k22, b22 * b22]) * W
-    rhs = Polynomial([0, 0, c.t0, c.t1, c.t2, c.t3])
-    if lhs != rhs:
+    if real_part_even_polynomial(V, V) != Polynomial([0, 0, p.w0, p.w1, p.w2]):
         raise RuntimeError(
-            "internal: generic determinant polynomial does not match the "
-            "closed-form t-coefficients"
+            "internal: generic |h12 - 1|**2 polynomial does not match the "
+            "closed-form w-coefficients"
         )
 
 
@@ -188,9 +177,11 @@ def _verify_c_ii_identity(
 
 @dataclass(frozen=True)
 class _PlantAnalysis:
-    """The plant coefficients and the (a), (b) and (c-i) reports of one plant."""
+    """One plant's coefficients, s-cancelled h11 and h12, and (a), (b), (c-i)."""
 
     coeffs: PlantCoefficients
+    h11: RationalFunction
+    h12: RationalFunction
     a: ConditionReport
     b: ConditionReport
     c_i: ConditionReport
@@ -201,10 +192,11 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
     """(a), (b) and (c-i) of one plant, sharing one derivation of its entries.
 
     One s-cancelled h11 and one exact root-location analysis of its
-    denominator serve (a) and the degenerate-gain branch of (b).
+    denominator serve (a) and the degenerate-gain branch of (b).  The
+    identities behind both (c) cubics are verified here, once per plant.
     """
     p = plant_coefficients(params)
-    N11, _, D = unreduced_entries(params, p)
+    N11, N12, D = unreduced_entries(params, p)
     h11 = _cancel_s(N11, D)
     analysis = analyze_denominator(h11.den)
 
@@ -252,6 +244,7 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
             "internal: generic real-part polynomial of h11 does not match "
             "the closed-form coefficients"
         )
+    _verify_c_ii_identity(N12, D, p)
     passed, witness_x = _decide_cubic(p.r3, p.r2, p.r1, p.r0, "condition (c-i)")
     branch: Optional[str] = None
     failing: Optional[str] = None
@@ -265,7 +258,7 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
         name="condition_c_i", passed=passed, branch=branch, failing=failing,
         witness_omega=math.sqrt(witness_x) if witness_x is not None else None,
     )
-    return _PlantAnalysis(p, a, b, c_i)
+    return _PlantAnalysis(p, h11, _cancel_s(N12, D), a, b, c_i)
 
 
 # perfbench clears the plant memo under this name; ROADMAP item 2 drops the alias
@@ -315,11 +308,11 @@ def check_condition_c_ii(params: SystemParams, coupler: VirtualCoupler) -> Condi
     failing label distinguishes the leading-coefficient violations (t3 < 0:
     coupler damping above 4*Bf; with b22 == 0 the x^2 coefficient -k22^2*M^2
     takes over as 't2'), the static violation (t0 < 0: coupler stiffness
-    beyond the static bound), and an interior dip ('interior').
+    beyond the static bound), and an interior dip ('interior').  The cubic
+    is t = 4*b22*r - (k22**2 + b22**2*x)*w, whose plant polynomials r and w
+    are verified against the two-port entries once per plant.
     """
-    plant = _plant_analysis(params).coeffs
-    c = coupler_coefficients(plant, coupler)
-    _verify_c_ii_identity(params, coupler, plant, c)
+    c = coupler_coefficients(_plant_analysis(params).coeffs, coupler)
     passed, witness_x = _decide_cubic(c.t3, c.t2, c.t1, c.t0, "condition (c-ii)")
 
     branch: Optional[str] = None
@@ -376,36 +369,25 @@ class _DeterminantBound:
     """sup{k22 >= 0 : condition (c-ii) holds} for one plant, at any b22.
 
     Each coefficient of the determinant cubic is a quadratic form
-    t_i = qa_i*b22**2 + qb_i*b22 + qg_i*k22**2 with plant-only q's.  On
-    construction the table is interpolated exactly from coupler_coefficients
-    at (k22, b22) = (0, 1), (0, 2), (1, 1), verified at two further couplers
-    and scaled to Python ints once.  An instance holds no state beyond its
-    plant, so a caller keeps it for one search only.
+    t_i = qa_i*b22**2 + qb_i*b22 + qg_i*k22**2 with plant-only q's: by
+    t = 4*b22*r - (k22**2 + b22**2*x)*w they are qa = -x*w, qb = 4*r and
+    qg = -w, read from the plant's verified r and w and scaled to Python
+    ints by one lcm.  An instance holds no state beyond its plant, so a
+    caller keeps it for one search only.
     """
 
     def __init__(self, params: SystemParams) -> None:
-        plant = _plant_analysis(params).coeffs
-
-        def t(k22: float, b22: float) -> Tuple[Fraction, ...]:
-            c = coupler_coefficients(plant, VirtualCoupler(k22, b22))
-            return (c.t0, c.t1, c.t2, c.t3)
-
-        t01, t02, t11 = t(0.0, 1.0), t(0.0, 2.0), t(1.0, 1.0)
-        qa = tuple((y - 2 * x) / 2 for x, y in zip(t01, t02))
-        qb = tuple(x - a for x, a in zip(t01, qa))
-        qg = tuple(z - x for x, z in zip(t01, t11))
-        for k22, b22 in ((2.0, 3.0), (0.5, 0.25)):
-            K, b = Fraction(k22) ** 2, Fraction(b22)
-            if t(k22, b22) != tuple(a * b * b + c * b + g * K for a, c, g in zip(qa, qb, qg)):
-                raise RuntimeError(
-                    "internal: t-coefficients are not qa*b22**2 + qb*b22 + qg*k22**2"
-                )
+        p = _plant_analysis(params).coeffs
+        zero = Fraction(0)
+        qa = (zero, -p.w0, -p.w1, -p.w2)
+        qb = (4 * p.r0, 4 * p.r1, 4 * p.r2, 4 * p.r3)
+        qg = (-p.w0, -p.w1, -p.w2, zero)
         scale = math.lcm(*(q.denominator for q in qa + qb + qg))
         self._qa, self._qb, self._qg = (
             tuple(q.numerator * (scale // q.denominator) for q in row) for row in (qa, qb, qg)
         )
         self._ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
-        self._r0x4 = max(float(4 * plant.r0), 0.0)
+        self._r0x4 = max(float(4 * p.r0), 0.0)
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
         if b22 <= 0 or not math.isfinite(b22):
@@ -447,8 +429,9 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
     absolute tolerance tol.  Returns 0.0 when no positive k22 is feasible
     (including b22 <= 0 and b22 > 4*Bf).
 
-    Per plant, the determinant cubic is tabulated once as the exact integer
-    quadratic form qa*b22**2 + qb*b22 + qg*k22**2 in each coefficient; to
+    Per plant, the determinant cubic t = 4*b22*r - (k22**2 + b22**2*x)*w is
+    tabulated once from its verified plant polynomials r and w as the exact
+    integer quadratic form qa*b22**2 + qb*b22 + qg*k22**2 in each coefficient; to
     bound many b22 values of one plant, the optimizer keeps the table for
     the whole search.  Every bisection probe at b22 = bn/bd, k22 = kn/kd
     decides the integer cubic (qa*bn**2 + qb*bn*bd)*kd**2 + qg*bd**2*kn**2,
@@ -462,11 +445,11 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
 
 
 def _entry_grids(params: SystemParams, coupler: VirtualCoupler, omegas: np.ndarray):
-    h = hybrid_matrix(params, coupler)
+    memo = _plant_analysis(params)
     return (
-        h.h11.eval_grid(omegas),
-        h.h12.eval_grid(omegas),
-        h.h22.eval_grid(omegas),
+        memo.h11.eval_grid(omegas),
+        memo.h12.eval_grid(omegas),
+        _coupler_port(coupler).eval_grid(omegas),
     )
 
 
@@ -507,11 +490,10 @@ def _confirm_sampled_dip(
     cancellation and the determinant margin can dip falsely.  Forming
     h12 - 1 = (N12 - D)/D exactly and sampling it afterwards does not.
     """
-    h = hybrid_matrix(params, coupler)
-    h12m1 = RationalFunction(h.h12.num - h.h12.den, h.h12.den)
-    _, _, mdet = _two_port_margins(
-        h.h11.eval_grid(omegas), h12m1.eval_grid(omegas), h.h22.eval_grid(omegas)
-    )
+    h11, _, h22 = _entry_grids(params, coupler, omegas)
+    h12 = _plant_analysis(params).h12
+    h12m1 = RationalFunction(h12.num - h12.den, h12.den)
+    _, _, mdet = _two_port_margins(h11, h12m1.eval_grid(omegas), h22)
     worst = np.minimum(m11, mdet)
     ok = np.isfinite(worst)
     idx = int(np.argmin(worst[ok]))

@@ -311,6 +311,30 @@ def test_check_on_an_overflowing_grid_leaks_no_numpy_warning(capsys):
     assert "overall: PASS" in out
 
 
+def test_absolute_optimum_with_no_finite_grid_sample_is_a_config_error(capsys):
+    # h11 and h12 overflow at every point; the search used to report k22_max 0.0
+    code, out, err = run(
+        capsys, "optimize", "--config", TABLE, "--criterion", "absolute",
+        "--grid", "1e100:1e150:3",
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: h11 and h12 overflow double precision at every grid point\n"
+
+
+def test_absolute_optimum_on_an_overflowing_grid_leaks_no_numpy_warning(capsys):
+    # omega**2 overflows above 1e154 rad/s; those samples drop out as NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(
+            capsys, "optimize", "--config", TABLE, "--criterion", "absolute",
+            "--grid", "1e-3:1e200:50",
+        )
+    assert code == EXIT_PASS
+    assert err == ""
+    assert "k22_max: 445.5" in out
+
+
 # ---------------------------------------------------------------------------
 # internal errors (exit code 3, one line on stderr)
 # ---------------------------------------------------------------------------

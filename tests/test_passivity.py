@@ -29,6 +29,7 @@ from vcoupler.passivity import (
     two_port_grid_margins,
 )
 from vcoupler.poly import Polynomial, cubic_nonneg_closed_form, is_nonnegative_on
+from vcoupler.stability import real_part_even_polynomial
 
 NOM = nominal_params()
 
@@ -147,17 +148,51 @@ def test_bound_is_bit_identical_to_fraction_bisection_at_the_window_edge(seed):
     assert bound == _fraction_bisection_bound(params, b22)
 
 
-def test_determinant_table_rejects_coefficients_outside_its_form(monkeypatch):
-    real = passivity.coupler_coefficients
+def test_plant_analysis_rejects_a_w_quadratic_off_the_two_port_entries(monkeypatch):
+    real = passivity.plant_coefficients
 
-    def with_cross_term(plant, coupler):
-        c = real(plant, coupler)
-        K = Fraction(coupler.k22) ** 2
-        return dataclasses.replace(c, t1=c.t1 + Fraction(coupler.b22) * K)
+    def with_wrong_w1(params):
+        p = real(params)
+        return dataclasses.replace(p, w1=p.w1 + 1)
 
-    monkeypatch.setattr(passivity, "coupler_coefficients", with_cross_term)
+    monkeypatch.setattr(passivity, "plant_coefficients", with_wrong_w1)
+    passivity._plant_analysis.cache_clear()
     with pytest.raises(RuntimeError, match="^internal: "):
-        passivity._DeterminantBound(NOM)
+        passivity._plant_analysis(NOM)
+
+
+def _determinant_polynomial(params, coupler):
+    """Oracle: 4*b22*x*f11 - (k22**2 + b22**2*x)*|N12 - D|**2, built generically."""
+    N11, N12, D = model.unreduced_entries(params, model.plant_coefficients(params))
+    f11 = real_part_even_polynomial(N11, D)
+    W = real_part_even_polynomial(N12 - D, N12 - D)
+    k22, b22 = Fraction(coupler.k22), Fraction(coupler.b22)
+    return (Polynomial([0, 1]) * f11).scale(4 * b22) - Polynomial([k22 * k22, b22 * b22]) * W
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        NOM,
+        dataclasses.replace(NOM, Im=0.0),
+        dataclasses.replace(NOM, If=0.0),
+        dataclasses.replace(NOM, Bf=0.0),
+        dataclasses.replace(NOM, Im=0.0, If=0.0, Bf=0.0, alpha=0.0),
+        draw_plant(np.random.default_rng(3)),
+        draw_plant(np.random.default_rng(4)),
+    ],
+    ids=["nominal", "Im0", "If0", "Bf0", "all-zero", "seed3", "seed4"],
+)
+def test_determinant_cubic_matches_the_generic_two_port_polynomial(params):
+    # x**2 * t(x) == 4*b22*x*f11 - (k22**2 + b22**2*x)*|N12 - D|**2 on every coupler
+    rng = np.random.default_rng(11)
+    couplers = [draw_coupler(rng, params.Bf) for _ in range(6)]
+    couplers += [vc(408.0, 0.0), vc(0.0, 0.17), vc(250.0, 4.0 * params.Bf)]
+    for coupler in couplers:
+        c = derive_coefficients(params, coupler)
+        assert _determinant_polynomial(params, coupler) == Polynomial(
+            [0, 0, c.t0, c.t1, c.t2, c.t3]
+        ), coupler
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +325,10 @@ def test_axis_pole_branch_iff_the_margin_is_exactly_zero(corpus):
 
 def test_plant_work_runs_once_for_the_three_checks(monkeypatch):
     calls = collections.Counter()
-    names = ("analyze_denominator", "quartic_hurwitz", "derive_coefficients", "plant_coefficients")
+    names = (
+        "analyze_denominator", "quartic_hurwitz", "derive_coefficients",
+        "plant_coefficients", "real_part_even_polynomial",
+    )
     for module in (passivity, model):
         for name in names:
             if name in vars(module):
@@ -309,8 +347,13 @@ def test_plant_work_runs_once_for_the_three_checks(monkeypatch):
     check_sufficient_conditions(NOM, coupler)
     assert calls["analyze_denominator"] == 1
     assert calls["quartic_hurwitz"] == 1
-    # the memo, plus hybrid_matrix for each of the two grid margins
-    assert calls["derive_coefficients"] + calls["plant_coefficients"] <= 3
+    assert calls["plant_coefficients"] == 1
+    assert calls["derive_coefficients"] == 0
+    # the (c-i) and (c-ii) identities, once per plant, and none per coupler
+    assert calls["real_part_even_polynomial"] == 2
+    for k22 in (100.0, 200.0, 300.0, 400.0, 500.0):
+        check_condition_c_ii(NOM, vc(k22, 0.15))
+    assert calls["real_part_even_polynomial"] == 2
 
 
 # ---------------------------------------------------------------------------
