@@ -123,7 +123,9 @@ class _LlewellynBound:
     computed once; each candidate (k22, b22) only rebuilds Re h22 in closed
     form.  The margin is the one llewellyn_grid_margins computes, and the
     acceptance tolerance matches check_absolute_stability's default.
-    Raises InvalidParams when no grid point has finite h11 and h12 samples.
+    Raises InvalidParams when no grid point has finite h11 and h12 samples,
+    and bound() raises it when the margin holds at every k22 the doubling
+    search tries below its 1e15 ceiling, i.e. when the grid does not bound k22.
     """
 
     def __init__(
@@ -156,7 +158,14 @@ class _LlewellynBound:
             return 0.0
         if not self.feasible(0.0, b22):
             return 0.0
-        return _sup_feasible(lambda k22: self.feasible(k22, b22), 0.0, None, tol)
+        try:
+            return _sup_feasible(lambda k22: self.feasible(k22, b22), 0.0, None, tol)
+        except RuntimeError:
+            # the doubling search met no failing k22 below its 1e15 ceiling
+            raise InvalidParams(
+                "the Llewellyn margin holds at every k22 tried up to the 1e15 search"
+                " ceiling on this grid, so the grid does not bound k22"
+            ) from None
 
 
 def _make_objective(

@@ -13,12 +13,22 @@ polynomial q, the sign-variation count V of its Sturm chain satisfies
 V(a) - V(b) = number of real roots in the half-open interval (a, b], with
 zeros skipped when counting variations.  (The half-open convention holds
 even when a or b is itself a root, because V is right-continuous.)
+
+Sign queries run on integers, not Fractions.  Each chain polynomial is
+scaled once by the positive lcm of its denominators, and its sign at a
+finite point n/d (d > 0) is read from the integer d**deg * q(n/d), a
+homogeneous Horner sum.  Root isolation bisects on dyadic points
+n / (B * 2**e) held as int pairs.  Both scalings are positive, so every
+sign, verdict, root count and witness equals the one exact Fraction
+evaluation gives (Rouillier and Zimmermann, "Efficient isolation of
+polynomial's real roots", J. Comput. Appl. Math. 2004, use the same
+integer evaluation).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -48,14 +58,6 @@ def _exact(value: Number) -> Fraction:
             raise ValueError("coefficients and points must be finite")
         return Fraction(value)
     raise TypeError(f"unsupported numeric type: {type(value).__name__}")
-
-
-def _sign(value: Fraction) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
 
 
 def _witness_float(value: Fraction) -> float:
@@ -304,21 +306,59 @@ def eval(p: Polynomial, x):  # noqa: A001 - module-level name fixed by the API
     return p.eval(x)
 
 
+def _integer_vector(q: Polynomial) -> Tuple[int, ...]:
+    """Coefficients of L*q as ints, L the positive lcm of their denominators."""
+    scale = math.lcm(*(c.denominator for c in q.coeffs))
+    return tuple(c.numerator * (scale // c.denominator) for c in q.coeffs)
+
+
+def _homogeneous(ints: Tuple[int, ...], num: int, den: int) -> int:
+    """den**deg * q(num/den) for q with coefficient vector ints; den > 0.
+
+    A positive multiple of q(num/den), so it has the same sign, computed as
+    the homogeneous Horner sum of c_i * num**i * den**(deg - i) on ints.
+    """
+    if not ints:
+        return 0
+    acc = ints[-1]
+    dpow = den
+    for c in reversed(ints[:-1]):
+        acc = acc * num + c * dpow
+        dpow *= den
+    return acc
+
+
+def _variations(values: Iterable[Number]) -> int:
+    """Sign changes along a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
 @dataclass(frozen=True)
 class SturmChain:
     """Signed remainder chain of a pair of polynomials.
 
     sturm_sequence builds it from a square-free polynomial and its
     derivative; the Routh-Hurwitz count in stability builds it from the
-    even and odd parts of a polynomial.
+    even and odd parts of a polynomial.  polys is the exact Fraction chain;
+    ints holds each of its polynomials scaled once by the positive lcm of
+    its denominators, which every sign query at a finite point evaluates.
     """
 
     polys: Tuple[Polynomial, ...]
+    ints: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ints", tuple(_integer_vector(q) for q in self.polys))
 
     @property
     def base(self) -> Polynomial:
         """The polynomial the chain starts from."""
         return self.polys[0]
+
+    def values_at(self, num: int, den: int) -> List[int]:
+        """den**deg_i * q_i(num/den) for each chain polynomial q_i; den > 0."""
+        return [_homogeneous(v, num, den) for v in self.ints]
 
 
 def remainder_chain(a: Polynomial, b: Polynomial) -> SturmChain:
@@ -353,27 +393,17 @@ def sturm_sequence(p: Polynomial) -> SturmChain:
 def sign_variations(chain: SturmChain, at) -> int:
     """Sign-variation count of the chain at a point or at +/-infinity.
 
-    Zero values are skipped.  `at` may be any finite number (evaluated
-    exactly) or +/-math.inf (leading-coefficient signs).
+    Zero values are skipped.  `at` may be any finite number or
+    +/-math.inf (leading-coefficient signs).  A finite point is taken
+    exactly as num/den with den > 0, and each polynomial's sign is read
+    from its integer multiple den**deg * q(num/den) (see SturmChain.ints),
+    so no Fraction arithmetic runs.
     """
-    signs: List[int] = []
     if isinstance(at, float) and math.isinf(at):
-        toward_plus = at > 0
-        for q in chain.polys:
-            if q.is_zero:
-                continue
-            s = _sign(q.leading_coeff)
-            if not toward_plus and q.degree % 2 == 1:
-                s = -s
-            if s:
-                signs.append(s)
-    else:
-        x = _exact(at)
-        for q in chain.polys:
-            s = _sign(q.eval_exact(x))
-            if s:
-                signs.append(s)
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+        flip = 1 if at > 0 else -1
+        return _variations(q.leading_coeff * flip ** q.degree for q in chain.polys if q.coeffs)
+    x = _exact(at)
+    return _variations(chain.values_at(x.numerator, x.denominator))
 
 
 def _validate_interval(a, b) -> None:
@@ -398,7 +428,8 @@ def count_real_roots(p: Polynomial, a=NEG_INF, b=POS_INF) -> int:
     n = sign_variations(chain, a) - sign_variations(chain, b)
     # V(a) - V(b) counts roots in (a, b]; drop b itself if it is a root.
     if not (isinstance(b, float) and math.isinf(b)):
-        if chain.base.eval_exact(b) == 0:
+        x = _exact(b)
+        if _homogeneous(chain.ints[0], x.numerator, x.denominator) == 0:
             n -= 1
     return n
 
@@ -410,26 +441,51 @@ def _gap_points(chain: SturmChain, lo: Fraction, hi: Fraction) -> List[Fraction]
     subinterval of (lo, hi) free of roots of chain.base contains at least
     one of them.  A polynomial with the same distinct roots is therefore
     nonnegative on [lo, hi] iff it is nonnegative at all returned points.
+
+    Bisection runs on dyadic points over den, the lcm of the denominators
+    of lo and hi: a point n / (den * 2**e) is held as the int pair (n, e),
+    reduced so that n is odd or e == 0, which makes the pair canonical and
+    lets it key the cache of sign variations.  Signs come from the chain's
+    integer vectors (SturmChain.values_at); only the returned points become
+    Fractions, and they are the same rationals exact bisection would give.
     """
-    q = chain.base
-    vcache = {}
+    den = math.lcm(lo.denominator, hi.denominator)
+    probes = {}
 
-    def V(x: Fraction) -> int:
-        if x not in vcache:
-            vcache[x] = sign_variations(chain, x)
-        return vcache[x]
+    def probe(x: Tuple[int, int]) -> Tuple[int, bool]:
+        """(sign variations at x, whether x is a root of chain.base)."""
+        if x not in probes:
+            values = chain.values_at(x[0], den << x[1])
+            probes[x] = (_variations(values), values[0] == 0)
+        return probes[x]
 
-    def is_root(x: Fraction) -> bool:
-        return q.eval_exact(x) == 0
+    def V(x: Tuple[int, int]) -> int:
+        return probe(x)[0]
 
+    def is_root(x: Tuple[int, int]) -> bool:
+        return probe(x)[1]
+
+    def mid(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
+        e = max(x[1], y[1])
+        n = (x[0] << (e - x[1])) + (y[0] << (e - y[1]))
+        if n == 0:
+            return 0, 0
+        k = min((n & -n).bit_length() - 1, e + 1)
+        return n >> k, e + 1 - k
+
+    def fraction(x: Tuple[int, int]) -> Fraction:
+        return Fraction(x[0], den << x[1])
+
+    lo_x = (lo.numerator * (den // lo.denominator), 0)
+    hi_x = (hi.numerator * (den // hi.denominator), 0)
     pts: List[Fraction] = [lo, hi]
-    if V(lo) - V(hi) <= 0:
+    if V(lo_x) - V(hi_x) <= 0:
         return pts
 
     # Bisect (lo, hi] into half-open cells each holding at most one root.
     budget = _MAX_BISECTIONS
-    work = [(lo, hi)]
-    cells: List[Tuple[Fraction, Fraction]] = []
+    work = [(lo_x, hi_x)]
+    cells: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
     while work:
         budget -= 1
         if budget <= 0:
@@ -441,10 +497,12 @@ def _gap_points(chain: SturmChain, lo: Fraction, hi: Fraction) -> List[Fraction]
         if c == 1:
             cells.append((l, h))
             continue
-        m = (l + h) / 2
+        m = mid(l, h)
         work.append((l, m))
         work.append((m, h))
-    cells.sort()
+    # the cells are disjoint, so ordering them by left end orders them
+    e_max = max(l[1] for l, _ in cells)
+    cells.sort(key=lambda cell: cell[0][0] << (e_max - cell[0][1]))
 
     # Each cell (l, h] holds one root r.  If l is itself a root (the previous
     # cell's root, or a root exactly at lo), refine until we find a clean
@@ -452,20 +510,20 @@ def _gap_points(chain: SturmChain, lo: Fraction, hi: Fraction) -> List[Fraction]
     # gap left of r.
     for l, h in cells:
         if not is_root(l):
-            pts.append(l)
+            pts.append(fraction(l))
             continue
         while True:
             budget -= 1
             if budget <= 0:
                 raise RuntimeError("gap refinement exceeded its bisection budget")
-            m = (l + h) / 2
+            m = mid(l, h)
             if is_root(m):
-                pts.append((l + m) / 2)
+                pts.append(fraction(mid(l, m)))
                 break
             if V(l) - V(m) == 1:
                 h = m  # root in (l, m]
             else:
-                pts.append(m)  # root in (m, h]; m sits in the gap
+                pts.append(fraction(m))  # root in (m, h]; m sits in the gap
                 break
     return pts
 
@@ -476,8 +534,9 @@ def is_nonnegative_on(p: Polynomial, interval) -> Tuple[bool, Optional[float]]:
     interval is a pair (a, b) with a < b; either end may be +/-math.inf.
     On failure the witness is a point (float of an exact sample) where
     p < 0.  The decision is exact: sign-constant gaps between the distinct
-    real roots are enumerated with a Sturm chain and sampled in rational
-    arithmetic.
+    real roots are enumerated with a Sturm chain (_gap_points), and p's
+    sign at each sample n/d is that of d**deg * L * p(n/d), computed on
+    p's integer vector (L the lcm of its denominators).
     """
     a, b = interval
     _validate_interval(a, b)
@@ -514,8 +573,9 @@ def is_nonnegative_on(p: Polynomial, interval) -> Tuple[bool, Optional[float]]:
         return True, None
 
     chain = sturm_sequence(p)
+    ints = _integer_vector(p)
     for t in _gap_points(chain, lo, hi):
-        if p.eval_exact(t) < 0:
+        if _homogeneous(ints, t.numerator, t.denominator) < 0:
             return False, _witness_float(t)
     return True, None
 

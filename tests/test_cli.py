@@ -322,6 +322,21 @@ def test_absolute_optimum_with_no_finite_grid_sample_is_a_config_error(capsys):
     assert err == "config error: h11 and h12 overflow double precision at every grid point\n"
 
 
+@pytest.mark.parametrize("grid", ["1e-3:1:20", "1e-3:1e-1:20"])
+def test_absolute_optimum_on_a_grid_that_never_bounds_k22_is_a_config_error(capsys, grid):
+    # below 1 rad/s the sampled Llewellyn margin holds for every k22, so the
+    # bracket search doubles past its ceiling; it used to exit as an internal error
+    code, out, err = run(
+        capsys, "optimize", "--config", TABLE, "--criterion", "absolute", "--grid", grid,
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == (
+        "config error: the Llewellyn margin holds at every k22 tried up to the 1e15"
+        " search ceiling on this grid, so the grid does not bound k22\n"
+    )
+
+
 def test_absolute_optimum_on_an_overflowing_grid_leaks_no_numpy_warning(capsys):
     # omega**2 overflows above 1e154 rad/s; those samples drop out as NaN
     with warnings.catch_warnings():

@@ -9,14 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcoupler import poly
+from conftest import draw_plant
+from vcoupler import poly, stability
 from vcoupler.errors import InvalidInterval, ZeroPolynomial
+from vcoupler.model import (
+    VirtualCoupler,
+    coupler_coefficients,
+    derive_coefficients,
+    nominal_coupler,
+    nominal_params,
+    plant_coefficients,
+)
 from vcoupler.poly import (
     Polynomial,
     count_real_roots,
     cubic_nonneg_closed_form,
     eval as poly_eval,
     is_nonnegative_on,
+    remainder_chain,
     sign_variations,
     sturm_sequence,
 )
@@ -298,3 +308,251 @@ def test_quadratic_closed_form_matches_chain_route_on_integers():
         seen["touching, c1 < 0"] += c1 < 0 and c1 * c1 == 4 * c0 * c2
         seen["pass" if expected else "fail"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+# ---------------------------------------------------------------------------
+# integer sign evaluation against the Fraction route it replaced
+# ---------------------------------------------------------------------------
+
+
+def _sgn(value) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _fraction_sign_variations(chain, at) -> int:
+    """Oracle: signs of the Fraction chain by Fraction Horner evaluation."""
+    if isinstance(at, float) and math.isinf(at):
+        signs = [
+            _sgn(q.leading_coeff) * (-1 if at < 0 and q.degree % 2 else 1)
+            for q in chain.polys
+            if not q.is_zero
+        ]
+    else:
+        x = Fraction(at)
+        signs = [_sgn(q.eval_exact(x)) for q in chain.polys]
+    signs = [v for v in signs if v]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def _fraction_gap_points(chain, lo, hi):
+    """Oracle: root-gap sampling by Fraction bisection, Fraction-keyed cache."""
+    cache = {}
+
+    def V(x):
+        if x not in cache:
+            cache[x] = _fraction_sign_variations(chain, x)
+        return cache[x]
+
+    def is_root(x):
+        return chain.base.eval_exact(x) == 0
+
+    pts = [lo, hi]
+    if V(lo) - V(hi) <= 0:
+        return pts
+    work, cells = [(lo, hi)], []
+    while work:
+        l, h = work.pop()
+        c = V(l) - V(h)
+        if c == 1:
+            cells.append((l, h))
+        elif c > 1:
+            m = (l + h) / 2
+            work += [(l, m), (m, h)]
+    for l, h in sorted(cells):
+        if not is_root(l):
+            pts.append(l)
+            continue
+        while True:
+            m = (l + h) / 2
+            if is_root(m):
+                pts.append((l + m) / 2)
+                break
+            if V(l) - V(m) == 1:
+                h = m
+            else:
+                pts.append(m)
+                break
+    return pts
+
+
+def _fraction_count_real_roots(p, a, b) -> int:
+    if p.degree == 0:
+        return 0
+    chain = sturm_sequence(p)
+    n = _fraction_sign_variations(chain, a) - _fraction_sign_variations(chain, b)
+    if not (isinstance(b, float) and math.isinf(b)) and chain.base.eval_exact(b) == 0:
+        n -= 1
+    return n
+
+
+def _fraction_is_nonnegative_on(p, interval):
+    """Oracle: is_nonnegative_on with every sign taken by Fraction Horner."""
+    a, b = interval
+    A = None if isinstance(a, float) and math.isinf(a) else Fraction(a)
+    B = None if isinstance(b, float) and math.isinf(b) else Fraction(b)
+    if p.is_zero:
+        return True, None
+    if p.degree == 0:
+        if p.coeffs[0] >= 0:
+            return True, None
+        w = A if A is not None else (B - 1 if B is not None else Fraction(0))
+        return False, poly._witness_float(w)
+    lead, R = p.leading_coeff, p.cauchy_bound()
+    if B is None and lead < 0:
+        return False, poly._witness_float(R + 1 if A is None else max(A, R) + 1)
+    if A is None and (lead if p.degree % 2 == 0 else -lead) < 0:
+        return False, poly._witness_float(-(R + 1) if B is None else min(B, -R) - 1)
+    lo = A if A is not None else -(R + 1)
+    hi = B if B is not None else R + 1
+    if lo >= hi:
+        return True, None
+    for t in _fraction_gap_points(sturm_sequence(p), lo, hi):
+        if p.eval_exact(t) < 0:
+            return False, poly._witness_float(t)
+    return True, None
+
+
+def _fraction_rhp_root_count(p) -> int:
+    if p.degree % 2:
+        p = p * Polynomial([1, 1])
+    even, odd = p.even_odd_parts()
+    chain = remainder_chain(even.reflect(), odd.reflect())
+    return p.degree // 2 + _fraction_sign_variations(chain, 0) - _fraction_sign_variations(
+        chain, math.inf
+    )
+
+
+def _plant_polynomials(seed: int):
+    """Float-expanded plant polynomials of 300-600-bit coefficients."""
+    pc = plant_coefficients(draw_plant(np.random.default_rng(seed)))
+    r = Polynomial([pc.r0, pc.r1, pc.r2, pc.r3])
+    out = [r, Polynomial([pc.w0, pc.w1, pc.w2])]
+    for k22, b22 in ((50.0, 0.1), (400.0, 0.17), (3000.0, 0.5)):
+        c = coupler_coefficients(pc, VirtualCoupler(k22, b22))
+        t = Polynomial([c.t0, c.t1, c.t2, c.t3])
+        out += [t, -t]
+    return out + [r * t], Polynomial([pc.a0, pc.a1, pc.a2, pc.a3, pc.a4])
+
+
+def _midpoint_root_polynomials(rng, lo: Fraction, hi: Fraction):
+    """Polynomials whose roots sit at lo, hi and dyadic bisection midpoints."""
+    grid = [lo + (hi - lo) * Fraction(k, 8) for k in range(9)]
+    for _ in range(20):
+        roots = [grid[int(i)] for i in rng.integers(0, 9, size=int(rng.integers(1, 4)))]
+        if rng.random() < 0.4:
+            roots.append(lo)
+        p = Polynomial([int(rng.choice([-3, -1, 1, 2]))])
+        for root in roots:
+            factor = Polynomial([-root, 1])
+            p = p * (factor * factor if rng.random() < 0.5 else factor)
+        if rng.random() < 0.3:
+            p = p * Polynomial([1, 0, 1])
+        yield p
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(8080)
+    big = 3**200 + 7
+    points = [
+        0, 1, -2, 0.5, -1e-300, 5e-324, 1.5e300, Fraction(1, 3),
+        Fraction(int(rng.integers(-10**6, 10**6)), big), Fraction(big, 2**400 + 1),
+    ]
+    intervals = [
+        (0, math.inf), (-math.inf, math.inf), (-math.inf, 0.25), (-0.75, 3.0),
+        (Fraction(1, big), Fraction(7, 3)),
+    ]
+    cases = []
+    for seed in range(3):
+        plant_polys, quartic = _plant_polynomials(seed)
+        cases += [(p, intervals) for p in plant_polys]
+        cases.append((quartic, intervals))
+    for _ in range(120):
+        deg = int(rng.integers(0, 7))
+        p = Polynomial([float(c) for c in rng.uniform(-10, 10, size=deg + 1)])
+        if not p.is_zero:
+            cases.append((p, intervals))
+    for lo, hi in ((0, 8), (Fraction(1, 3), Fraction(25, 3)), (Fraction(-5, 7), 1)):
+        lo, hi = Fraction(lo), Fraction(hi)
+        cases += [
+            (p, [(lo, hi), (lo, math.inf)]) for p in _midpoint_root_polynomials(rng, lo, hi)
+        ]
+    return cases, points
+
+
+def test_integer_sign_route_matches_the_fraction_route_bit_for_bit():
+    cases, points = _oracle_cases()
+    seen = {
+        "degree <= 1 chain": 0, "lead < 0": 0, "root at lo": 0, "root at a midpoint": 0,
+        "root at a finite right end": 0, "fails": 0,
+    }
+    for p, intervals in cases:
+        chain = sturm_sequence(p)
+        seen["degree <= 1 chain"] += len(chain.polys) <= 2
+        seen["lead < 0"] += p.leading_coeff < 0
+        seen["root at a finite right end"] += any(
+            math.isfinite(b) and p.eval_exact(Fraction(b)) == 0 for _, b in intervals
+        )
+        for at in points + [math.inf, -math.inf]:
+            assert sign_variations(chain, at) == _fraction_sign_variations(chain, at), (p, at)
+        for a, b in [(-math.inf, math.inf), (0, math.inf), (points[8], points[9]), (-2, 0.5)]:
+            assert count_real_roots(p, a, b) == _fraction_count_real_roots(p, a, b), (p, a, b)
+        for interval in intervals:
+            got = is_nonnegative_on(p, interval)
+            want = _fraction_is_nonnegative_on(p, interval)
+            assert (got[0], repr(got[1])) == (want[0], repr(want[1])), (p, interval)
+            seen["fails"] += not got[0]
+            if p.degree >= 1 and all(math.isfinite(end) for end in interval):
+                lo, hi = map(Fraction, interval)
+                assert count_real_roots(p, lo, hi) == _fraction_count_real_roots(p, lo, hi)
+                assert poly._gap_points(chain, lo, hi) == _fraction_gap_points(chain, lo, hi)
+                seen["root at lo"] += p.eval_exact(lo) == 0
+                seen["root at a midpoint"] += p.eval_exact((lo + hi) / 2) == 0
+        if p.degree >= 1 and p.eval(0) != 0:
+            assert stability._rhp_root_count(p) == _fraction_rhp_root_count(p), p
+    assert min(seen.values()) >= 10, seen
+
+
+def test_degenerate_chains_match_the_fraction_route():
+    chains = [
+        sturm_sequence(Polynomial([3])),
+        sturm_sequence(Polynomial([-2.5])),
+        sturm_sequence(Polynomial([Fraction(1, 3), -7])),
+        remainder_chain(Polynomial([3]), Polynomial([-2])),
+        remainder_chain(Polynomial([-1, 0, 2]), Polynomial([])),
+        remainder_chain(Polynomial([Fraction(5, 9)]), Polynomial([0, Fraction(-1, 6)])),
+    ]
+    for chain in chains:
+        for at in (0, Fraction(1, 21), -4.25, 1e300, math.inf, -math.inf):
+            assert sign_variations(chain, at) == _fraction_sign_variations(chain, at)
+
+
+def test_sign_queries_run_no_fraction_horner(monkeypatch):
+    params = nominal_params()
+    nominal = derive_coefficients(params, nominal_coupler())
+    failing = derive_coefficients(params, VirtualCoupler(800.0, 0.15))
+    c_i = Polynomial([nominal.r0, nominal.r1, nominal.r2, nominal.r3])
+    c_ii = Polynomial([nominal.t0, nominal.t1, nominal.t2, nominal.t3])
+    c_ii_failing = Polynomial([failing.t0, failing.t1, failing.t2, failing.t3])
+    chain = sturm_sequence(c_ii_failing)
+
+    def queries():
+        return [
+            is_nonnegative_on(c_i, (0, math.inf)),
+            is_nonnegative_on(c_ii, (0, math.inf)),
+            is_nonnegative_on(c_ii_failing, (0.5, math.inf)),
+            count_real_roots(c_ii_failing, 0, 1e6),
+            sign_variations(chain, Fraction(3, 7)),
+            sign_variations(chain, 1234.5),
+        ]
+
+    expected = queries()
+    assert expected[:2] == [(True, None), (True, None)]
+    assert expected[2][0] is False and expected[3] > 0
+
+    def refuse(self, x):
+        raise AssertionError(f"Fraction Horner evaluation at {x!r}")
+
+    monkeypatch.setattr(Polynomial, "eval_exact", refuse)
+    with pytest.raises(AssertionError):
+        c_i.eval_exact(1)
+    assert queries() == expected
