@@ -10,10 +10,11 @@ the bracket around the best sample.  maximize_k22_over_alpha nests the same
 search inside a golden-section scan of the feedforward blend alpha.
 
 Two criteria are supported: "passivity" maximizes the exact two-port bound
-k22_upper_bound; "absolute" bisects the sampled Llewellyn margin used by
-check_absolute_stability on the same default grid, so the returned optimum
-is consistent with that checker's verdicts.  Both bisect through the same
-loop, and each search builds its objective once per plant:
+k22_upper_bound; "absolute" maximizes the largest k22 at which the sampled
+Llewellyn margin used by check_absolute_stability holds on the same default
+grid, so the returned optimum is consistent with that checker's verdicts.
+Both bisect through the same loop, and each search builds its objective
+once per plant:
 
 - passivity tabulates the determinant cubic
   t = 4*b22*r - (k22**2 + b22**2*x)*w once per plant, from the plant
@@ -23,9 +24,12 @@ loop, and each search builds its objective once per plant:
   (qa*bn**2 + qb*bn*bd)*kd**2 + qg*bd**2*kn**2 in closed form (a quadratic
   one at b22 = 4*Bf, where the cubic term vanishes), with no Fraction
   work per b22 and the same verdict as the exact cubic;
-- absolute samples the plant's memoized entries h11 and h12 once; only
-  the coupler port Re h22 = b22*w^2 / (k22^2 + b22^2*w^2) is recomputed per
-  candidate.
+- absolute samples the plant's memoized entries h11 and h12 once and turns
+  each sample into a threshold g on Re h22 = b22*w^2 / (k22^2 + b22^2*w^2).
+  Per b22, k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2) is one vector
+  op, and each probe is decided as k22^2 < k*^2; the grid margin decides
+  only probes within rounding of k*^2 and grids the closed form does not
+  cover (see _LlewellynBound), so the bound is the bisected one bit for bit.
 
 Each objective lives for one maximize_k22 call.
 """
@@ -41,6 +45,7 @@ import numpy as np
 from .errors import BaselineNotPassive, InvalidParams
 from .model import SystemParams
 from .passivity import (
+    _TINY,
     _DeterminantBound,
     _llewellyn_margin,
     _plant_analysis,
@@ -116,16 +121,51 @@ def _require_baseline(params: SystemParams) -> None:
         )
 
 
+_UNBOUNDED = (
+    "the Llewellyn margin holds at every k22 tried up to the 1e15 search"
+    " ceiling on this grid, so the grid does not bound k22"
+)
+# The closed form needs Re h11, |h12| and w^2 of every finite sample in
+# [1/_RANGE, _RANGE], and b22 in [1/_B22_RANGE, _B22_RANGE]: every float step
+# of the sampled margin is then a normal double at each k22 the search can
+# probe (k22 <= 2**49), so its verdict is the exact one up to rounding.
+_RANGE = 1e60
+_B22_RANGE = 1e30
+# Rounding allowances: g's numerator is widened by _SLACK*(|Re h12| + |h12|),
+# far above the float margin's error (about 20 ulp of that), and each
+# threshold by _WINDOW of b22*w^2/g.
+_SLACK = 1e-12
+_WINDOW = 1e-9
+
+
 class _LlewellynBound:
-    """Bisected k22 bound against the sampled Llewellyn margin.
+    """Largest k22 at which the sampled Llewellyn margin holds, per b22.
 
     h11 and h12 do not depend on the coupler, so their grid samples are
-    computed once; each candidate (k22, b22) only rebuilds Re h22 in closed
-    form.  The margin is the one llewellyn_grid_margins computes, and the
-    acceptance tolerance matches check_absolute_stability's default.
+    computed once.  The margin is the one llewellyn_grid_margins computes,
+    and the acceptance tolerance matches check_absolute_stability's default;
+    feasible(k22, b22) and min_margin evaluate it on the whole grid.
+
+    bound(b22) returns exactly what bisecting feasible(., b22) returns, but
+    decides the probes in closed form.  At a sample with Re h11 > 0,
+    margin >= -tol reads Re h22 >= g with
+        g = (|h12| - Re h12 - 2*tol*|h12| - tol*_TINY) / (2*Re h11*(1 + tol)),
+    and Re h22 = b22*w^2 / (k22^2 + b22^2*w^2) falls with k22, so a sample
+    with g > 0 holds iff k22^2 <= b22*w^2/g - b22^2*w^2, and one with g <= 0
+    at every k22.  So k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2)
+    decides each probe as k22^2 < k*^2: one vector op per b22 instead of
+    about 30 grid evaluations.  The grid margin still decides
+    - feasible(0, b22), as before;
+    - a probe inside the rounding band around k*^2 (the _WINDOW and _SLACK
+      allowances, at least 1e-9 of k*^2);
+    - every probe when a finite sample has Re h11 <= 0 (there the margin
+      does not fall with k22) or a magnitude outside _RANGE, or b22 lies
+      outside _B22_RANGE.
+
     Raises InvalidParams when no grid point has finite h11 and h12 samples,
     and bound() raises it when the margin holds at every k22 the doubling
-    search tries below its 1e15 ceiling, i.e. when the grid does not bound k22.
+    search tries below its 1e15 ceiling, i.e. when the grid does not bound
+    k22: at once when no sample has g > 0.
     """
 
     def __init__(
@@ -143,6 +183,37 @@ class _LlewellynBound:
         with np.errstate(all="ignore"):
             self._w2 = np.asarray(omegas, dtype=float) ** 2
         self._margin_tol = margin_tol
+        self._edges = self._closed_form_edges()
+
+    def _closed_form_edges(self) -> Optional[Tuple[np.ndarray, ...]]:
+        """(w2_h, c_h, w2_f, c_f) for the closed form, or None for grid-only.
+
+        A probe surely holds when k22^2 < b22*min(c_h - b22*w2_h) and surely
+        fails when k22^2 > b22*min(c_f - b22*w2_f).  Both c are w^2/g, with
+        g's numerator widened by the slack (up for c_h, down for c_f) and c
+        scaled by 1 -/+ _WINDOW.  Samples with a non-finite Re h11, Re h12 or
+        |h12| have a NaN margin at every probe and drop out, as in nanmin.
+        """
+        tol = self._margin_tol
+        finite = np.isfinite(self._re11) & np.isfinite(self._re12) & np.isfinite(self._abs12)
+        re11, re12, abs12, w2 = (
+            a[finite] for a in (self._re11, self._re12, self._abs12, self._w2)
+        )
+        if not re11.size or not all(
+            np.all((a >= 1.0 / _RANGE) & (a <= _RANGE)) for a in (re11, abs12, w2)
+        ):
+            return None
+        num = abs12 - re12 - 2.0 * tol * abs12 - tol * _TINY
+        slack = _SLACK * (np.abs(re12) + abs12)
+        scale = 2.0 * (1.0 + tol) * re11 * w2  # w^2/g = scale/num
+        can_fail = num + slack > 0.0
+        must_fail = num - slack > 0.0
+        return (
+            w2[can_fail],
+            scale[can_fail] / (num + slack)[can_fail] * (1.0 - _WINDOW),
+            w2[must_fail],
+            scale[must_fail] / (num - slack)[must_fail] * (1.0 + _WINDOW),
+        )
 
     def min_margin(self, k22: float, b22: float) -> float:
         with np.errstate(all="ignore"):
@@ -158,14 +229,28 @@ class _LlewellynBound:
             return 0.0
         if not self.feasible(0.0, b22):
             return 0.0
+        holds_below, fails_above = -math.inf, math.inf  # the grid decides
+        if self._edges is not None and 1.0 / _B22_RANGE <= b22 <= _B22_RANGE:
+            w2_h, c_h, w2_f, c_f = self._edges
+            if not w2_h.size:
+                raise InvalidParams(_UNBOUNDED)
+            holds_below = b22 * float(np.min(c_h - b22 * w2_h))
+            if w2_f.size:
+                fails_above = b22 * float(np.min(c_f - b22 * w2_f))
+
+        def decide(k22: float) -> bool:
+            k2 = k22 * k22
+            if k2 < holds_below:
+                return True
+            if k2 > fails_above:
+                return False
+            return self.feasible(k22, b22)
+
         try:
-            return _sup_feasible(lambda k22: self.feasible(k22, b22), 0.0, None, tol)
+            return _sup_feasible(decide, 0.0, None, tol)
         except RuntimeError:
             # the doubling search met no failing k22 below its 1e15 ceiling
-            raise InvalidParams(
-                "the Llewellyn margin holds at every k22 tried up to the 1e15 search"
-                " ceiling on this grid, so the grid does not bound k22"
-            ) from None
+            raise InvalidParams(_UNBOUNDED) from None
 
 
 def _make_objective(

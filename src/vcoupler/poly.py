@@ -380,13 +380,20 @@ def sturm_sequence(p: Polynomial) -> SturmChain:
     """Sturm chain {q, q', -rem, ...} of the square-free part q of p.
 
     Remainders are kept exactly as produced (no rescaling), so e.g.
-    x**2 - 2 yields {x**2 - 2, 2x, 2} and x**3 yields {x, 1}.
+    x**2 - 2 yields {x**2 - 2, 2x, 2} and x**3 yields {x, 1}.  The chain of
+    p itself is built first: its remainders are those of Euclid's
+    gcd(p, p') up to sign, so it ends on a constant iff p is square-free,
+    and otherwise its last element is that gcd up to a constant factor.
     """
     if p.is_zero:
         raise ZeroPolynomial("Sturm chain of the zero polynomial is undefined")
-    q = p.square_free_part()
-    if q.degree < 1:
-        return SturmChain((q,))
+    if p.degree < 1:
+        return SturmChain((p,))
+    chain = remainder_chain(p, p.derivative())
+    g = chain.polys[-1]
+    if g.degree < 1:
+        return chain
+    q = p.exact_div(g.monic())
     return remainder_chain(q, q.derivative())
 
 

@@ -2,15 +2,22 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 
 import numpy as np
 import pytest
 
-from vcoupler.errors import BaselineNotPassive
+from conftest import draw_plant
+from vcoupler.errors import BaselineNotPassive, InvalidParams
 from vcoupler.model import VirtualCoupler, nominal_params
-from vcoupler.optimize import maximize_k22, maximize_k22_over_alpha
-from vcoupler.passivity import check_absolute_stability, check_two_port_passivity
+from vcoupler.optimize import _LlewellynBound, maximize_k22, maximize_k22_over_alpha
+from vcoupler.passivity import (
+    _sup_feasible,
+    check_absolute_stability,
+    check_two_port_passivity,
+    default_grid,
+)
 
 NOM = nominal_params()
 
@@ -44,6 +51,10 @@ def test_absolute_stability_optimum():
     assert r.criterion == "absolute"
     assert r.b22_opt == pytest.approx(0.16964, abs=2e-3)
     assert r.k22_max == pytest.approx(408.880, abs=0.05)
+    # bit for bit, as the grid bisection found them
+    assert r.k22_max == 408.8798828125
+    assert r.b22_opt == 0.16964078649987382
+    assert len(r.trace) == 62
 
 
 def test_joint_optimum_over_the_feedback_split():
@@ -53,6 +64,16 @@ def test_joint_optimum_over_the_feedback_split():
     assert r.alpha_opt == 0.8904631987238172
     assert r.b22_opt == 0.14845824720006734
     assert r.k22_max == 417.1094177087317
+    assert len(r.trace) == 16
+
+
+def test_absolute_joint_optimum_over_the_feedback_split():
+    r = maximize_k22_over_alpha(NOM, criterion="absolute")
+    assert (r.k22_max, r.b22_opt, r.alpha_opt) == (
+        424.3310546875,
+        0.13512077304004713,
+        0.8215794912265513,
+    )
     assert len(r.trace) == 16
 
 
@@ -144,3 +165,123 @@ def test_no_elastic_damping_is_infeasible():
 def test_unknown_criterion_is_rejected():
     with pytest.raises(ValueError, match="criterion"):
         maximize_k22(NOM, criterion="bogus")
+
+
+# ---------------------------------------------------------------------------
+# the closed-form Llewellyn bound against bisection of the grid margin
+# ---------------------------------------------------------------------------
+
+
+def _bisected_bound(search, b22, tol=1e-3):
+    """Oracle: the bound found by evaluating the grid margin at every probe;
+    None where the doubling search passes its ceiling."""
+    if not (b22 > 0.0 and math.isfinite(b22)) or not search.feasible(0.0, b22):
+        return 0.0
+    try:
+        return _sup_feasible(lambda k22: search.feasible(k22, b22), 0.0, None, tol)
+    except RuntimeError:
+        return None
+
+
+def _closed_form_bound(search, b22):
+    try:
+        return search.bound(b22)
+    except InvalidParams:
+        return None
+
+
+def _count_grid_probes(monkeypatch):
+    """Count feasible() calls at k22 > 0, i.e. probes the grid decides."""
+    probes = []
+    feasible = _LlewellynBound.feasible
+
+    def counted(self, k22, b22):
+        if k22 > 0.0:
+            probes.append((k22, b22))
+        return feasible(self, k22, b22)
+
+    monkeypatch.setattr(_LlewellynBound, "feasible", counted)
+    return probes
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [default_grid(4000), np.logspace(3, 6, 4000)],
+    ids=["default-grid", "banded-grid"],
+)
+def test_closed_form_bound_equals_grid_bisection(grid, monkeypatch):
+    rng = np.random.default_rng(1952)
+    plants = [NOM] + [draw_plant(rng, 0.3) for _ in range(20)]
+    probes = _count_grid_probes(monkeypatch)
+    bounded = 0
+    for params in plants:
+        search = _LlewellynBound(params, grid)
+        b_hi = 4.0 * params.Bf
+        for b22 in [b_hi * i / 8 for i in range(1, 9)] + [1.25 * b_hi]:
+            expected = _bisected_bound(search, b22)
+            del probes[:]
+            got = _closed_form_bound(search, b22)
+            assert got == expected, (params, b22)
+            if search._edges is not None and got:
+                bounded += 1
+                assert len(probes) <= 2  # the closed form decided the rest
+    assert bounded >= 100
+
+
+def test_closed_form_bound_hands_the_rounding_band_to_the_grid(monkeypatch):
+    # on the nominal plant some bisection probes land within the rounding
+    # band of k*, where only the grid margin can tell the float verdict
+    probes = _count_grid_probes(monkeypatch)
+    search = _LlewellynBound(NOM, default_grid(4000))
+    b_hi = 4.0 * NOM.Bf
+    in_band = []
+    for b22 in (b_hi * i / 400 for i in range(1, 401)):
+        expected = _bisected_bound(search, b22)
+        del probes[:]
+        assert search.bound(b22) == expected
+        in_band += [search.feasible(k22, b22) for k22, _ in list(probes)]
+    assert True in in_band and False in in_band
+
+
+def test_closed_form_bound_leaves_non_finite_samples_out():
+    # NaN frequencies and 1e200 rad/s (where h11 overflows) give NaN
+    # samples, which nanmin skips; the rest of the grid takes the closed form
+    grid = np.concatenate([default_grid(500), [np.nan, 1e200, np.nan]])
+    search = _LlewellynBound(NOM, grid)
+    assert search._edges is not None
+    for b22 in (0.05, 0.13, 0.17, 4.0 * NOM.Bf):
+        assert _closed_form_bound(search, b22) == _bisected_bound(search, b22)
+
+
+def test_overflowing_samples_send_every_probe_to_the_grid():
+    # above 1e154 rad/s omega**2 overflows; the closed form is not used
+    search = _LlewellynBound(NOM, np.logspace(-3, 200, 50))
+    assert search._edges is None
+    for b22 in (0.05, 0.13, 0.17):
+        assert _closed_form_bound(search, b22) == _bisected_bound(search, b22)
+
+
+def test_negative_re_h11_sends_every_probe_to_the_grid():
+    # a plant failing (c-i) has Re h11 < 0 on part of the grid, where the
+    # margin is not the falling function of k22 that the closed form inverts
+    params = draw_plant(np.random.default_rng(5), 0.3)
+    search = _LlewellynBound(params, default_grid(4000))
+    assert np.nanmin(search._re11) < 0.0
+    assert search._edges is None
+    for b22 in (4.0 * params.Bf * i / 8 for i in range(1, 9)):
+        assert _closed_form_bound(search, b22) == _bisected_bound(search, b22)
+
+
+@pytest.mark.parametrize("hi", [1.0, 1e-1])
+def test_grid_that_cannot_bound_k22_raises_at_once(hi, monkeypatch):
+    # below 1 rad/s no sample has g > 0, so no k22 fails the margin
+    search = _LlewellynBound(NOM, np.logspace(-3, math.log10(hi), 20))
+    assert _bisected_bound(search, 0.17) is None
+    calls = []
+    feasible = _LlewellynBound.feasible
+    monkeypatch.setattr(
+        _LlewellynBound, "feasible", lambda self, k, b: calls.append(k) or feasible(self, k, b)
+    )
+    with pytest.raises(InvalidParams, match="the grid does not bound k22"):
+        search.bound(0.17)
+    assert calls == [0.0]

@@ -167,6 +167,41 @@ def test_chain_satisfies_euclidean_recurrence_exactly():
             assert rem == list(neg)
 
 
+def _two_pass_sturm_sequence(p: Polynomial):
+    """Oracle: the square-free part by its own Euclid pass, then its chain."""
+    q = p.square_free_part()
+    if q.degree < 1:
+        return (q,)
+    return remainder_chain(q, q.derivative()).polys
+
+
+def test_one_pass_chain_matches_the_two_pass_route():
+    rng = np.random.default_rng(2975)
+
+    def rational():
+        return Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13)))
+
+    square_free = repeated = 0
+    for _ in range(200):
+        # a constant times up to four random rational linear or quadratic
+        # factors, each raised to a power 1..3: most products have repeated roots
+        p = Polynomial([rational() or Fraction(5, 7)])
+        for _ in range(int(rng.integers(0, 5))):
+            lower = [rational() for _ in range(int(rng.integers(1, 3)))]
+            factor = Polynomial(lower + [rational() or 1])
+            for _ in range(int(rng.integers(1, 4))):
+                p = p * factor
+        expected = _two_pass_sturm_sequence(p)
+        got = sturm_sequence(p).polys
+        assert [q.coeffs for q in got] == [q.coeffs for q in expected]
+        if p.degree >= 1:
+            if p.square_free_part().degree < p.degree:
+                repeated += 1
+            else:
+                square_free += 1
+    assert repeated >= 100 and square_free >= 10
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(lambda c: any(c)),
