@@ -106,7 +106,12 @@ def _grid_array(cfg: RunConfig) -> Optional[np.ndarray]:
     if cfg.grid is None:
         return None
     lo, hi, n = cfg.grid
-    return np.logspace(math.log10(lo), math.log10(hi), n)
+    # an upper end near the largest double can round the last points to inf
+    with np.errstate(over="ignore"):
+        omegas = np.logspace(math.log10(lo), math.log10(hi), n)
+    if not np.all(np.isfinite(omegas)):
+        raise ConfigError("frequency grid must be positive and finite")
+    return omegas
 
 
 def _require_vc(cfg: RunConfig) -> VirtualCoupler:

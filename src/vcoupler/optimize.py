@@ -23,7 +23,15 @@ once per plant:
   bisection probe at b22 = bn/bd, k22 = kn/kd decides the integer cubic
   (qa*bn**2 + qb*bn*bd)*kd**2 + qg*bd**2*kn**2 in closed form (a quadratic
   one at b22 = 4*Bf, where the cubic term vanishes), with no Fraction
-  work per b22 and the same verdict as the exact cubic;
+  work per b22 and the same verdict as the exact cubic.  Since w >= 0 on
+  x >= 0, feasibility is downward-closed in k22; when the static bound
+  fails, a float estimate of the frontier k* (the square root of the least
+  k22**2 at which t touches zero, taken at x = 0 or a root of one quartic)
+  is certified by an exact probe passing at k*(1 - 1e-9) and one failing
+  at k*(1 + 1e-9), or at the static bound when that is lower.  Probes
+  outside that bracket are then decided without the cubic: such a b22
+  takes at most three exact probes instead of about twenty, and a failed
+  certificate leaves every probe exact (see passivity._DeterminantBound);
 - absolute samples the plant's memoized entries h11 and h12 once and turns
   each sample into a threshold g on Re h22 = b22*w^2 / (k22^2 + b22^2*w^2).
   Per b22, k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2) is one vector

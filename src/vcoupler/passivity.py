@@ -87,6 +87,11 @@ __all__ = [
 # Tiny additive guard so normalized margins never divide by zero.
 _TINY = 1e-300
 
+# Relative half-width of the certified float bracket of the k22 frontier.
+_BRACKET = 1e-9
+# ones below the diagonal of the 4 x 4 companion matrix of a quartic
+_SUBDIAGONAL = np.eye(4, k=-1)
+
 
 def default_grid(points: int = 2000) -> np.ndarray:
     """Logarithmic frequency grid over the standard probe band [1e-3, 1e6]."""
@@ -365,6 +370,71 @@ def _sup_feasible(
     return lo
 
 
+def _touching_k2(base: Tuple[int, ...], step: Tuple[int, ...]) -> float:
+    """Float estimate of the largest K with base + K*step >= 0 on x >= 0.
+
+    base and step are the integer cubics (lowest degree first) whose sum
+    base + K*step is the determinant cubic at k22**2 = K times a positive
+    factor; step = -w.  So K* = min over x >= 0 of phi = base/w, reached
+    at x = 0 or at a positive root of the quartic base'*w - base*w'.  x = 0
+    stays a candidate because the static probe, rounded just above a
+    frontier set there, can fail.  Every x >= 0 has phi(x) >= K*, so the
+    real part of each root of the quartic (a companion-matrix eigenvalue,
+    as np.roots finds them) is a safe candidate.  Returns nan when the
+    quartic or phi cannot be formed in floats, including t3 = 0, where the
+    quartic loses its leading term.
+    """
+    try:
+        n0, n1, n2, n3 = (float(c) for c in base)
+        w0, w1, w2 = (-float(c) for c in step[:3])
+    except OverflowError:
+        return math.nan
+    q4, q3, q2, q1, q0 = (
+        n3 * w2, 2 * n3 * w1, 3 * n3 * w0 + n2 * w1 - n1 * w2,
+        2 * (n2 * w0 - n0 * w2), n1 * w0 - n0 * w1,
+    )
+    n, w = (n3, n2, n1, n0), (w2, w1, w0)
+    if q4 == 0.0:
+        return math.nan
+    companion = _SUBDIAGONAL.copy()
+    companion[0] = (-q3 / q4, -q2 / q4, -q1 / q4, -q0 / q4)
+    try:
+        roots = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:
+        return math.nan
+    best = math.inf
+    for x in [0.0] + roots.real.tolist():
+        if x >= 0:
+            nx = wx = 0.0
+            for c in n:
+                nx = nx * x + c
+            for c in w:
+                wx = wx * x + c
+            if wx == 0.0:
+                return math.nan
+            best = min(best, nx / wx)
+    return best
+
+
+def _certified(
+    feasible: Callable[[float], bool], K: float, hi: float
+) -> Optional[Callable[[float], bool]]:
+    """feasible on [0, hi), deciding k22 outside a bracket of sqrt(K) unprobed.
+
+    feasible must be downward-closed and fail at hi.  The bracket
+    sqrt(K)*(1 -/+ _BRACKET) is certified when feasible passes at its lower
+    end and fails at its upper end (or hi, when that is lower).  Returns
+    None when K is not finite and positive or the certificate fails.
+    """
+    if not 0.0 < K < math.inf:
+        return None
+    k = math.sqrt(K)
+    below, above = k * (1.0 - _BRACKET), k * (1.0 + _BRACKET)
+    if not feasible(below) or (above < hi and feasible(above)):
+        return None
+    return lambda k22: k22 <= below or (k22 < above and feasible(k22))
+
+
 class _DeterminantBound:
     """sup{k22 >= 0 : condition (c-ii) holds} for one plant, at any b22.
 
@@ -374,6 +444,23 @@ class _DeterminantBound:
     qg = -w, read from the plant's verified r and w and scaled to Python
     ints by one lcm.  An instance holds no state beyond its plant, so a
     caller keeps it for one search only.
+
+    Feasibility is downward-closed in k22: x**2*w = |N12 - D|**2 >= 0, so
+    w >= 0 on x >= 0 and t decreases pointwise in K = k22**2.  A passing
+    probe anywhere therefore implies the one at k22 = 0, and a static probe
+    sqrt(4*b22*r0)/(Im + alpha*Kf) that passes is the bound.  When it
+    fails, bound() estimates the frontier
+    K* = min over x >= 0 of (4*b22*r - b22**2*x*w)/w in floats from the
+    integer cubic of that b22 (see _touching_k2), and certifies the bracket
+    sqrt(K*)*(1 -/+ 1e-9) by one exact probe passing at its lower end and
+    one failing at its upper end; the failed static probe serves when it
+    lies below that end.  Every bisection probe at or below the lower end
+    then passes and every probe at or above the upper end fails without an
+    exact test; only probes strictly inside the bracket run the exact
+    cubic.  The midpoints and the bound are those of the all-exact
+    bisection, bit for bit.  Without a certificate (a failed probe, or an
+    estimate that is not finite and positive, as at t3 = 0 where
+    b22 = 4*Bf) every probe is exact.
     """
 
     def __init__(self, params: SystemParams) -> None:
@@ -408,34 +495,43 @@ class _DeterminantBound:
             t0, t1, t2, t3 = (b * d2 + s * n2 for b, s in zip(base, step))
             return cubic_nonneg_closed_form(t3, t2, t1, t0)
 
-        if not feasible(0.0):
+        if base[3] < 0:  # t3 < 0 at every k22: b22 > 4*Bf
             return 0.0
+        # a passing probe at any k22 implies feasible(0.0), which is therefore
+        # probed only when no other probe passed
         hi = None
         if self._ia > 0:
             hi = math.sqrt(self._r0x4 * b22) / self._ia
-            if hi == 0.0:
-                return 0.0
             if feasible(hi):
                 return hi
-        return _sup_feasible(feasible, 0.0, hi, tol)
+            if hi <= tol:  # the bisection would return its lower end unprobed
+                return 0.0
+            certified = _certified(feasible, _touching_k2(base, step), hi)
+            if certified is not None:
+                return _sup_feasible(certified, 0.0, hi, tol)
+        return _sup_feasible(feasible, 0.0, hi, tol) if feasible(0.0) else 0.0
 
 
 def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> float:
-    """sup{k22 >= 0 : determinant condition (c-ii) holds}, by bisection.
+    """sup{k22 >= 0 : determinant condition (c-ii) holds}, to tolerance tol.
 
     The scaled determinant polynomial decreases pointwise in k22**2, so the
     feasible set is an interval [0, k*]; k* is bracketed by the static bound
     sqrt(4*b22*r0)/(Im + alpha*Kf) when that is finite and found to
-    absolute tolerance tol.  Returns 0.0 when no positive k22 is feasible
-    (including b22 <= 0 and b22 > 4*Bf).
+    absolute tolerance tol by bisection.  Returns 0.0 when no positive k22
+    is feasible (including b22 <= 0 and b22 > 4*Bf).
 
     Per plant, the determinant cubic t = 4*b22*r - (k22**2 + b22**2*x)*w is
     tabulated once from its verified plant polynomials r and w as the exact
     integer quadratic form qa*b22**2 + qb*b22 + qg*k22**2 in each coefficient; to
     bound many b22 values of one plant, the optimizer keeps the table for
-    the whole search.  Every bisection probe at b22 = bn/bd, k22 = kn/kd
+    the whole search.  Every exact probe at b22 = bn/bd, k22 = kn/kd
     decides the integer cubic (qa*bn**2 + qb*bn*bd)*kd**2 + qg*bd**2*kn**2,
     a positive multiple of the exact one, without Fraction normalization.
+    When the static bound fails, a float estimate of k* certified by exact
+    probes at k*(1 -/+ 1e-9) decides every bisection probe outside that
+    bracket by monotonicity (see _DeterminantBound), so the result is that
+    of the all-exact bisection.
     """
     return _DeterminantBound(params).bound(b22, tol)
 

@@ -105,8 +105,8 @@ class RationalFunction:
         where the float evaluation of the numerator or the denominator
         overflows come back as nan; callers filter with isfinite.
         """
-        s = 1j * np.asarray(omegas, dtype=float)
         with np.errstate(all="ignore"):
+            s = 1j * np.asarray(omegas, dtype=float)
             num = np.polyval(self.num.float_coeffs()[::-1] or [0.0], s)
             den = np.polyval(self.den.float_coeffs()[::-1], s)
             return np.where(np.isfinite(num) & np.isfinite(den), num / den, np.nan)

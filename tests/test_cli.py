@@ -311,6 +311,30 @@ def test_check_on_an_overflowing_grid_leaks_no_numpy_warning(capsys):
     assert "overall: PASS" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check",),
+        ("sweep", "--vary", "k22", "--range", "404:412:5"),
+        ("optimize",),
+        ("bode", "--target", "h11"),
+    ],
+    ids=["check", "sweep", "optimize", "bode"],
+)
+def test_grid_ending_near_the_largest_double_is_a_config_error(capsys, argv):
+    # the last logspace point rounds to inf; it used to leak numpy warnings
+    # and pass check with a verdict on a grid holding an infinite frequency
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(
+            capsys, *argv[:1], "--config", TABLE,
+            "--grid", "1e300:1.7976931348623157e308:3", *argv[1:],
+        )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: frequency grid must be positive and finite\n"
+
+
 def test_absolute_optimum_with_no_finite_grid_sample_is_a_config_error(capsys):
     # h11 and h12 overflow at every point; the search used to report k22_max 0.0
     code, out, err = run(

@@ -148,6 +148,80 @@ def test_bound_is_bit_identical_to_fraction_bisection_at_the_window_edge(seed):
     assert bound == _fraction_bisection_bound(params, b22)
 
 
+def _sweep_b22(params):
+    """14 damping values from 1e-300 to 1e300, three of them at the 4*Bf edge."""
+    f = 4.0 * params.Bf
+    return (
+        1e-300, 1e-30, 1e-6, 1e-3, 0.05 * f, 0.25 * f, 0.5 * f, 0.75 * f, 0.9 * f,
+        0.99 * f, f * (1 - 1e-15), f, f * (1 + 1e-15), 1e300,
+    )
+
+
+def _sweep_plants(count):
+    rng = np.random.default_rng(2024)
+    plants = [draw_plant(rng, spread=0.6) for _ in range(count)]
+    plants[0] = dataclasses.replace(plants[0], Im=0.0, alpha=0.0)  # no static bracket
+    plants[1] = dataclasses.replace(plants[1], alpha=0.0)
+    return [NOM] + plants
+
+
+# at tol = 1e-9 the bisection probes strictly inside the 1e-9 relative
+# bracket many times, so its exact probes there are checked too
+@pytest.mark.parametrize("tol", [1e-3, 1e-9])
+def test_certified_bound_equals_fraction_bisection_on_seeded_plants(tol):
+    for params in _sweep_plants(30):
+        bounds = passivity._DeterminantBound(params)
+        for b22 in _sweep_b22(params):
+            expected = _fraction_bisection_bound(params, b22, tol)
+            assert bounds.bound(b22, tol) == expected, (params, b22)
+
+
+@pytest.mark.parametrize(
+    "distort",
+    [lambda K: K * 1.1, lambda K: K * 0.9, lambda K: math.nan, lambda K: -1.0,
+     lambda K: math.inf],
+    ids=["high", "low", "nan", "negative", "inf"],
+)
+def test_a_wrong_frontier_estimate_falls_back_to_exact_probes(monkeypatch, distort):
+    # the bracket is trusted only after one exact probe passes at its lower
+    # end and one fails at its upper end; otherwise every probe is exact
+    estimate = passivity._touching_k2
+    monkeypatch.setattr(
+        passivity, "_touching_k2", lambda base, step: distort(estimate(base, step))
+    )
+    for params in _sweep_plants(4):
+        bounds = passivity._DeterminantBound(params)
+        for b22 in _sweep_b22(params)[2:11]:
+            assert bounds.bound(b22) == _fraction_bisection_bound(params, b22), (params, b22)
+
+
+def test_certificate_leaves_at_most_three_exact_probes_per_b22(monkeypatch):
+    calls = []
+
+    def counted(*coeffs):
+        calls.append(coeffs)
+        return cubic_nonneg_closed_form(*coeffs)
+
+    monkeypatch.setattr(passivity, "cubic_nonneg_closed_form", counted)
+    bounds = passivity._DeterminantBound(NOM)
+
+    def probes(b22):
+        calls.clear()
+        bounds.bound(b22)
+        return len(calls)
+
+    # the static bound is the frontier: one passing static probe (the
+    # all-exact bisection also probed k22 = 0 first)
+    static = (0.13, 0.15, 0.17)
+    assert {b22: probes(b22) for b22 in static} == dict.fromkeys(static, 1)
+    # an interior clause sets the frontier: the failing static probe, then a
+    # passing certificate probe below the estimate and, unless the static
+    # probe already lies under the bracket's upper end, a failing one above
+    # it (the all-exact bisection took 19-21 probes here)
+    interior = {0.01: 2, 0.05: 2, 0.1: 2, 0.19: 3, 0.1999: 3}
+    assert {b22: probes(b22) for b22 in interior} == interior
+
+
 def test_plant_analysis_rejects_a_w_quadratic_off_the_two_port_entries(monkeypatch):
     real = passivity.plant_coefficients
 

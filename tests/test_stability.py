@@ -1,6 +1,8 @@
 """Rational-function stability and positive-realness checks."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -301,3 +303,13 @@ def test_eval_grid_matches_pointwise_eval():
     grid = rf.eval_grid(omegas)
     for w, g in zip(omegas, grid):
         assert g == pytest.approx(rf.eval(1j * w), rel=1e-12)
+
+
+def test_eval_grid_returns_nan_silently_at_an_infinite_sample():
+    # 1j * inf has a NaN real part; forming s must sit under the errstate guard
+    rf = RationalFunction([1.0, 0.5], [2.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        grid = rf.eval_grid(np.array([1.0, np.inf]))
+    assert grid[0] == pytest.approx(rf.eval(1j), rel=1e-12)
+    assert np.isnan(grid[1])
