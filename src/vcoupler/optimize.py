@@ -24,14 +24,14 @@ once per plant:
   (qa*bn**2 + qb*bn*bd)*kd**2 + qg*bd**2*kn**2 in closed form (a quadratic
   one at b22 = 4*Bf, where the cubic term vanishes), with no Fraction
   work per b22 and the same verdict as the exact cubic.  Since w >= 0 on
-  x >= 0, feasibility is downward-closed in k22; when the static bound
-  fails, a float estimate of the frontier k* (the square root of the least
-  k22**2 at which t touches zero, taken at x = 0 or a root of one quartic)
-  is certified by an exact probe passing at k*(1 - 1e-9) and one failing
-  at k*(1 + 1e-9), or at the static bound when that is lower.  Probes
-  outside that bracket are then decided without the cubic: such a b22
-  takes at most three exact probes instead of about twenty, and a failed
-  certificate leaves every probe exact (see passivity._DeterminantBound);
+  x >= 0, feasibility is downward-closed in k22.  The bisection runs on a
+  float estimate of the frontier k* (the square root of the least k22**2
+  at which t touches zero), warm-started from the previous b22, and runs
+  the cubic only on probes within k*(1 -/+ 1e-9); one exact probe at the
+  last k22 it took to pass and one at the last it took to fail certify
+  it.  A b22 takes at most two exact probes instead of about twenty, and
+  a failed certificate leaves every probe exact (see
+  passivity._DeterminantBound);
 - absolute samples the plant's memoized entries h11 and h12 once and turns
   each sample into a threshold g on Re h22 = b22*w^2 / (k22^2 + b22^2*w^2).
   Per b22, k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2) is one vector

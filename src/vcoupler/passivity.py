@@ -34,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,8 +89,9 @@ _TINY = 1e-300
 
 # Relative half-width of the certified float bracket of the k22 frontier.
 _BRACKET = 1e-9
-# ones below the diagonal of the 4 x 4 companion matrix of a quartic
-_SUBDIAGONAL = np.eye(4, k=-1)
+# Newton steps that may polish the previous b22's stationary point of the
+# frontier before the eigenvalue route takes over
+_NEWTON_STEPS = 8
 
 
 def default_grid(points: int = 2000) -> np.ndarray:
@@ -266,7 +267,7 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
     return _PlantAnalysis(p, h11, _cancel_s(N12, D), a, b, c_i)
 
 
-# perfbench clears the plant memo under this name; ROADMAP item 2 drops the alias
+# perfbench clears the plant memo under this name; ROADMAP item 1 drops the alias
 _c_i_cached = _plant_analysis
 
 
@@ -353,7 +354,8 @@ def _sup_feasible(
 
     feasible(lo) must hold.  hi is a point known to fail, or None to find
     one by doubling from 1.0.  Returns the feasible end of the final
-    bracket, whose width is at most tol.
+    bracket, whose width is at most tol or which holds no float strictly
+    inside, so tol = 0 bisects down to adjacent floats.
     """
     if hi is None:
         hi = 1.0
@@ -363,6 +365,8 @@ def _sup_feasible(
                 raise RuntimeError("k22 bound bracket failed to close")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if feasible(mid):
             lo = mid
         else:
@@ -370,69 +374,125 @@ def _sup_feasible(
     return lo
 
 
-def _touching_k2(base: Tuple[int, ...], step: Tuple[int, ...]) -> float:
+def _newton_root(q: Tuple[float, ...], x: float) -> Optional[float]:
+    """Newton's iteration on q (highest degree first) from x while q rises.
+
+    Returns the positive root it converges to, or None when q' stops being
+    positive (the iterate left the basin of a minimum of phi, whose
+    derivative is q/w**2) or the steps run out.
+    """
+    for _ in range(_NEWTON_STEPS):
+        f = d = 0.0
+        for c in q:
+            d = d * x + f
+            f = f * x + c
+        if not d > 0.0:
+            return None
+        dx = f / d
+        x -= dx
+        if abs(dx) <= 1e-6 * x:  # each step squares the error, now near 1e-12 of x
+            return x
+    return None
+
+
+def _stationary_roots(q: Tuple[float, ...]) -> List[float]:
+    """Real parts of the roots of q (highest degree first), as np.roots finds them."""
+    while q and q[0] == 0.0:
+        q = q[1:]
+    if len(q) < 2:
+        return []
+    companion = np.eye(len(q) - 1, k=-1)
+    companion[0] = [-c / q[0] for c in q[1:]]
+    try:
+        return np.linalg.eigvals(companion).real.tolist()
+    except np.linalg.LinAlgError:
+        return []
+
+
+def _frontier_k2(
+    base: Tuple[int, ...], step: Tuple[int, ...], start: Optional[float]
+) -> Tuple[float, Optional[float]]:
     """Float estimate of the largest K with base + K*step >= 0 on x >= 0.
 
     base and step are the integer cubics (lowest degree first) whose sum
     base + K*step is the determinant cubic at k22**2 = K times a positive
-    factor; step = -w.  So K* = min over x >= 0 of phi = base/w, reached
-    at x = 0 or at a positive root of the quartic base'*w - base*w'.  x = 0
-    stays a candidate because the static probe, rounded just above a
-    frontier set there, can fail.  Every x >= 0 has phi(x) >= K*, so the
-    real part of each root of the quartic (a companion-matrix eigenvalue,
-    as np.roots finds them) is a safe candidate.  Returns nan when the
-    quartic or phi cannot be formed in floats, including t3 = 0, where the
-    quartic loses its leading term.
+    factor; step = -w.  So K* = inf over x >= 0 of phi = n/w with n = base:
+    phi(0), phi at a positive root of the stationarity polynomial
+    q = n'*w - n*w', or, when t3 = 0 leaves n a quadratic, the limit n2/w2
+    of phi as x -> inf.  x = 0 stays a candidate because a static probe
+    rounded just above a frontier set there fails.  n and w are rounded
+    once from the b22's integer cubics, so t3 is never formed by a
+    cancelling difference.  Newton polishes start, the stationary point of
+    the previous b22, into a minimum of phi; without a start, or when
+    Newton fails, the real part of every root of q is a candidate.  Every
+    x >= 0 has phi(x) >= K*, so an extra or inexact candidate errs only
+    high.
+
+    Returns (K, x): the estimate (nan when n and w overflow a float, inf
+    without a candidate) and the positive candidate of least phi, the start
+    for the next b22.
     """
     try:
-        n0, n1, n2, n3 = (float(c) for c in base)
-        w0, w1, w2 = (-float(c) for c in step[:3])
+        n3, n2, n1, n0 = (float(c) for c in reversed(base))
+        w2, w1, w0 = (-float(c) for c in reversed(step[:3]))
     except OverflowError:
-        return math.nan
-    q4, q3, q2, q1, q0 = (
+        return math.nan, None
+    q = (
         n3 * w2, 2 * n3 * w1, 3 * n3 * w0 + n2 * w1 - n1 * w2,
         2 * (n2 * w0 - n0 * w2), n1 * w0 - n0 * w1,
     )
-    n, w = (n3, n2, n1, n0), (w2, w1, w0)
-    if q4 == 0.0:
-        return math.nan
-    companion = _SUBDIAGONAL.copy()
-    companion[0] = (-q3 / q4, -q2 / q4, -q1 / q4, -q0 / q4)
-    try:
-        roots = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError:
-        return math.nan
-    best = math.inf
-    for x in [0.0] + roots.real.tolist():
-        if x >= 0:
-            nx = wx = 0.0
-            for c in n:
-                nx = nx * x + c
-            for c in w:
-                wx = wx * x + c
-            if wx == 0.0:
-                return math.nan
-            best = min(best, nx / wx)
-    return best
+    root = None if start is None else _newton_root(q, start)
+    best, best_x = math.inf, None
+    for x in _stationary_roots(q) if root is None else (root,):
+        wx = (w2 * x + w1) * x + w0
+        if x > 0.0 and wx > 0.0:
+            phi = (((n3 * x + n2) * x + n1) * x + n0) / wx
+            if phi < best:
+                best, best_x = phi, x
+    if w0 > 0.0:
+        best = min(best, n0 / w0)
+    if n3 == 0.0 and w2 > 0.0:
+        best = min(best, n2 / w2)
+    return best, best_x
 
 
-def _certified(
-    feasible: Callable[[float], bool], K: float, hi: float
-) -> Optional[Callable[[float], bool]]:
-    """feasible on [0, hi), deciding k22 outside a bracket of sqrt(K) unprobed.
+def _certified_sup(
+    feasible: Callable[[float], bool],
+    below: float,
+    above: float,
+    hi: Optional[float],
+    tol: float,
+) -> Optional[float]:
+    """_sup_feasible(feasible, 0.0, hi, tol) run on an estimate, then certified.
 
-    feasible must be downward-closed and fail at hi.  The bracket
-    sqrt(K)*(1 -/+ _BRACKET) is certified when feasible passes at its lower
-    end and fails at its upper end (or hi, when that is lower).  Returns
-    None when K is not finite and positive or the certificate fails.
+    A k22 at or below `below` is taken to pass and one at or above `above`
+    to fail, hi included; only a midpoint strictly between runs feasible.
+    feasible is downward-closed, so when the last k22 taken to pass does
+    pass and the last one taken to fail does fail, every decision was
+    feasible's own and the result is the all-exact bisection's.  Returns
+    None when either of those two exact probes disagrees, or the doubling
+    search fails to close.
     """
-    if not 0.0 < K < math.inf:
+    # the last k22 taken to pass, and to fail
+    last = [None, hi if hi is not None and hi >= above else None]
+
+    def decide(k22: float) -> bool:
+        if k22 <= below:
+            last[0] = k22
+            return True
+        if k22 >= above:
+            last[1] = k22
+            return False
+        return feasible(k22)
+
+    try:
+        lo = _sup_feasible(decide, 0.0, hi, tol)
+    except RuntimeError:
         return None
-    k = math.sqrt(K)
-    below, above = k * (1.0 - _BRACKET), k * (1.0 + _BRACKET)
-    if not feasible(below) or (above < hi and feasible(above)):
-        return None
-    return lambda k22: k22 <= below or (k22 < above and feasible(k22))
+    passed, failed = last
+    if (passed is None or feasible(passed)) and (failed is None or not feasible(failed)):
+        return lo
+    return None
 
 
 class _DeterminantBound:
@@ -442,25 +502,29 @@ class _DeterminantBound:
     t_i = qa_i*b22**2 + qb_i*b22 + qg_i*k22**2 with plant-only q's: by
     t = 4*b22*r - (k22**2 + b22**2*x)*w they are qa = -x*w, qb = 4*r and
     qg = -w, read from the plant's verified r and w and scaled to Python
-    ints by one lcm.  An instance holds no state beyond its plant, so a
-    caller keeps it for one search only.
+    ints by one lcm.  Beyond its plant, an instance keeps only the
+    stationary point of the last b22 it bounded, a Newton start that
+    changes the cost of the next call and never its result; a caller keeps
+    it for one search.
 
     Feasibility is downward-closed in k22: x**2*w = |N12 - D|**2 >= 0, so
-    w >= 0 on x >= 0 and t decreases pointwise in K = k22**2.  A passing
-    probe anywhere therefore implies the one at k22 = 0, and a static probe
-    sqrt(4*b22*r0)/(Im + alpha*Kf) that passes is the bound.  When it
-    fails, bound() estimates the frontier
-    K* = min over x >= 0 of (4*b22*r - b22**2*x*w)/w in floats from the
-    integer cubic of that b22 (see _touching_k2), and certifies the bracket
-    sqrt(K*)*(1 -/+ 1e-9) by one exact probe passing at its lower end and
-    one failing at its upper end; the failed static probe serves when it
-    lies below that end.  Every bisection probe at or below the lower end
-    then passes and every probe at or above the upper end fails without an
-    exact test; only probes strictly inside the bracket run the exact
-    cubic.  The midpoints and the bound are those of the all-exact
-    bisection, bit for bit.  Without a certificate (a failed probe, or an
-    estimate that is not finite and positive, as at t3 = 0 where
-    b22 = 4*Bf) every probe is exact.
+    w >= 0 on x >= 0 and t decreases pointwise in K = k22**2.  bound()
+    first estimates the frontier K* = min over x >= 0 of
+    (4*b22*r - b22**2*x*w)/w in floats (_frontier_k2) and runs the
+    bisection on it: a probe below sqrt(K*)*(1 - 1e-9) is taken to pass,
+    one above sqrt(K*)*(1 + 1e-9) to fail, and only a probe strictly inside
+    that bracket runs the exact cubic.  Two exact probes then certify the
+    run (_certified_sup): the last k22 taken to pass must pass and the last
+    one taken to fail must fail.  The midpoints and the bound are then
+    those of the all-exact bisection, bit for bit.
+
+    Probe order: the static probe sqrt(4*b22*r0)/(Im + alpha*Kf), which is
+    the bound when it passes, runs first unless the estimate places it
+    above the bracket; then it starts the simulated bisection as a point
+    taken to fail.  A passing probe at any k22 implies the one at k22 = 0,
+    which runs only when no other probe passed.  Without an estimate that
+    is finite and positive, or when the certificate fails, bound() falls
+    back to the static probe and an all-exact bisection.
     """
 
     def __init__(self, params: SystemParams) -> None:
@@ -475,8 +539,11 @@ class _DeterminantBound:
         )
         self._ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
         self._r0x4 = max(float(4 * p.r0), 0.0)
+        self._start: Optional[float] = None
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
+        if not tol >= 0.0:
+            raise ValueError(f"tol must be nonnegative, got {tol!r}")
         if b22 <= 0 or not math.isfinite(b22):
             return 0.0
 
@@ -484,31 +551,43 @@ class _DeterminantBound:
         # has integer coefficients base*kd**2 + step*kn**2, and a positive
         # scale leaves the homogeneous closed-form verdict unchanged.
         bn, bd = b22.as_integer_ratio()
-        base = tuple(a * bn * bn + c * bn * bd for a, c in zip(self._qa, self._qb))
-        step = tuple(g * bd * bd for g in self._qg)
+        bb, bnd, dd = bn * bn, bn * bd, bd * bd
+        base = tuple(a * bb + c * bnd for a, c in zip(self._qa, self._qb))
+        step = tuple(g * dd for g in self._qg)
+        b0, b1, b2, b3 = base
+        s0, s1, s2, _ = step  # qg has no x**3 term
 
         def feasible(k22: float) -> bool:
             # closed-form rule only: exact, and proven equivalent to the Sturm
             # route (which the condition checks still run on every verdict).
             kn, kd = k22.as_integer_ratio()
             n2, d2 = kn * kn, kd * kd
-            t0, t1, t2, t3 = (b * d2 + s * n2 for b, s in zip(base, step))
-            return cubic_nonneg_closed_form(t3, t2, t1, t0)
+            return cubic_nonneg_closed_form(
+                b3 * d2, b2 * d2 + s2 * n2, b1 * d2 + s1 * n2, b0 * d2 + s0 * n2
+            )
 
-        if base[3] < 0:  # t3 < 0 at every k22: b22 > 4*Bf
+        if b3 < 0:  # t3 < 0 at every k22: b22 > 4*Bf
             return 0.0
-        # a passing probe at any k22 implies feasible(0.0), which is therefore
-        # probed only when no other probe passed
-        hi = None
-        if self._ia > 0:
-            hi = math.sqrt(self._r0x4 * b22) / self._ia
+        hi = math.sqrt(self._r0x4 * b22) / self._ia if self._ia > 0 else None
+        K, self._start = _frontier_k2(base, step, self._start)
+        estimated = 0.0 < K < math.inf
+        if estimated:
+            k = math.sqrt(K)
+            below, above = k * (1.0 - _BRACKET), k * (1.0 + _BRACKET)
+            if hi is None or hi >= above:  # the static probe is taken to fail
+                found = _certified_sup(feasible, below, above, hi, tol)
+                if found is not None:
+                    return found
+                estimated = False
+        if hi is not None:
             if feasible(hi):
                 return hi
             if hi <= tol:  # the bisection would return its lower end unprobed
                 return 0.0
-            certified = _certified(feasible, _touching_k2(base, step), hi)
-            if certified is not None:
-                return _sup_feasible(certified, 0.0, hi, tol)
+            if estimated:
+                found = _certified_sup(feasible, below, above, hi, tol)
+                if found is not None:
+                    return found
         return _sup_feasible(feasible, 0.0, hi, tol) if feasible(0.0) else 0.0
 
 
@@ -518,8 +597,10 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
     The scaled determinant polynomial decreases pointwise in k22**2, so the
     feasible set is an interval [0, k*]; k* is bracketed by the static bound
     sqrt(4*b22*r0)/(Im + alpha*Kf) when that is finite and found to
-    absolute tolerance tol by bisection.  Returns 0.0 when no positive k22
-    is feasible (including b22 <= 0 and b22 > 4*Bf).
+    absolute tolerance tol by bisection, which stops early only when no
+    float lies strictly inside its bracket (tol = 0 gives k* to the float).
+    Returns 0.0 when no positive k22 is feasible (including b22 <= 0 and
+    b22 > 4*Bf).  Raises ValueError for a negative or NaN tol.
 
     Per plant, the determinant cubic t = 4*b22*r - (k22**2 + b22**2*x)*w is
     tabulated once from its verified plant polynomials r and w as the exact
@@ -528,10 +609,13 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
     the whole search.  Every exact probe at b22 = bn/bd, k22 = kn/kd
     decides the integer cubic (qa*bn**2 + qb*bn*bd)*kd**2 + qg*bd**2*kn**2,
     a positive multiple of the exact one, without Fraction normalization.
-    When the static bound fails, a float estimate of k* certified by exact
-    probes at k*(1 -/+ 1e-9) decides every bisection probe outside that
-    bracket by monotonicity (see _DeterminantBound), so the result is that
-    of the all-exact bisection.
+    The bisection runs on a float estimate of k*, warm-started from the
+    previous b22's stationary point, with exact probes only within
+    k*(1 -/+ 1e-9); two exact probes, at the last k22 it took to pass and
+    the last it took to fail, certify it by monotonicity.  The static probe
+    runs first only when the estimate does not place it above that bracket.
+    The result is that of the all-exact bisection, to which a failed
+    certificate falls back (see _DeterminantBound).
     """
     return _DeterminantBound(params).bound(b22, tol)
 

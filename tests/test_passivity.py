@@ -4,6 +4,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -166,14 +167,21 @@ def _sweep_plants(count):
 
 
 # at tol = 1e-9 the bisection probes strictly inside the 1e-9 relative
-# bracket many times, so its exact probes there are checked too
+# bracket many times, so its exact probes there are checked too; after the
+# sorted sweep, shuffled orders with repeats hand each call another Newton
+# start, which may change what a call costs but never what it returns
 @pytest.mark.parametrize("tol", [1e-3, 1e-9])
 def test_certified_bound_equals_fraction_bisection_on_seeded_plants(tol):
+    rng = np.random.default_rng(11)
     for params in _sweep_plants(30):
+        sweep = _sweep_b22(params)
+        expected = {b22: _fraction_bisection_bound(params, b22, tol) for b22 in sweep}
+        order = list(sweep)
+        for _ in range(3):
+            order += rng.permutation(sweep + sweep).tolist()
         bounds = passivity._DeterminantBound(params)
-        for b22 in _sweep_b22(params):
-            expected = _fraction_bisection_bound(params, b22, tol)
-            assert bounds.bound(b22, tol) == expected, (params, b22)
+        for b22 in order:
+            assert bounds.bound(b22, tol) == expected[b22], (params, b22)
 
 
 @pytest.mark.parametrize(
@@ -183,19 +191,29 @@ def test_certified_bound_equals_fraction_bisection_on_seeded_plants(tol):
     ids=["high", "low", "nan", "negative", "inf"],
 )
 def test_a_wrong_frontier_estimate_falls_back_to_exact_probes(monkeypatch, distort):
-    # the bracket is trusted only after one exact probe passes at its lower
-    # end and one fails at its upper end; otherwise every probe is exact
-    estimate = passivity._touching_k2
-    monkeypatch.setattr(
-        passivity, "_touching_k2", lambda base, step: distort(estimate(base, step))
-    )
+    # the simulated bisection stands only when the last k22 it took to pass
+    # does pass and the last it took to fail does fail; otherwise the static
+    # probe and an all-exact bisection decide
+    estimate = passivity._frontier_k2
+    distorted = []
+
+    def wrong(base, step, start):
+        K, x = estimate(base, step, start)
+        distorted.append(K)
+        return distort(K), x
+
+    monkeypatch.setattr(passivity, "_frontier_k2", wrong)
     for params in _sweep_plants(4):
         bounds = passivity._DeterminantBound(params)
-        for b22 in _sweep_b22(params)[2:11]:
+        for b22 in _sweep_b22(params)[2:12]:
+            distorted.clear()
             assert bounds.bound(b22) == _fraction_bisection_bound(params, b22), (params, b22)
+            assert len(distorted) == 1, (params, b22)
 
 
-def test_certificate_leaves_at_most_three_exact_probes_per_b22(monkeypatch):
+@pytest.fixture
+def probes(monkeypatch):
+    """probes(bounds, b22) -> (bound, exact closed-form probes it ran)."""
     calls = []
 
     def counted(*coeffs):
@@ -203,23 +221,70 @@ def test_certificate_leaves_at_most_three_exact_probes_per_b22(monkeypatch):
         return cubic_nonneg_closed_form(*coeffs)
 
     monkeypatch.setattr(passivity, "cubic_nonneg_closed_form", counted)
-    bounds = passivity._DeterminantBound(NOM)
 
-    def probes(b22):
+    def run(bounds, b22):
         calls.clear()
-        bounds.bound(b22)
-        return len(calls)
+        return bounds.bound(b22), len(calls)
 
-    # the static bound is the frontier: one passing static probe (the
-    # all-exact bisection also probed k22 = 0 first)
+    return run
+
+
+def test_certificate_leaves_at_most_two_exact_probes_per_b22(probes):
+    bounds = passivity._DeterminantBound(NOM)
+    # the static bound is the frontier: one passing static probe
     static = (0.13, 0.15, 0.17)
-    assert {b22: probes(b22) for b22 in static} == dict.fromkeys(static, 1)
-    # an interior clause sets the frontier: the failing static probe, then a
-    # passing certificate probe below the estimate and, unless the static
-    # probe already lies under the bracket's upper end, a failing one above
-    # it (the all-exact bisection took 19-21 probes here)
-    interior = {0.01: 2, 0.05: 2, 0.1: 2, 0.19: 3, 0.1999: 3}
-    assert {b22: probes(b22) for b22 in interior} == interior
+    assert {b22: probes(bounds, b22)[1] for b22 in static} == dict.fromkeys(static, 1)
+    # elsewhere: the failing static probe and the last k22 taken to pass, or,
+    # when the estimate places the static probe above its bracket, the last
+    # k22 taken to pass and the last taken to fail (the all-exact bisection
+    # took 19-24 probes here)
+    for b22 in (0.01, 0.05, 0.1, 0.19, 0.1999, 4.0 * NOM.Bf):
+        assert probes(bounds, b22)[1] <= 2, b22
+
+
+def test_every_b22_of_the_seeded_sweep_takes_at_most_two_exact_probes(probes):
+    # from 1e-6 up the stationarity polynomial fits in floats on every plant
+    # of the sweep, so each b22 gets an estimate; a frontier set at x = 0
+    # whose static probe rounds just above it needs the x = 0 candidate
+    for params in _sweep_plants(30):
+        bounds = passivity._DeterminantBound(params)
+        for b22 in _sweep_b22(params)[2:]:
+            assert probes(bounds, b22)[1] <= 2, (params, b22)
+
+
+# at b22 = 4*Bf the stationarity polynomial loses its two leading terms and
+# n/w tends to n2/w2 as x -> inf; both are estimate candidates there
+@pytest.mark.parametrize("edge", [1.0 - 1e-15, 1.0, 1.0 + 1e-15], ids=["below", "at", "above"])
+def test_window_edge_certifies_with_at_most_two_exact_probes(probes, edge):
+    b22 = 4.0 * NOM.Bf * edge
+    bound, count = probes(passivity._DeterminantBound(NOM), b22)
+    assert bound == _fraction_bisection_bound(NOM, b22)
+    assert count <= 2
+
+
+@pytest.mark.parametrize(
+    "tol", [0.0, 1e-300, -1.0, math.nan], ids=["zero", "tiny", "negative", "nan"]
+)
+def test_bound_tolerance_below_the_float_spacing_ends_or_raises(tol):
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(k22_upper_bound(NOM, 0.1, tol=tol))
+        except ValueError as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(1.0)
+    assert not worker.is_alive(), "k22_upper_bound still running after a second"
+    (result,) = outcome
+    if not tol >= 0:
+        assert isinstance(result, ValueError)
+        return
+    # bisected down to adjacent floats: the exact frontier at float resolution
+    assert check_condition_c_ii(NOM, vc(result, 0.1)).passed
+    assert not check_condition_c_ii(NOM, vc(math.nextafter(result, math.inf), 0.1)).passed
 
 
 def test_plant_analysis_rejects_a_w_quadratic_off_the_two_port_entries(monkeypatch):
