@@ -30,8 +30,13 @@ once per plant:
   the cubic only on probes within k*(1 -/+ 1e-9); one exact probe at the
   last k22 it took to pass and one at the last it took to fail certify
   it.  A b22 takes at most two exact probes instead of about twenty, and
-  a failed certificate leaves every probe exact (see
-  passivity._DeterminantBound);
+  a failed certificate leaves every probe exact.  Each exact probe is
+  cheap in turn: the cubic's sign at x = 0 or at the estimate's
+  stationary point fails most probes above the frontier (a negative value
+  on x >= 0 is a counterexample), the closed form on coefficients rounded
+  down to 128 bits passes most below it (rounding down only lowers the
+  cubic on x >= 0), and only the rest run the closed form on the full
+  integers (see passivity._DeterminantBound);
 - absolute samples the plant's memoized entries h11 and h12 once and turns
   each sample into a threshold g on Re h22 = b22*w^2 / (k22^2 + b22^2*w^2).
   Per b22, k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2) is one vector
@@ -255,7 +260,7 @@ class _LlewellynBound:
             return self.feasible(k22, b22)
 
         try:
-            return _sup_feasible(decide, 0.0, None, tol)
+            return _sup_feasible(decide, 0.0, None, tol)[0]
         except RuntimeError:
             # the doubling search met no failing k22 below its 1e15 ceiling
             raise InvalidParams(_UNBOUNDED) from None

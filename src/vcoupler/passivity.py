@@ -89,9 +89,17 @@ _TINY = 1e-300
 
 # Relative half-width of the certified float bracket of the k22 frontier.
 _BRACKET = 1e-9
-# Newton steps that may polish the previous b22's stationary point of the
-# frontier before the eigenvalue route takes over
-_NEWTON_STEPS = 8
+# Newton steps that may polish an earlier b22's stationary point of the
+# frontier before the eigenvalue route takes over.  After a sweep that ends
+# at 4*Bf, the first refinement point's minimum can lie a few times below
+# the sweep's last one: nine steps away on the nominal plant.
+_NEWTON_STEPS = 16
+# The float estimate divides the b22's integer cubics by one power of two
+# that leaves the largest at most this many bits, so the products of its
+# stationarity polynomial stay below the float range
+_ESTIMATE_BITS = 500
+# An exact probe first decides its cubic rounded down to this many bits
+_ROUND_BITS = 128
 
 
 def default_grid(points: int = 2000) -> np.ndarray:
@@ -348,18 +356,35 @@ def check_condition_c_ii(params: SystemParams, coupler: VirtualCoupler) -> Condi
 
 
 def _sup_feasible(
-    feasible: Callable[[float], bool], lo: float, hi: Optional[float], tol: float
-) -> float:
+    feasible: Callable[[float], bool],
+    lo: float,
+    hi: Optional[float],
+    tol: float,
+    below: float = -math.inf,
+    above: float = math.inf,
+) -> Tuple[float, float]:
     """Bisect for the supremum of a feasible interval [lo, k*].
 
-    feasible(lo) must hold.  hi is a point known to fail, or None to find
-    one by doubling from 1.0.  Returns the feasible end of the final
-    bracket, whose width is at most tol or which holds no float strictly
-    inside, so tol = 0 bisects down to adjacent floats.
+    feasible(lo) must hold.  hi is a point known or taken to fail, or None
+    to find one by doubling from 1.0.  A probe at or below `below` is taken
+    to pass and one at or above `above` to fail without calling feasible;
+    the default band leaves every probe to feasible.  Returns the final
+    bracket (lo, hi): the last k22 taken to pass (lo as given when none
+    was) and the last one taken to fail.  Its width is at most tol or it
+    holds no float strictly inside, so tol = 0 bisects down to adjacent
+    floats.  Raises RuntimeError when doubling passes 1e15.
+
+    Decision order per probe: the band, then feasible.  lo only rises and
+    hi only falls, so for a downward-closed feasible the run is the
+    all-exact bisection, bit for bit, when feasible(lo) holds if
+    lo <= below and fails at hi if hi >= above: two exact probes certify
+    a banded run.  For the determinant bound, feasible is _probe, which
+    decides by a witness, then by the cubic rounded down to 128 bits, then
+    by the full closed form.
     """
     if hi is None:
         hi = 1.0
-        while feasible(hi):
+        while hi <= below or (hi < above and feasible(hi)):
             hi *= 2.0
             if hi > 1e15:
                 raise RuntimeError("k22 bound bracket failed to close")
@@ -367,25 +392,30 @@ def _sup_feasible(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if feasible(mid):
+        if mid <= below or (mid < above and feasible(mid)):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
 
 
 def _newton_root(q: Tuple[float, ...], x: float) -> Optional[float]:
-    """Newton's iteration on q (highest degree first) from x while q rises.
+    """Newton's iteration on the quartic q (highest degree first) from x while q rises.
 
     Returns the positive root it converges to, or None when q' stops being
     positive (the iterate left the basin of a minimum of phi, whose
     derivative is q/w**2) or the steps run out.
     """
+    a4, a3, a2, a1, a0 = q
     for _ in range(_NEWTON_STEPS):
-        f = d = 0.0
-        for c in q:
-            d = d * x + f
-            f = f * x + c
+        # Horner's rule for q and q', unrolled
+        f = a4 * x + a3
+        d = a4 * x + f
+        f = f * x + a2
+        d = d * x + f
+        f = f * x + a1
+        d = d * x + f
+        f = f * x + a0
         if not d > 0.0:
             return None
         dx = f / d
@@ -422,21 +452,28 @@ def _frontier_k2(
     of phi as x -> inf.  x = 0 stays a candidate because a static probe
     rounded just above a frontier set there fails.  n and w are rounded
     once from the b22's integer cubics, so t3 is never formed by a
-    cancelling difference.  Newton polishes start, the stationary point of
-    the previous b22, into a minimum of phi; without a start, or when
-    Newton fails, the real part of every root of q is a candidate.  Every
-    x >= 0 has phi(x) >= K*, so an extra or inexact candidate errs only
-    high.
+    cancelling difference.  Both are first divided by the one power of two
+    that leaves the largest coefficient at most _ESTIMATE_BITS long, so the
+    products in q stay finite; a common factor changes neither phi nor the
+    roots of q.  Newton polishes start, the stationary point of an earlier
+    b22, into a minimum of phi; without a start, or when Newton fails, the
+    real part of every root of q is a candidate.  Every x >= 0 has
+    phi(x) >= K*, so an extra or inexact candidate errs only high.
 
-    Returns (K, x): the estimate (nan when n and w overflow a float, inf
-    without a candidate) and the positive candidate of least phi, the start
-    for the next b22.
+    Returns (K, x): the estimate (inf without a candidate) and the positive
+    candidate of least phi when q rises through it, i.e. when it is a
+    minimum of phi, else None.  x is the start for the next b22 and a
+    witness where probes above the frontier fail.
     """
-    try:
-        n3, n2, n1, n0 = (float(c) for c in reversed(base))
-        w2, w1, w0 = (-float(c) for c in reversed(step[:3]))
-    except OverflowError:
-        return math.nan, None
+    b0, b1, b2, b3 = base
+    s0, s1, s2, _ = step
+    bits = max(
+        b0.bit_length(), b1.bit_length(), b2.bit_length(), b3.bit_length(),
+        s0.bit_length(), s1.bit_length(), s2.bit_length(),
+    )
+    scale = 1 << max(bits - _ESTIMATE_BITS, 0)
+    n0, n1, n2, n3 = b0 / scale, b1 / scale, b2 / scale, b3 / scale
+    w0, w1, w2 = -s0 / scale, -s1 / scale, -s2 / scale
     q = (
         n3 * w2, 2 * n3 * w1, 3 * n3 * w0 + n2 * w1 - n1 * w2,
         2 * (n2 * w0 - n0 * w2), n1 * w0 - n0 * w1,
@@ -449,6 +486,10 @@ def _frontier_k2(
             phi = (((n3 * x + n2) * x + n1) * x + n0) / wx
             if phi < best:
                 best, best_x = phi, x
+    if root is None and best_x is not None:
+        a4, a3, a2, a1, _ = q
+        if not ((4 * a4 * best_x + 3 * a3) * best_x + 2 * a2) * best_x + a1 > 0.0:
+            best_x = None  # a maximum of phi, as at b22 = 4*Bf
     if w0 > 0.0:
         best = min(best, n0 / w0)
     if n3 == 0.0 and w2 > 0.0:
@@ -456,43 +497,67 @@ def _frontier_k2(
     return best, best_x
 
 
-def _certified_sup(
-    feasible: Callable[[float], bool],
-    below: float,
-    above: float,
-    hi: Optional[float],
-    tol: float,
-) -> Optional[float]:
-    """_sup_feasible(feasible, 0.0, hi, tol) run on an estimate, then certified.
+def _witness(base: Tuple[int, ...], step: Tuple[int, ...], x: float) -> Tuple[int, int]:
+    """(B, S) with B*kd**2 + S*kn**2 a positive multiple of the probe cubic at x.
 
-    A k22 at or below `below` is taken to pass and one at or above `above`
-    to fail, hi included; only a midpoint strictly between runs feasible.
-    feasible is downward-closed, so when the last k22 taken to pass does
-    pass and the last one taken to fail does fail, every decision was
-    feasible's own and the result is the all-exact bisection's.  Returns
-    None when either of those two exact probes disagrees, or the doubling
-    search fails to close.
+    At x = xn/xd >= 0, with xd = 2**e as for every float, B and S are
+    xd**3 times base(x) and step(x), by Horner's rule on xn and shifts.  The
+    probe cubic at k22 = kn/kd is base*kd**2 + step*kn**2, so a probe with
+    B*kd**2 + S*kn**2 < 0 fails: the cubic is negative at a point of x >= 0.
     """
-    # the last k22 taken to pass, and to fail
-    last = [None, hi if hi is not None and hi >= above else None]
+    xn, xd = x.as_integer_ratio()
+    e = xd.bit_length() - 1
+    b0, b1, b2, b3 = base
+    s0, s1, s2, _ = step  # qg has no x**3 term
+    return (
+        ((b3 * xn + (b2 << e)) * xn + (b1 << 2 * e)) * xn + (b0 << 3 * e),
+        ((s2 * xn + (s1 << e)) * xn + (s0 << 2 * e)) << e,
+    )
 
-    def decide(k22: float) -> bool:
-        if k22 <= below:
-            last[0] = k22
-            return True
-        if k22 >= above:
-            last[1] = k22
-            return False
-        return feasible(k22)
 
-    try:
-        lo = _sup_feasible(decide, 0.0, hi, tol)
-    except RuntimeError:
+def _round_down(cubic: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+    """cubic shifted right (floor) so that its largest coefficient keeps _ROUND_BITS bits.
+
+    None when no coefficient is longer.  Each rounded coefficient is at most
+    the exact one over 2**shift and x**i >= 0 on x >= 0, so the rounded
+    cubic is at most the exact one over 2**shift there: when it is
+    nonnegative on x >= 0, so is the exact one.
+    """
+    c3, c2, c1, c0 = cubic
+    bits = max(c3.bit_length(), c2.bit_length(), c1.bit_length(), c0.bit_length())
+    shift = bits - _ROUND_BITS
+    if shift <= 0:
         return None
-    passed, failed = last
-    if (passed is None or feasible(passed)) and (failed is None or not feasible(failed)):
-        return lo
-    return None
+    return c3 >> shift, c2 >> shift, c1 >> shift, c0 >> shift
+
+
+def _probe(
+    base: Tuple[int, ...],
+    step: Tuple[int, ...],
+    witnesses: Tuple[Tuple[int, int], ...],
+    k22: float,
+) -> bool:
+    """Exact verdict of base*kd**2 + step*kn**2 >= 0 on x >= 0 at k22 = kn/kd.
+
+    The cheapest rule that can decide runs first, and each is exact:
+    1. a witness (B, S) of _witness with B*kd**2 + S*kn**2 < 0 fails the
+       probe: two products and a compare;
+    2. when _round_down shortens the cubic and cubic_nonneg_closed_form
+       passes the short one, the probe passes;
+    3. cubic_nonneg_closed_form on the full integers decides the rest.
+    """
+    kn, kd = k22.as_integer_ratio()
+    n2, d2 = kn * kn, kd * kd
+    for wb, ws in witnesses:
+        if wb * d2 + ws * n2 < 0:
+            return False
+    b0, b1, b2, b3 = base
+    s0, s1, s2, _ = step  # qg has no x**3 term
+    cubic = (b3 * d2, b2 * d2 + s2 * n2, b1 * d2 + s1 * n2, b0 * d2 + s0 * n2)
+    rounded = _round_down(cubic)
+    if rounded is not None and cubic_nonneg_closed_form(*rounded):
+        return True
+    return cubic_nonneg_closed_form(*cubic)
 
 
 class _DeterminantBound:
@@ -503,9 +568,9 @@ class _DeterminantBound:
     t = 4*b22*r - (k22**2 + b22**2*x)*w they are qa = -x*w, qb = 4*r and
     qg = -w, read from the plant's verified r and w and scaled to Python
     ints by one lcm.  Beyond its plant, an instance keeps only the
-    stationary point of the last b22 it bounded, a Newton start that
-    changes the cost of the next call and never its result; a caller keeps
-    it for one search.
+    stationary point of the last b22 whose estimate found a minimum, a
+    Newton start that changes the cost of the next call and never its
+    result; a caller keeps it for one search.
 
     Feasibility is downward-closed in k22: x**2*w = |N12 - D|**2 >= 0, so
     w >= 0 on x >= 0 and t decreases pointwise in K = k22**2.  bound()
@@ -513,10 +578,20 @@ class _DeterminantBound:
     (4*b22*r - b22**2*x*w)/w in floats (_frontier_k2) and runs the
     bisection on it: a probe below sqrt(K*)*(1 - 1e-9) is taken to pass,
     one above sqrt(K*)*(1 + 1e-9) to fail, and only a probe strictly inside
-    that bracket runs the exact cubic.  Two exact probes then certify the
-    run (_certified_sup): the last k22 taken to pass must pass and the last
+    that bracket is decided exactly.  Two exact probes then certify the
+    run (_sup_feasible): the last k22 taken to pass must pass and the last
     one taken to fail must fail.  The midpoints and the bound are then
     those of the all-exact bisection, bit for bit.
+
+    An exact probe (_probe) tries three rules in order, each exact:
+    1. the cubic's sign at the witnesses x = 0 and x0, the estimate's
+       stationary point, where a probe just above the frontier turns
+       negative: a negative value at a point of x >= 0 fails the probe;
+    2. the closed form on the coefficients rounded down (floor) to 128
+       bits: on x >= 0 that cubic is at most the exact one over a power of
+       two, so its pass is a pass;
+    3. the closed form on the full integers, several hundred bits long.
+    So the verdict is always the closed form's own.
 
     Probe order: the static probe sqrt(4*b22*r0)/(Im + alpha*Kf), which is
     the bound when it passes, runs first unless the estimate places it
@@ -552,43 +627,45 @@ class _DeterminantBound:
         # scale leaves the homogeneous closed-form verdict unchanged.
         bn, bd = b22.as_integer_ratio()
         bb, bnd, dd = bn * bn, bn * bd, bd * bd
-        base = tuple(a * bb + c * bnd for a, c in zip(self._qa, self._qb))
-        step = tuple(g * dd for g in self._qg)
-        b0, b1, b2, b3 = base
-        s0, s1, s2, _ = step  # qg has no x**3 term
-
-        def feasible(k22: float) -> bool:
-            # closed-form rule only: exact, and proven equivalent to the Sturm
-            # route (which the condition checks still run on every verdict).
-            kn, kd = k22.as_integer_ratio()
-            n2, d2 = kn * kn, kd * kd
-            return cubic_nonneg_closed_form(
-                b3 * d2, b2 * d2 + s2 * n2, b1 * d2 + s1 * n2, b0 * d2 + s0 * n2
-            )
-
-        if b3 < 0:  # t3 < 0 at every k22: b22 > 4*Bf
+        _, a1, a2, a3 = self._qa  # qa has no constant term
+        c0, c1, c2, c3 = self._qb
+        g0, g1, g2, _ = self._qg
+        base = (c0 * bnd, a1 * bb + c1 * bnd, a2 * bb + c2 * bnd, a3 * bb + c3 * bnd)
+        step = (g0 * dd, g1 * dd, g2 * dd, 0)
+        if base[3] < 0:  # t3 < 0 at every k22: b22 > 4*Bf
             return 0.0
         hi = math.sqrt(self._r0x4 * b22) / self._ia if self._ia > 0 else None
-        K, self._start = _frontier_k2(base, step, self._start)
+        K, x = _frontier_k2(base, step, self._start)
+        witnesses: Tuple[Tuple[int, int], ...] = ((base[0], step[0]),)  # x = 0
+        if x is not None:
+            self._start = x
+            witnesses += (_witness(base, step, x),)
+        probe = functools.partial(_probe, base, step, witnesses)
+
         estimated = 0.0 < K < math.inf
         if estimated:
             k = math.sqrt(K)
             below, above = k * (1.0 - _BRACKET), k * (1.0 + _BRACKET)
-            if hi is None or hi >= above:  # the static probe is taken to fail
-                found = _certified_sup(feasible, below, above, hi, tol)
-                if found is not None:
-                    return found
-                estimated = False
-        if hi is not None:
-            if feasible(hi):
-                return hi
-            if hi <= tol:  # the bisection would return its lower end unprobed
-                return 0.0
-            if estimated:
-                found = _certified_sup(feasible, below, above, hi, tol)
-                if found is not None:
-                    return found
-        return _sup_feasible(feasible, 0.0, hi, tol) if feasible(0.0) else 0.0
+        # above the bracket the static probe is taken to fail, and runs only
+        # when the certificate does
+        static_later = estimated and hi is not None and hi >= above
+        if hi is not None and not static_later and probe(hi):
+            return hi
+        if estimated:
+            try:
+                lo, top = _sup_feasible(probe, 0.0, hi, tol, below, above)
+            except RuntimeError:  # no k22 below 1e15 taken to fail
+                pass
+            else:
+                # lo > below and top < above were probed (lo = 0 is given);
+                # an end the band decided is certified by one exact probe
+                if (lo > below or lo == 0.0 or probe(lo)) and (top < above or not probe(top)):
+                    return lo
+        if static_later and probe(hi):
+            return hi
+        if hi is not None and hi <= tol:  # the bisection would return its lower end unprobed
+            return 0.0
+        return _sup_feasible(probe, 0.0, hi, tol)[0] if probe(0.0) else 0.0
 
 
 def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> float:
@@ -614,8 +691,11 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
     k*(1 -/+ 1e-9); two exact probes, at the last k22 it took to pass and
     the last it took to fail, certify it by monotonicity.  The static probe
     runs first only when the estimate does not place it above that bracket.
-    The result is that of the all-exact bisection, to which a failed
-    certificate falls back (see _DeterminantBound).
+    An exact probe is decided by the cubic's sign at a witness point, else
+    by the closed form on coefficients rounded down to 128 bits, else on
+    the full integers; each rule is exact.  The result is that of the
+    all-exact bisection, to which a failed certificate falls back (see
+    _DeterminantBound).
     """
     return _DeterminantBound(params).bound(b22, tol)
 

@@ -606,7 +606,10 @@ def cubic_nonneg_closed_form(p3: Number, p2: Number, p1: Number, p0: Number) -> 
     squared out); branch (b) places the value at the interior minimum above
     zero, with equality admitted because equality corresponds to a touching
     double root, which does not break nonnegativity.  p3 < 0 or p0 < 0 is
-    an immediate failure (behaviour at x -> inf, resp. at x = 0).
+    an immediate failure (behaviour at x -> inf, resp. at x = 0).  sigma is
+    formed once: with p3 > 0, sigma <= 0 forces p1 >= 0, so once p1 >= 0
+    and p2 >= 0 has not passed, clause (a) reads sigma <= 0, and clause (b)
+    reuses the same sigma.
 
     A degenerate leading coefficient (p3 == 0) leaves the quadratic
     p2*x**2 + p1*x + p0, nonnegative on [0, inf) iff p2 >= 0, p0 >= 0 and
@@ -617,17 +620,28 @@ def cubic_nonneg_closed_form(p3: Number, p2: Number, p1: Number, p0: Number) -> 
     positive common scale never changes the verdict.  Python ints are used
     as they are, without conversion to Fraction: a caller holding a
     rational cubic can clear its denominators once and decide on integers.
+
+    The k22 bound (passivity._probe) calls this rule last of three.  A
+    witness point x >= 0 where the cubic is negative fails a probe first.
+    Then the rule runs on the coefficients rounded down (floor) to 128
+    bits, and its pass is a pass, since that cubic is at most the exact
+    one over a power of two on x >= 0.  Only what both leave open is
+    decided here on the full integers.
     """
-    c3, c2, c1, c0 = (p if type(p) is int else _exact(p) for p in (p3, p2, p1, p0))
+    if type(p3) is int and type(p2) is int and type(p1) is int and type(p0) is int:
+        c3, c2, c1, c0 = p3, p2, p1, p0
+    else:
+        c3, c2, c1, c0 = (p if type(p) is int else _exact(p) for p in (p3, p2, p1, p0))
     if c3 == 0:
         return c2 >= 0 and c0 >= 0 and (c1 >= 0 or (c2 > 0 and c1 * c1 <= 4 * c0 * c2))
     if c3 < 0 or c0 < 0:
         return False
-    if first_clause(c3, c2, c1):
+    if c1 >= 0 and c2 >= 0:
         return True
     sigma = c2 * c2 - 3 * c1 * c3
+    if sigma <= 0:
+        return True
     sigma3 = c1 * c2 - 9 * c0 * c3
-    if sigma > 0 and sigma3 < 0:
-        if 4 * c2 * sigma3 * sigma <= 4 * c1 * sigma * sigma + 3 * c3 * sigma3 * sigma3:
-            return True
-    return False
+    return sigma3 < 0 and (
+        4 * c2 * sigma3 * sigma <= 4 * c1 * sigma * sigma + 3 * c3 * sigma3 * sigma3
+    )

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import draw_coupler, draw_plant
 from vcoupler import model, passivity
 from vcoupler.model import SystemParams, VirtualCoupler, derive_coefficients, nominal_params
+from vcoupler.optimize import maximize_k22
 from vcoupler.passivity import (
     ConditionReport,
     check_absolute_stability,
@@ -213,18 +214,32 @@ def test_a_wrong_frontier_estimate_falls_back_to_exact_probes(monkeypatch, disto
 
 @pytest.fixture
 def probes(monkeypatch):
-    """probes(bounds, b22) -> (bound, exact closed-form probes it ran)."""
-    calls = []
+    """probes(bounds, b22) -> (bound, exact probes, full-precision closed-form calls).
 
-    def counted(*coeffs):
-        calls.append(coeffs)
+    An exact probe is a k22 decided exactly, by any route (passivity._probe);
+    a full-precision call is a cubic_nonneg_closed_form call with a
+    coefficient above the 128 bits that an exact probe first rounds to.
+    """
+    exact, full = [], []
+    probe = passivity._probe
+
+    def counted_probe(*args):
+        exact.append(args[-1])
+        return probe(*args)
+
+    def counted_closed_form(*coeffs):
+        # the plant analysis decides Fraction cubics through the same name
+        if any(type(c) is int and c.bit_length() > passivity._ROUND_BITS for c in coeffs):
+            full.append(coeffs)
         return cubic_nonneg_closed_form(*coeffs)
 
-    monkeypatch.setattr(passivity, "cubic_nonneg_closed_form", counted)
+    monkeypatch.setattr(passivity, "_probe", counted_probe)
+    monkeypatch.setattr(passivity, "cubic_nonneg_closed_form", counted_closed_form)
 
     def run(bounds, b22):
-        calls.clear()
-        return bounds.bound(b22), len(calls)
+        exact.clear()
+        full.clear()
+        return bounds.bound(b22), len(exact), len(full)
 
     return run
 
@@ -243,12 +258,14 @@ def test_certificate_leaves_at_most_two_exact_probes_per_b22(probes):
 
 
 def test_every_b22_of_the_seeded_sweep_takes_at_most_two_exact_probes(probes):
-    # from 1e-6 up the stationarity polynomial fits in floats on every plant
-    # of the sweep, so each b22 gets an estimate; a frontier set at x = 0
-    # whose static probe rounds just above it needs the x = 0 candidate
+    # from 1e-30 up each b22 gets an estimate: its integer cubics, up to 571
+    # bits on the plant without a static bracket, are scaled by a power of
+    # two before the stationarity polynomial is formed in floats; a frontier
+    # set at x = 0 whose static probe rounds just above it needs the x = 0
+    # candidate
     for params in _sweep_plants(30):
         bounds = passivity._DeterminantBound(params)
-        for b22 in _sweep_b22(params)[2:]:
+        for b22 in _sweep_b22(params)[1:]:
             assert probes(bounds, b22)[1] <= 2, (params, b22)
 
 
@@ -257,9 +274,102 @@ def test_every_b22_of_the_seeded_sweep_takes_at_most_two_exact_probes(probes):
 @pytest.mark.parametrize("edge", [1.0 - 1e-15, 1.0, 1.0 + 1e-15], ids=["below", "at", "above"])
 def test_window_edge_certifies_with_at_most_two_exact_probes(probes, edge):
     b22 = 4.0 * NOM.Bf * edge
-    bound, count = probes(passivity._DeterminantBound(NOM), b22)
+    bound, count, _ = probes(passivity._DeterminantBound(NOM), b22)
     assert bound == _fraction_bisection_bound(NOM, b22)
     assert count <= 2
+
+
+def test_exact_probes_rarely_need_the_full_precision_closed_form(probes):
+    # along the optimizer's sweep on the nominal plant every exact probe is
+    # decided by a witness or by the cubic rounded to 128 bits; at 4*Bf the
+    # estimate has no stationary point to witness a failing probe with
+    bounds = passivity._DeterminantBound(NOM)
+    edge = 4.0 * NOM.Bf
+    for i in range(1, 50):
+        assert probes(bounds, edge * i / 50)[2] == 0, i
+    assert probes(bounds, edge)[2] <= 1
+
+
+def test_the_call_after_the_window_edge_polishes_the_previous_minimum(monkeypatch):
+    # at b22 = 4*Bf the positive stationary point of n/w is a maximum; it must
+    # not become the next call's Newton start, or Newton fails at once and
+    # the estimate falls back to the eigenvalue route
+    trace = [b22 for b22, _, _ in maximize_k22(NOM).trace]
+    edge = trace.index(4.0 * NOM.Bf)
+    roots = []
+    stationary_roots = passivity._stationary_roots
+    monkeypatch.setattr(
+        passivity, "_stationary_roots", lambda q: roots.append(q) or stationary_roots(q)
+    )
+    bounds = passivity._DeterminantBound(NOM)
+    for b22 in trace[: edge + 1]:
+        bounds.bound(b22)
+    start = bounds._start
+    assert start is not None
+    roots.clear()
+    bounds.bound(trace[edge + 1])
+    assert roots == []
+    assert bounds._start != start
+
+
+def _touching_cubic(an, e, p, q):
+    """2**(2e) * (x - an/2**e)**2 * (p*x + q), highest degree first."""
+    s = 1 << e
+    return (s * s * p, s * s * q - 2 * s * an * p, an * an * p - 2 * s * an * q, an * an * q)
+
+
+@st.composite
+def _probe_cubics(draw):
+    """(cubic, x): an integer cubic of up to about 700 bits and a point x >= 0."""
+    big = st.integers(0, 2**600)
+    an, e = draw(st.integers(1, 2**53)), draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(["touching", "quadratic", "spread"]))
+    if kind == "spread":  # independent lengths, often more than 128 bits apart
+        bits = draw(st.lists(st.integers(0, 700), min_size=4, max_size=4))
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=4, max_size=4))
+        cubic = tuple(
+            sign * draw(st.integers(0, 2**n)) for sign, n in zip(signs, bits)
+        )
+        if draw(st.booleans()):
+            cubic = (0,) + cubic[1:]
+    else:  # touches zero at x = an/2**e; c3 = 0 for a quadratic
+        p = 0 if kind == "quadratic" else draw(big)
+        cubic = _touching_cubic(an, e, p, draw(big))
+        cubic = cubic[:3] + (cubic[3] + draw(st.sampled_from([-1, 0, 1])),)
+    x = draw(st.one_of(
+        st.just(an / 2**e), st.just(0.0), st.floats(0.0, 1e300, allow_nan=False)
+    ))
+    return cubic, x
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_probe_cubics(), st.floats(1e-3, 1e6))
+def test_a_negative_witness_fails_the_closed_form(case, k22):
+    # base and step are split so that the probe cubic at k22 = kn/kd is
+    # kd**2 * cubic: step = kd**2 * t, base = cubic - kn**2 * t
+    cubic, x = case
+    kn, kd = k22.as_integer_ratio()
+    t = (2, 3, -5, 0)  # step has no x**3 term
+    base = tuple(c - kn * kn * ti for c, ti in zip(reversed(cubic), t))
+    step = tuple(kd * kd * ti for ti in t)
+    wb, ws = passivity._witness(base, step, x)
+    exact = cubic_nonneg_closed_form(*cubic)
+    if wb * kd * kd + ws * kn * kn < 0:
+        assert not exact
+    assert passivity._probe(base, step, ((base[0], step[0]), (wb, ws)), k22) is exact
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_probe_cubics())
+def test_a_rounded_pass_implies_the_exact_pass(case):
+    cubic, _ = case
+    rounded = passivity._round_down(cubic)
+    if rounded is None:
+        assert max(c.bit_length() for c in cubic) <= passivity._ROUND_BITS
+    else:
+        assert max(c.bit_length() for c in rounded) == passivity._ROUND_BITS
+        if cubic_nonneg_closed_form(*rounded):
+            assert cubic_nonneg_closed_form(*cubic)
 
 
 @pytest.mark.parametrize(
