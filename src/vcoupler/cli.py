@@ -250,7 +250,7 @@ def _sweep_point(
     params: SystemParams,
     vc: VirtualCoupler,
     criterion: str,
-    omegas: np.ndarray,
+    omegas: Optional[np.ndarray],
 ) -> Tuple[float, bool]:
     """(criterion margin, verdict) for one sweep point.
 
@@ -279,9 +279,6 @@ def cmd_sweep(cfg: RunConfig, criterion: str, vary: str, rng: Tuple[float, float
         raise ConfigError(f"{vary} sweep range must be nonnegative")
 
     omegas = _grid_array(cfg)
-    if omegas is None:
-        omegas = default_grid(2000) if criterion == "passivity" else default_grid(4000)
-
     values = np.linspace(lo, hi, n)
     rows = []
     for v in values:

@@ -16,27 +16,10 @@ grid, so the returned optimum is consistent with that checker's verdicts.
 Both bisect through the same loop, and each search builds its objective
 once per plant:
 
-- passivity tabulates the determinant cubic
-  t = 4*b22*r - (k22**2 + b22**2*x)*w once per plant, from the plant
-  polynomials r and w, as integer quadratic forms
-  qa*b22**2 + qb*b22 + qg*k22**2, one per coefficient.  A
-  bisection probe at b22 = bn/bd, k22 = kn/kd decides the integer cubic
-  (qa*bn**2 + qb*bn*bd)*kd**2 + qg*bd**2*kn**2 in closed form (a quadratic
-  one at b22 = 4*Bf, where the cubic term vanishes), with no Fraction
-  work per b22 and the same verdict as the exact cubic.  Since w >= 0 on
-  x >= 0, feasibility is downward-closed in k22.  The bisection runs on a
-  float estimate of the frontier k* (the square root of the least k22**2
-  at which t touches zero), warm-started from the previous b22, and runs
-  the cubic only on probes within k*(1 -/+ 1e-9); one exact probe at the
-  last k22 it took to pass and one at the last it took to fail certify
-  it.  A b22 takes at most two exact probes instead of about twenty, and
-  a failed certificate leaves every probe exact.  Each exact probe is
-  cheap in turn: the cubic's sign at x = 0 or at the estimate's
-  stationary point fails most probes above the frontier (a negative value
-  on x >= 0 is a counterexample), the closed form on coefficients rounded
-  down to 128 bits passes most below it (rounding down only lowers the
-  cubic on x >= 0), and only the rest run the closed form on the full
-  integers (see passivity._DeterminantBound);
+- passivity tabulates the determinant cubic once per plant as integer
+  quadratic forms in b22 and k22, and decides each b22 by one search on a
+  float estimate of the frontier, certified by at most two exact probes
+  (see passivity._DeterminantBound);
 - absolute samples the plant's memoized entries h11 and h12 once and turns
   each sample into a threshold g on Re h22 = b22*w^2 / (k22^2 + b22^2*w^2).
   Per b22, k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2) is one vector
@@ -58,6 +41,8 @@ import numpy as np
 from .errors import BaselineNotPassive, InvalidParams
 from .model import SystemParams
 from .passivity import (
+    _LLEWELLYN_POINTS,
+    _LLEWELLYN_TOL,
     _TINY,
     _DeterminantBound,
     _llewellyn_margin,
@@ -156,7 +141,7 @@ class _LlewellynBound:
 
     h11 and h12 do not depend on the coupler, so their grid samples are
     computed once.  The margin is the one llewellyn_grid_margins computes,
-    and the acceptance tolerance matches check_absolute_stability's default;
+    and the acceptance tolerance is check_absolute_stability's default;
     feasible(k22, b22) and min_margin evaluate it on the whole grid.
 
     bound(b22) returns exactly what bisecting feasible(., b22) returns, but
@@ -181,9 +166,7 @@ class _LlewellynBound:
     k22: at once when no sample has g > 0.
     """
 
-    def __init__(
-        self, params: SystemParams, omegas: np.ndarray, margin_tol: float = 1e-8
-    ) -> None:
+    def __init__(self, params: SystemParams, omegas: np.ndarray) -> None:
         memo = _plant_analysis(params)
         h11, h12 = memo.h11.eval_grid(omegas), memo.h12.eval_grid(omegas)
         if not np.any(np.isfinite(h11) & np.isfinite(h12)):
@@ -195,7 +178,6 @@ class _LlewellynBound:
         self._abs12 = np.abs(h12)
         with np.errstate(all="ignore"):
             self._w2 = np.asarray(omegas, dtype=float) ** 2
-        self._margin_tol = margin_tol
         self._edges = self._closed_form_edges()
 
     def _closed_form_edges(self) -> Optional[Tuple[np.ndarray, ...]]:
@@ -207,7 +189,7 @@ class _LlewellynBound:
         scaled by 1 -/+ _WINDOW.  Samples with a non-finite Re h11, Re h12 or
         |h12| have a NaN margin at every probe and drop out, as in nanmin.
         """
-        tol = self._margin_tol
+        tol = _LLEWELLYN_TOL
         finite = np.isfinite(self._re11) & np.isfinite(self._re12) & np.isfinite(self._abs12)
         re11, re12, abs12, w2 = (
             a[finite] for a in (self._re11, self._re12, self._abs12, self._w2)
@@ -235,7 +217,7 @@ class _LlewellynBound:
         return float(np.nanmin(margins))
 
     def feasible(self, k22: float, b22: float) -> bool:
-        return self.min_margin(k22, b22) >= -self._margin_tol
+        return self.min_margin(k22, b22) >= -_LLEWELLYN_TOL
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
         if not (b22 > 0.0 and math.isfinite(b22)):
@@ -260,7 +242,8 @@ class _LlewellynBound:
             return self.feasible(k22, b22)
 
         try:
-            return _sup_feasible(decide, 0.0, None, tol)[0]
+            # below=0.0: the grid has passed k22 = 0 already
+            return _sup_feasible(decide, None, tol, below=0.0)[0]
         except RuntimeError:
             # the doubling search met no failing k22 below its 1e15 ceiling
             raise InvalidParams(_UNBOUNDED) from None
@@ -271,7 +254,7 @@ def _make_objective(
 ) -> Callable[[float], float]:
     if criterion == "passivity":
         return _DeterminantBound(params).bound
-    cache = _LlewellynBound(params, default_grid(4000) if grid is None else grid)
+    cache = _LlewellynBound(params, default_grid(_LLEWELLYN_POINTS) if grid is None else grid)
     return cache.bound
 
 

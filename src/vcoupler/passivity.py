@@ -38,7 +38,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidParams
 from .model import (
     PlantCoefficients,
     SystemParams,
@@ -86,6 +85,9 @@ __all__ = [
 
 # Tiny additive guard so normalized margins never divide by zero.
 _TINY = 1e-300
+# Default grid size and acceptance tolerance of the sampled Llewellyn margin
+_LLEWELLYN_POINTS = 4000
+_LLEWELLYN_TOL = 1e-8
 
 # Relative half-width of the certified float bracket of the k22 frontier.
 _BRACKET = 1e-9
@@ -357,31 +359,31 @@ def check_condition_c_ii(params: SystemParams, coupler: VirtualCoupler) -> Condi
 
 def _sup_feasible(
     feasible: Callable[[float], bool],
-    lo: float,
     hi: Optional[float],
     tol: float,
     below: float = -math.inf,
     above: float = math.inf,
 ) -> Tuple[float, float]:
-    """Bisect for the supremum of a feasible interval [lo, k*].
+    """Search for the supremum k* of a downward-closed feasible set [0, k*].
 
-    feasible(lo) must hold.  hi is a point known or taken to fail, or None
-    to find one by doubling from 1.0.  A probe at or below `below` is taken
-    to pass and one at or above `above` to fail without calling feasible;
-    the default band leaves every probe to feasible.  Returns the final
-    bracket (lo, hi): the last k22 taken to pass (lo as given when none
-    was) and the last one taken to fail.  Its width is at most tol or it
-    holds no float strictly inside, so tol = 0 bisects down to adjacent
-    floats.  Raises RuntimeError when doubling passes 1e15.
+    A k22 at or below `below` is taken to pass and one at or above `above`
+    to fail without calling feasible; the default band leaves every k22 to
+    feasible.  The search takes hi (the bound when it passes), then 0.0
+    (no bound when it fails), then doubles from 1.0 to a failing hi when
+    hi is None, then bisects until the bracket is at most tol wide or holds
+    no float strictly inside, so tol = 0 ends on adjacent floats.
 
-    Decision order per probe: the band, then feasible.  lo only rises and
-    hi only falls, so for a downward-closed feasible the run is the
-    all-exact bisection, bit for bit, when feasible(lo) holds if
-    lo <= below and fails at hi if hi >= above: two exact probes certify
-    a banded run.  For the determinant bound, feasible is _probe, which
-    decides by a witness, then by the cubic rounded down to 128 bits, then
-    by the full closed form.
+    Returns (lo, top), the last k22 taken to pass and the last taken to
+    fail: (hi, inf) when hi passes, (0.0, 0.0) when 0.0 fails.  Raises
+    RuntimeError when doubling passes 1e15.  _DeterminantBound certifies a
+    banded run by its two ends.
     """
+    if hi is not None and (hi <= below or (hi < above and feasible(hi))):
+        return hi, math.inf
+    # a bracket [0.0, hi] at most tol wide ends at 0.0 whatever 0.0 does
+    if (hi is None or hi > tol) and not (0.0 <= below or (0.0 < above and feasible(0.0))):
+        return 0.0, 0.0
+    lo = 0.0
     if hi is None:
         hi = 1.0
         while hi <= below or (hi < above and feasible(hi)):
@@ -574,32 +576,31 @@ class _DeterminantBound:
 
     Feasibility is downward-closed in k22: x**2*w = |N12 - D|**2 >= 0, so
     w >= 0 on x >= 0 and t decreases pointwise in K = k22**2.  bound()
-    first estimates the frontier K* = min over x >= 0 of
-    (4*b22*r - b22**2*x*w)/w in floats (_frontier_k2) and runs the
-    bisection on it: a probe below sqrt(K*)*(1 - 1e-9) is taken to pass,
-    one above sqrt(K*)*(1 + 1e-9) to fail, and only a probe strictly inside
-    that bracket is decided exactly.  Two exact probes then certify the
-    run (_sup_feasible): the last k22 taken to pass must pass and the last
-    one taken to fail must fail.  The midpoints and the bound are then
-    those of the all-exact bisection, bit for bit.
-
+    decides a b22 in this order:
+    1. estimate: _frontier_k2 finds the frontier K* = min over x >= 0 of
+       (4*b22*r - b22**2*x*w)/w in floats;
+    2. band: _sup_feasible runs the search from the static probe
+       sqrt(4*b22*r0)/(Im + alpha*Kf) with every k22 at or below
+       sqrt(K*)*(1 - 1e-9) taken to pass and every one at or above
+       sqrt(K*)*(1 + 1e-9) taken to fail; only a k22 strictly inside is
+       probed exactly, and an estimate that is not finite and positive
+       leaves every k22 to the exact probe;
+    3. certificate: an end of the returned bracket that the band decided
+       gets one exact probe; the last k22 taken to pass must pass, the
+       last taken to fail must fail.  lo only rises and top only falls, so
+       then every decision was that of the all-exact search and the bound
+       is its bound, bit for bit.  Otherwise the search runs again with
+       every k22 probed exactly.
     An exact probe (_probe) tries three rules in order, each exact:
-    1. the cubic's sign at the witnesses x = 0 and x0, the estimate's
+    1. witnesses: the cubic's value at x = 0, at x0, the estimate's
        stationary point, where a probe just above the frontier turns
-       negative: a negative value at a point of x >= 0 fails the probe;
+       negative, and, when t3 = 0 leaves a quadratic, its x**2 coefficient
+       as x -> inf; a negative value fails the probe;
     2. the closed form on the coefficients rounded down (floor) to 128
        bits: on x >= 0 that cubic is at most the exact one over a power of
        two, so its pass is a pass;
     3. the closed form on the full integers, several hundred bits long.
     So the verdict is always the closed form's own.
-
-    Probe order: the static probe sqrt(4*b22*r0)/(Im + alpha*Kf), which is
-    the bound when it passes, runs first unless the estimate places it
-    above the bracket; then it starts the simulated bisection as a point
-    taken to fail.  A passing probe at any k22 implies the one at k22 = 0,
-    which runs only when no other probe passed.  Without an estimate that
-    is finite and positive, or when the certificate fails, bound() falls
-    back to the static probe and an all-exact bisection.
     """
 
     def __init__(self, params: SystemParams) -> None:
@@ -637,65 +638,41 @@ class _DeterminantBound:
         hi = math.sqrt(self._r0x4 * b22) / self._ia if self._ia > 0 else None
         K, x = _frontier_k2(base, step, self._start)
         witnesses: Tuple[Tuple[int, int], ...] = ((base[0], step[0]),)  # x = 0
+        if base[3] == 0:  # a quadratic: its x**2 coefficient is a witness at x -> inf
+            witnesses += ((base[2], step[2]),)
         if x is not None:
             self._start = x
             witnesses += (_witness(base, step, x),)
         probe = functools.partial(_probe, base, step, witnesses)
 
-        estimated = 0.0 < K < math.inf
-        if estimated:
+        below, above = -math.inf, math.inf
+        if 0.0 < K < math.inf:
             k = math.sqrt(K)
             below, above = k * (1.0 - _BRACKET), k * (1.0 + _BRACKET)
-        # above the bracket the static probe is taken to fail, and runs only
-        # when the certificate does
-        static_later = estimated and hi is not None and hi >= above
-        if hi is not None and not static_later and probe(hi):
-            return hi
-        if estimated:
-            try:
-                lo, top = _sup_feasible(probe, 0.0, hi, tol, below, above)
-            except RuntimeError:  # no k22 below 1e15 taken to fail
-                pass
-            else:
-                # lo > below and top < above were probed (lo = 0 is given);
-                # an end the band decided is certified by one exact probe
-                if (lo > below or lo == 0.0 or probe(lo)) and (top < above or not probe(top)):
-                    return lo
-        if static_later and probe(hi):
-            return hi
-        if hi is not None and hi <= tol:  # the bisection would return its lower end unprobed
-            return 0.0
-        return _sup_feasible(probe, 0.0, hi, tol)[0] if probe(0.0) else 0.0
+        try:
+            lo, top = _sup_feasible(probe, hi, tol, below, above)
+        except RuntimeError:  # no k22 below 1e15 taken to fail
+            pass
+        else:
+            # an end that the band decided is certified by one exact probe;
+            # the bound is 0.0 whether or not k22 = 0 passes
+            if (lo == 0.0 or lo > below or probe(lo)) and (
+                top == math.inf or top < above or not probe(top)
+            ):
+                return lo
+        return _sup_feasible(probe, hi, tol)[0]
 
 
 def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> float:
     """sup{k22 >= 0 : determinant condition (c-ii) holds}, to tolerance tol.
 
-    The scaled determinant polynomial decreases pointwise in k22**2, so the
-    feasible set is an interval [0, k*]; k* is bracketed by the static bound
-    sqrt(4*b22*r0)/(Im + alpha*Kf) when that is finite and found to
-    absolute tolerance tol by bisection, which stops early only when no
-    float lies strictly inside its bracket (tol = 0 gives k* to the float).
-    Returns 0.0 when no positive k22 is feasible (including b22 <= 0 and
-    b22 > 4*Bf).  Raises ValueError for a negative or NaN tol.
-
-    Per plant, the determinant cubic t = 4*b22*r - (k22**2 + b22**2*x)*w is
-    tabulated once from its verified plant polynomials r and w as the exact
-    integer quadratic form qa*b22**2 + qb*b22 + qg*k22**2 in each coefficient; to
-    bound many b22 values of one plant, the optimizer keeps the table for
-    the whole search.  Every exact probe at b22 = bn/bd, k22 = kn/kd
-    decides the integer cubic (qa*bn**2 + qb*bn*bd)*kd**2 + qg*bd**2*kn**2,
-    a positive multiple of the exact one, without Fraction normalization.
-    The bisection runs on a float estimate of k*, warm-started from the
-    previous b22's stationary point, with exact probes only within
-    k*(1 -/+ 1e-9); two exact probes, at the last k22 it took to pass and
-    the last it took to fail, certify it by monotonicity.  The static probe
-    runs first only when the estimate does not place it above that bracket.
-    An exact probe is decided by the cubic's sign at a witness point, else
-    by the closed form on coefficients rounded down to 128 bits, else on
-    the full integers; each rule is exact.  The result is that of the
-    all-exact bisection, to which a failed certificate falls back (see
-    _DeterminantBound).
+    The feasible set is an interval [0, k*], found to absolute tolerance
+    tol or, when no float lies strictly inside the bracket, to the float
+    (tol = 0).  Returns 0.0 when no positive k22 is feasible (including
+    b22 <= 0 and b22 > 4*Bf).  Raises ValueError for a negative or NaN tol.
+    The search and its exact probes are described at _DeterminantBound; to
+    bound many b22 of one plant, keep one _DeterminantBound, as the
+    optimizer does.
     """
     return _DeterminantBound(params).bound(b22, tol)
 
@@ -883,7 +860,7 @@ def check_absolute_stability(
     params: SystemParams,
     coupler: VirtualCoupler,
     grid: Optional[np.ndarray] = None,
-    margin_tol: float = 1e-8,
+    margin_tol: float = _LLEWELLYN_TOL,
 ) -> AbsoluteStabilityReport:
     """Absolute stability: (a), (b), (c-i) exact plus sampled Llewellyn margin.
 
@@ -895,7 +872,7 @@ def check_absolute_stability(
     b = check_condition_b(params)
     ci = check_condition_c_i(params)
 
-    omegas = default_grid(4000) if grid is None else np.asarray(grid, dtype=float)
+    omegas = default_grid(_LLEWELLYN_POINTS) if grid is None else np.asarray(grid, dtype=float)
     margins = llewellyn_grid_margins(params, coupler, omegas)
     ok = np.isfinite(margins)
     if np.any(ok):

@@ -620,13 +620,6 @@ def cubic_nonneg_closed_form(p3: Number, p2: Number, p1: Number, p0: Number) -> 
     positive common scale never changes the verdict.  Python ints are used
     as they are, without conversion to Fraction: a caller holding a
     rational cubic can clear its denominators once and decide on integers.
-
-    The k22 bound (passivity._probe) calls this rule last of three.  A
-    witness point x >= 0 where the cubic is negative fails a probe first.
-    Then the rule runs on the coefficients rounded down (floor) to 128
-    bits, and its pass is a pass, since that cubic is at most the exact
-    one over a power of two on x >= 0.  Only what both leave open is
-    decided here on the full integers.
     """
     if type(p3) is int and type(p2) is int and type(p1) is int and type(p0) is int:
         c3, c2, c1, c0 = p3, p2, p1, p0

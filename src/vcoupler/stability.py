@@ -397,12 +397,12 @@ def real_part_even_polynomial(num: Polynomial, den: Polynomial) -> Polynomial:
 def positive_real(rf: RationalFunction) -> PositiveRealVerdict:
     """Positive realness of the impedance rf, decided exactly where possible.
 
-    Pole-side checks run on the gcd-reduced function (true poles only); the
-    quartic closed forms are dispatched when the reduced denominator is a
-    positive quartic, with the generic exact analysis otherwise.  The
-    real-part condition is an exact Sturm nonnegativity test; the reported
-    margin and (on failure) witness come from a 400-point log-spaced probe
-    grid over [1e-3, 1e6] rad/s augmented with the exact witness.
+    Pole-side checks run on the gcd-reduced function (true poles only), by
+    the generic exact root-location analysis (analyze_denominator) of its
+    denominator, whatever its degree.  The real-part condition is an exact
+    Sturm nonnegativity test; the reported margin and (on failure) witness
+    come from a 400-point log-spaced probe grid over [1e-3, 1e6] rad/s
+    augmented with the exact witness.
     """
     red = rf.reduced()
     num, den = red.num, red.den

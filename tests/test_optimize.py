@@ -178,7 +178,7 @@ def _bisected_bound(search, b22, tol=1e-3):
     if not (b22 > 0.0 and math.isfinite(b22)) or not search.feasible(0.0, b22):
         return 0.0
     try:
-        return _sup_feasible(lambda k22: search.feasible(k22, b22), 0.0, None, tol)[0]
+        return _sup_feasible(lambda k22: search.feasible(k22, b22), None, tol)[0]
     except RuntimeError:
         return None
 

@@ -282,12 +282,13 @@ def test_window_edge_certifies_with_at_most_two_exact_probes(probes, edge):
 def test_exact_probes_rarely_need_the_full_precision_closed_form(probes):
     # along the optimizer's sweep on the nominal plant every exact probe is
     # decided by a witness or by the cubic rounded to 128 bits; at 4*Bf the
-    # estimate has no stationary point to witness a failing probe with
+    # estimate has no stationary point, and a failing probe is witnessed by
+    # the negative x**2 coefficient of its quadratic
     bounds = passivity._DeterminantBound(NOM)
     edge = 4.0 * NOM.Bf
     for i in range(1, 50):
         assert probes(bounds, edge * i / 50)[2] == 0, i
-    assert probes(bounds, edge)[2] <= 1
+    assert probes(bounds, edge)[2] == 0
 
 
 def test_the_call_after_the_window_edge_polishes_the_previous_minimum(monkeypatch):
@@ -352,11 +353,14 @@ def test_a_negative_witness_fails_the_closed_form(case, k22):
     t = (2, 3, -5, 0)  # step has no x**3 term
     base = tuple(c - kn * kn * ti for c, ti in zip(reversed(cubic), t))
     step = tuple(kd * kd * ti for ti in t)
-    wb, ws = passivity._witness(base, step, x)
+    witnesses = ((base[0], step[0]), passivity._witness(base, step, x))
+    if base[3] == 0:  # a quadratic falls to -inf when its x**2 coefficient is negative
+        witnesses += ((base[2], step[2]),)
     exact = cubic_nonneg_closed_form(*cubic)
-    if wb * kd * kd + ws * kn * kn < 0:
-        assert not exact
-    assert passivity._probe(base, step, ((base[0], step[0]), (wb, ws)), k22) is exact
+    for wb, ws in witnesses:
+        if wb * kd * kd + ws * kn * kn < 0:
+            assert not exact
+    assert passivity._probe(base, step, witnesses, k22) is exact
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
@@ -370,6 +374,62 @@ def test_a_rounded_pass_implies_the_exact_pass(case):
         assert max(c.bit_length() for c in rounded) == passivity._ROUND_BITS
         if cubic_nonneg_closed_form(*rounded):
             assert cubic_nonneg_closed_form(*cubic)
+
+
+def _threshold(c):
+    """(feasible, calls): feasible(k) is k <= c, and calls records each k."""
+    calls = []
+
+    def feasible(k):
+        calls.append(k)
+        return k <= c
+
+    return feasible, calls
+
+
+def test_search_returns_a_passing_hi_after_one_call():
+    feasible, calls = _threshold(3.0)
+    assert passivity._sup_feasible(feasible, 2.5, 1e-3) == (2.5, math.inf)
+    assert calls == [2.5]
+
+
+@pytest.mark.parametrize("hi", [2.5, None])
+def test_search_without_a_feasible_zero_returns_at_once(hi):
+    feasible, calls = _threshold(-1.0)
+    assert passivity._sup_feasible(feasible, hi, 1e-3) == (0.0, 0.0)
+    assert calls == [k for k in (hi, 0.0) if k is not None]
+
+
+def test_search_within_tol_of_zero_leaves_zero_unprobed():
+    feasible, calls = _threshold(-1.0)
+    assert passivity._sup_feasible(feasible, 1e-4, 1e-3) == (0.0, 1e-4)
+    assert calls == [1e-4]
+
+
+def test_search_doubling_raises_past_1e15():
+    feasible, calls = _threshold(math.inf)
+    with pytest.raises(RuntimeError, match="failed to close"):
+        passivity._sup_feasible(feasible, None, 1e-3)
+    assert max(calls) == 2.0**49  # the next doubling passes 1e15 unprobed
+
+
+def test_search_with_zero_tolerance_ends_on_adjacent_floats():
+    feasible, _ = _threshold(1.0 / 3.0)
+    lo, top = passivity._sup_feasible(feasible, 1.0, 0.0)
+    assert lo == 1.0 / 3.0 and top == math.nextafter(lo, math.inf)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, 2.5, 1e6])
+@pytest.mark.parametrize("hi", [None, 2.5, 10.0, 1e-4])
+@pytest.mark.parametrize("width", [0.0, 1e-9, 1.0])
+def test_a_band_consistent_with_feasible_leaves_the_bracket_unchanged(c, hi, width):
+    # and the band decides every k22 outside it without calling feasible
+    feasible, _ = _threshold(c)
+    exact = passivity._sup_feasible(feasible, hi, 1e-3)
+    below, above = c * (1.0 - width) - width, c * (1.0 + width) + width
+    feasible, calls = _threshold(c)
+    assert passivity._sup_feasible(feasible, hi, 1e-3, below, above) == exact
+    assert all(below < k < above for k in calls)
 
 
 @pytest.mark.parametrize(
