@@ -32,7 +32,6 @@ from .errors import (
     ConfigError,
     InvalidParams,
     PoleAtFrequency,
-    VcouplerError,
 )
 from .model import SystemParams, VirtualCoupler, hybrid_matrix, load_config
 from .optimize import OptimizationResult, maximize_k22, maximize_k22_over_alpha
@@ -466,8 +465,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except Exception as exc:
-        if isinstance(exc, VcouplerError):
-            raise
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
 

@@ -19,6 +19,7 @@ same quantity can be compared with zero tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -84,14 +85,8 @@ class SystemParams:
         if not (isinstance(a, (int, float)) and math.isfinite(a) and 0 <= a <= 1):
             raise InvalidParams(f"alpha must lie in [0, 1], got {a!r}")
 
-    def replace(self, **kw) -> "SystemParams":
-        data = {
-            "Kf": self.Kf, "Bf": self.Bf, "M": self.M, "B": self.B,
-            "Pm": self.Pm, "Im": self.Im, "Pf": self.Pf, "If": self.If,
-            "alpha": self.alpha,
-        }
-        data.update(kw)
-        return SystemParams(**data)
+    # params.replace(alpha=a): a copy, validated again by __post_init__
+    replace = dataclasses.replace
 
 
 @dataclass(frozen=True)
@@ -125,13 +120,22 @@ def nominal_coupler() -> VirtualCoupler:
 
 @dataclass(frozen=True)
 class PlantCoefficients:
-    """Exact coefficients that do not depend on the virtual coupler.
+    """Exact coefficients of the drive, independent of the virtual coupler.
 
-    a4..a0, mu, nu, kappa1..kappa3, tau2 and r3..r0 as in
-    DerivedCoefficients, plus Bf4 = 4*Bf and the quadratic
-    w(x) = w2 x^2 + w1 x + w0 = M**2 x^2 - tau2 x + (Im + alpha*Kf)**2 with
-    |N12 - D|**2 (j*w) = x**2 * w(x), x = w**2.  The coupler enters the
-    determinant cubic only through t = 4*b22*r - (k22**2 + b22**2*x)*w.
+    a4..a0  characteristic quartic of the drive (denominator of h11, h12)
+    mu, nu  integral-to-proportional gain ratios Im/Pm and If/Pf
+    kappa1  Pf*Im - B*If        (force/velocity integral balance)
+    kappa2  B + Pm - M*(mu+nu)
+    kappa3  alpha*(B+Pm) + Pm*Pf*kappa2
+    tau2    2*M*(Im + alpha*Kf) - (B + Pm + alpha*Bf)**2
+    r3..r0  cubic deciding Re h11 >= 0 (driving-point real part, x = omega**2)
+    Bf4     4*Bf
+    w2..w0  quadratic w(x) = M**2 x^2 - tau2 x + (Im + alpha*Kf)**2 with
+            |N12 - D|**2 (j*omega) = x**2 * w(x)
+
+    The coupler enters the determinant cubic only through
+    t = 4*b22*r - (k22**2 + b22**2*x)*w.  All values are Fractions derived
+    exactly from the (binary) float inputs.
     """
 
     a4: Fraction
@@ -156,38 +160,14 @@ class PlantCoefficients:
 
 
 @dataclass(frozen=True)
-class DerivedCoefficients:
-    """Exact derived coefficients of the coupled system.
+class DerivedCoefficients(PlantCoefficients):
+    """A plant's coefficients plus those of one coupler (k22, b22).
 
-    a4..a0  characteristic quartic of the drive (denominator of h11, h12)
-    mu, nu  integral-to-proportional gain ratios Im/Pm and If/Pf
-    kappa1  Pf*Im - B*If        (force/velocity integral balance)
-    kappa2  B + Pm - M*(mu+nu)
-    kappa3  alpha*(B+Pm) + Pm*Pf*kappa2
     tau1    4*Bf - b22
-    tau2    2*M*(Im + alpha*Kf) - (B + Pm + alpha*Bf)**2
-    r3..r0  cubic deciding Re h11 >= 0 (driving-point real part, x = omega**2)
     t3..t0  cubic deciding the two-port real-part determinant condition
-
-    All values are Fractions derived exactly from the (binary) float inputs.
     """
 
-    a4: Fraction
-    a3: Fraction
-    a2: Fraction
-    a1: Fraction
-    a0: Fraction
-    mu: Fraction
-    nu: Fraction
-    kappa1: Fraction
-    kappa2: Fraction
-    kappa3: Fraction
     tau1: Fraction
-    tau2: Fraction
-    r3: Fraction
-    r2: Fraction
-    r1: Fraction
-    r0: Fraction
     t3: Fraction
     t2: Fraction
     t1: Fraction
@@ -240,18 +220,13 @@ def coupler_coefficients(
     K, b4, bb = k22 * k22, 4 * b22, b22 * b22
 
     # t = 4*b22*r - (k22**2 + b22**2*x)*w, coefficient by coefficient
-    t3 = b4 * p.r3 - bb * p.w2
-    t2 = b4 * p.r2 - K * p.w2 - bb * p.w1
-    t1 = b4 * p.r1 - K * p.w1 - bb * p.w0
-    t0 = b4 * p.r0 - K * p.w0
-
     return DerivedCoefficients(
-        a4=p.a4, a3=p.a3, a2=p.a2, a1=p.a1, a0=p.a0,
-        mu=p.mu, nu=p.nu,
-        kappa1=p.kappa1, kappa2=p.kappa2, kappa3=p.kappa3,
-        tau1=p.Bf4 - b22, tau2=p.tau2,
-        r3=p.r3, r2=p.r2, r1=p.r1, r0=p.r0,
-        t3=t3, t2=t2, t1=t1, t0=t0,
+        **vars(p),
+        tau1=p.Bf4 - b22,
+        t3=b4 * p.r3 - bb * p.w2,
+        t2=b4 * p.r2 - K * p.w2 - bb * p.w1,
+        t1=b4 * p.r1 - K * p.w1 - bb * p.w0,
+        t0=b4 * p.r0 - K * p.w0,
     )
 
 
@@ -269,7 +244,7 @@ class HybridMatrix:
     h11 and h12 share the characteristic quartic denominator (after any
     common s-factor cancellation for degenerate integral gains); h21 is
     identically -1 (unilateral velocity command); h22 is the coupler
-    one-port s/(b22*s + k22).
+    one-port s/(b22*s + k22).  coeffs is the plant's coefficient record.
     """
 
     h11: RationalFunction
@@ -278,7 +253,7 @@ class HybridMatrix:
     h22: RationalFunction
     params: SystemParams
     coupler: VirtualCoupler
-    coeffs: DerivedCoefficients
+    coeffs: PlantCoefficients
 
     def entries(self) -> Tuple[Tuple[RationalFunction, ...], ...]:
         return ((self.h11, self.h12), (self.h21, self.h22))
@@ -292,7 +267,7 @@ def _cancel_s(num: Polynomial, den: Polynomial) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def characteristic_polynomial(c: Union[PlantCoefficients, DerivedCoefficients]) -> Polynomial:
+def characteristic_polynomial(c: PlantCoefficients) -> Polynomial:
     """The quartic a4*s^4 + a3*s^3 + a2*s^2 + a1*s + a0 (lowest first)."""
     return Polynomial([c.a0, c.a1, c.a2, c.a3, c.a4])
 
@@ -348,7 +323,7 @@ def hybrid_matrix(params: SystemParams, coupler: VirtualCoupler) -> HybridMatrix
         h22=_coupler_port(coupler),
         params=params,
         coupler=coupler,
-        coeffs=coupler_coefficients(plant, coupler),
+        coeffs=plant,
     )
 
 

@@ -13,18 +13,18 @@ Two criteria are supported: "passivity" maximizes the exact two-port bound
 k22_upper_bound; "absolute" maximizes the largest k22 at which the sampled
 Llewellyn margin used by check_absolute_stability holds on the same default
 grid, so the returned optimum is consistent with that checker's verdicts.
-Both bisect through the same loop, and each search builds its objective
-once per plant:
+Both run the one k22 search, passivity._sup_feasible, with a band of k22
+taken to pass below it and to fail above it, and each search builds its
+objective once per plant:
 
-- passivity tabulates the determinant cubic once per plant as integer
-  quadratic forms in b22 and k22, and decides each b22 by one search on a
-  float estimate of the frontier, certified by at most two exact probes
-  (see passivity._DeterminantBound);
+- passivity keeps the plant's integer vectors of 4*r and w, and decides
+  each b22 by one search banded around a float estimate of the frontier,
+  certified by at most two exact probes (see passivity._DeterminantBound);
 - absolute samples the plant's memoized entries h11 and h12 once and turns
   each sample into a threshold g on Re h22 = b22*w^2 / (k22^2 + b22^2*w^2).
   Per b22, k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2) is one vector
-  op, and each probe is decided as k22^2 < k*^2; the grid margin decides
-  only probes within rounding of k*^2 and grids the closed form does not
+  op, and the band is k* narrowed by its rounding allowances; the grid
+  margin decides only probes inside it and grids the closed form does not
   cover (see _LlewellynBound), so the bound is the bisected one bit for bit.
 
 Each objective lives for one maximize_k22 call.
@@ -63,6 +63,7 @@ __all__ = [
 _CRITERIA = ("passivity", "absolute")
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _B22_TOL = 1e-4  # golden-section bracket width at termination
+_ALPHA_TOL = 5e-3  # the same for alpha
 _SWEEP_POINTS = 50
 
 
@@ -142,7 +143,7 @@ class _LlewellynBound:
     h11 and h12 do not depend on the coupler, so their grid samples are
     computed once.  The margin is the one llewellyn_grid_margins computes,
     and the acceptance tolerance is check_absolute_stability's default;
-    feasible(k22, b22) and min_margin evaluate it on the whole grid.
+    feasible(k22, b22) evaluates it on the whole grid.
 
     bound(b22) returns exactly what bisecting feasible(., b22) returns, but
     decides the probes in closed form.  At a sample with Re h11 > 0,
@@ -151,10 +152,12 @@ class _LlewellynBound:
     and Re h22 = b22*w^2 / (k22^2 + b22^2*w^2) falls with k22, so a sample
     with g > 0 holds iff k22^2 <= b22*w^2/g - b22^2*w^2, and one with g <= 0
     at every k22.  So k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2)
-    decides each probe as k22^2 < k*^2: one vector op per b22 instead of
-    about 30 grid evaluations.  The grid margin still decides
+    decides each probe: one vector op per b22 instead of about 30 grid
+    evaluations.  _sup_feasible takes k22 at or below the square root of
+    the lower threshold to pass and at or above that of the upper one to
+    fail.  The grid margin still decides
     - feasible(0, b22), as before;
-    - a probe inside the rounding band around k*^2 (the _WINDOW and _SLACK
+    - a probe inside the rounding band around k* (the _WINDOW and _SLACK
       allowances, at least 1e-9 of k*^2);
     - every probe when a finite sample has Re h11 <= 0 (there the margin
       does not fall with k22) or a magnitude outside _RANGE, or b22 lies
@@ -210,52 +213,31 @@ class _LlewellynBound:
             scale[must_fail] / (num - slack)[must_fail] * (1.0 + _WINDOW),
         )
 
-    def min_margin(self, k22: float, b22: float) -> float:
+    def feasible(self, k22: float, b22: float) -> bool:
         with np.errstate(all="ignore"):
             re22 = b22 * self._w2 / (k22 * k22 + b22 * b22 * self._w2)
         margins = _llewellyn_margin(self._re11, self._re12, self._abs12, re22)
-        return float(np.nanmin(margins))
-
-    def feasible(self, k22: float, b22: float) -> bool:
-        return self.min_margin(k22, b22) >= -_LLEWELLYN_TOL
+        return float(np.nanmin(margins)) >= -_LLEWELLYN_TOL
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
         if not (b22 > 0.0 and math.isfinite(b22)):
             return 0.0
         if not self.feasible(0.0, b22):
             return 0.0
-        holds_below, fails_above = -math.inf, math.inf  # the grid decides
+        # the grid has passed k22 = 0 already, and decides every k22 in (0, inf)
+        below, above = 0.0, math.inf
         if self._edges is not None and 1.0 / _B22_RANGE <= b22 <= _B22_RANGE:
             w2_h, c_h, w2_f, c_f = self._edges
             if not w2_h.size:
                 raise InvalidParams(_UNBOUNDED)
-            holds_below = b22 * float(np.min(c_h - b22 * w2_h))
+            below = math.sqrt(max(b22 * float(np.min(c_h - b22 * w2_h)), 0.0))
             if w2_f.size:
-                fails_above = b22 * float(np.min(c_f - b22 * w2_f))
-
-        def decide(k22: float) -> bool:
-            k2 = k22 * k22
-            if k2 < holds_below:
-                return True
-            if k2 > fails_above:
-                return False
-            return self.feasible(k22, b22)
-
+                above = math.sqrt(max(b22 * float(np.min(c_f - b22 * w2_f)), 0.0))
         try:
-            # below=0.0: the grid has passed k22 = 0 already
-            return _sup_feasible(decide, None, tol, below=0.0)[0]
+            return _sup_feasible(lambda k22: self.feasible(k22, b22), None, tol, below, above)[0]
         except RuntimeError:
             # the doubling search met no failing k22 below its 1e15 ceiling
             raise InvalidParams(_UNBOUNDED) from None
-
-
-def _make_objective(
-    params: SystemParams, criterion: str, grid: Optional[np.ndarray]
-) -> Callable[[float], float]:
-    if criterion == "passivity":
-        return _DeterminantBound(params).bound
-    cache = _LlewellynBound(params, default_grid(_LLEWELLYN_POINTS) if grid is None else grid)
-    return cache.bound
 
 
 def _golden_max(
@@ -295,7 +277,11 @@ def maximize_k22(
     crit = _normalize_criterion(criterion)
     _require_baseline(params)
 
-    objective = _make_objective(params, crit, grid)
+    if crit == "passivity":
+        objective = _DeterminantBound(params).bound
+    else:
+        omegas = default_grid(_LLEWELLYN_POINTS) if grid is None else grid
+        objective = _LlewellynBound(params, omegas).bound
     b_hi = 4.0 * params.Bf
     trace: List[Tuple[float, float, float]] = []
 
@@ -335,7 +321,6 @@ def maximize_k22_over_alpha(
     criterion: str = "passivity",
     grid: Optional[np.ndarray] = None,
     alpha_candidates: Optional[Iterable[float]] = None,
-    alpha_tol: float = 5e-3,
 ) -> OptimizationResult:
     """Joint optimum over the feedforward blend alpha and b22.
 
@@ -375,9 +360,9 @@ def maximize_k22_over_alpha(
             raise ValueError("alpha_candidates must be non-empty when given")
         note = f"alpha restricted to {sorted(results)}"
     else:
-        a_star, _ = _golden_max(lambda a: inner(a).k22_max, 0.0, 1.0, alpha_tol)
+        a_star, _ = _golden_max(lambda a: inner(a).k22_max, 0.0, 1.0, _ALPHA_TOL)
         candidates = [inner(0.0), inner(1.0), inner(a_star)]
-        note = f"alpha golden-section on [0, 1] to {alpha_tol:g} plus endpoints"
+        note = f"alpha golden-section on [0, 1] to {_ALPHA_TOL:g} plus endpoints"
 
     best = max(candidates, key=lambda r: r.k22_max)
     return OptimizationResult(

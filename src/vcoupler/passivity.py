@@ -88,6 +88,8 @@ _TINY = 1e-300
 # Default grid size and acceptance tolerance of the sampled Llewellyn margin
 _LLEWELLYN_POINTS = 4000
 _LLEWELLYN_TOL = 1e-8
+# How far a sampled margin may dip below zero under an exact passivity pass
+_PASSIVITY_TOL = 1e-7
 
 # Relative half-width of the certified float bracket of the k22 frontier.
 _BRACKET = 1e-9
@@ -510,7 +512,7 @@ def _witness(base: Tuple[int, ...], step: Tuple[int, ...], x: float) -> Tuple[in
     xn, xd = x.as_integer_ratio()
     e = xd.bit_length() - 1
     b0, b1, b2, b3 = base
-    s0, s1, s2, _ = step  # qg has no x**3 term
+    s0, s1, s2, _ = step  # w has no x**3 term
     return (
         ((b3 * xn + (b2 << e)) * xn + (b1 << 2 * e)) * xn + (b0 << 3 * e),
         ((s2 * xn + (s1 << e)) * xn + (s0 << 2 * e)) << e,
@@ -554,7 +556,7 @@ def _probe(
         if wb * d2 + ws * n2 < 0:
             return False
     b0, b1, b2, b3 = base
-    s0, s1, s2, _ = step  # qg has no x**3 term
+    s0, s1, s2, _ = step  # w has no x**3 term
     cubic = (b3 * d2, b2 * d2 + s2 * n2, b1 * d2 + s1 * n2, b0 * d2 + s0 * n2)
     rounded = _round_down(cubic)
     if rounded is not None and cubic_nonneg_closed_form(*rounded):
@@ -565,14 +567,15 @@ def _probe(
 class _DeterminantBound:
     """sup{k22 >= 0 : condition (c-ii) holds} for one plant, at any b22.
 
-    Each coefficient of the determinant cubic is a quadratic form
-    t_i = qa_i*b22**2 + qb_i*b22 + qg_i*k22**2 with plant-only q's: by
-    t = 4*b22*r - (k22**2 + b22**2*x)*w they are qa = -x*w, qb = 4*r and
-    qg = -w, read from the plant's verified r and w and scaled to Python
-    ints by one lcm.  Beyond its plant, an instance keeps only the
-    stationary point of the last b22 whose estimate found a minimum, a
-    Newton start that changes the cost of the next call and never its
-    result; a caller keeps it for one search.
+    The determinant cubic is t = 4*b22*r - (k22**2 + b22**2*x)*w, so an
+    instance keeps the vectors of 4*r and w, read from the plant's verified
+    coefficient record and scaled to Python ints by one lcm.  At
+    b22 = bn/bd that lcm times bd**2 times t is base + k22**2*step, with
+    the integer cubics base = 4*r*bn*bd - x*w*bn**2 and step = -w*bd**2.
+    Beyond its plant, an instance keeps only the stationary point of the
+    last b22 whose estimate found a minimum, a Newton start that changes
+    the cost of the next call and never its result; a caller keeps it for
+    one search.
 
     Feasibility is downward-closed in k22: x**2*w = |N12 - D|**2 >= 0, so
     w >= 0 on x >= 0 and t decreases pointwise in K = k22**2.  bound()
@@ -605,13 +608,11 @@ class _DeterminantBound:
 
     def __init__(self, params: SystemParams) -> None:
         p = _plant_analysis(params).coeffs
-        zero = Fraction(0)
-        qa = (zero, -p.w0, -p.w1, -p.w2)
-        qb = (4 * p.r0, 4 * p.r1, 4 * p.r2, 4 * p.r3)
-        qg = (-p.w0, -p.w1, -p.w2, zero)
-        scale = math.lcm(*(q.denominator for q in qa + qb + qg))
-        self._qa, self._qb, self._qg = (
-            tuple(q.numerator * (scale // q.denominator) for q in row) for row in (qa, qb, qg)
+        r4 = (4 * p.r0, 4 * p.r1, 4 * p.r2, 4 * p.r3)
+        w = (p.w0, p.w1, p.w2)
+        scale = math.lcm(*(q.denominator for q in r4 + w))
+        self._r4, self._w = (
+            tuple(q.numerator * (scale // q.denominator) for q in row) for row in (r4, w)
         )
         self._ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
         self._r0x4 = max(float(4 * p.r0), 0.0)
@@ -628,11 +629,10 @@ class _DeterminantBound:
         # scale leaves the homogeneous closed-form verdict unchanged.
         bn, bd = b22.as_integer_ratio()
         bb, bnd, dd = bn * bn, bn * bd, bd * bd
-        _, a1, a2, a3 = self._qa  # qa has no constant term
-        c0, c1, c2, c3 = self._qb
-        g0, g1, g2, _ = self._qg
-        base = (c0 * bnd, a1 * bb + c1 * bnd, a2 * bb + c2 * bnd, a3 * bb + c3 * bnd)
-        step = (g0 * dd, g1 * dd, g2 * dd, 0)
+        r0, r1, r2, r3 = self._r4
+        w0, w1, w2 = self._w
+        base = (r0 * bnd, r1 * bnd - w0 * bb, r2 * bnd - w1 * bb, r3 * bnd - w2 * bb)
+        step = (-w0 * dd, -w1 * dd, -w2 * dd, 0)
         if base[3] < 0:  # t3 < 0 at every k22: b22 > 4*Bf
             return 0.0
         hi = math.sqrt(self._r0x4 * b22) / self._ia if self._ia > 0 else None
@@ -719,7 +719,6 @@ def _confirm_sampled_dip(
     coupler: VirtualCoupler,
     omegas: np.ndarray,
     m11: np.ndarray,
-    margin_tol: float,
 ) -> None:
     """Raise if the sampled margins still dip with h12 - 1 formed exactly.
 
@@ -735,7 +734,7 @@ def _confirm_sampled_dip(
     ok = np.isfinite(worst)
     idx = int(np.argmin(worst[ok]))
     dip = float(worst[ok][idx])
-    if dip < -margin_tol:
+    if dip < -_PASSIVITY_TOL:
         raise RuntimeError(
             "internal: exact passivity verdict passes but sampled "
             f"margins dip to {dip:.3e} near omega = {float(omegas[ok][idx]):.6g} rad/s"
@@ -771,13 +770,12 @@ def check_two_port_passivity(
     params: SystemParams,
     coupler: VirtualCoupler,
     grid: Optional[np.ndarray] = None,
-    margin_tol: float = 1e-7,
 ) -> PassivityReport:
     """Full two-port passivity verdict with a sampled cross-check.
 
     The verdict is the conjunction of the four exact condition checks.  When
     the exact verdict passes and the two-port is stable, the sampled
-    determinant margins over the grid must confirm it (within -margin_tol);
+    determinant margins over the grid must confirm it (within -1e-7);
     a decisive sampled violation of an exact pass raises, because one of
     the routes must then be wrong.  A dip is first rechecked with h12 - 1
     formed exactly, which removes the cancellation near DC; the reported
@@ -806,9 +804,9 @@ def check_two_port_passivity(
             grid_min_det = float(np.min(mdet[ok]))
             grid_min_re11 = float(np.min(m11[ok]))
             grid_argmin = float(omegas[ok][idx])
-            if overall and min(grid_min_det, grid_min_re11) < -margin_tol:
-                _confirm_sampled_dip(params, coupler, omegas, m11, margin_tol)
-            if np.any(m22[ok] < -margin_tol):
+            if overall and min(grid_min_det, grid_min_re11) < -_PASSIVITY_TOL:
+                _confirm_sampled_dip(params, coupler, omegas, m11)
+            if np.any(m22[ok] < -_PASSIVITY_TOL):
                 raise RuntimeError("internal: coupler one-port real part negative")
 
     return PassivityReport(

@@ -127,9 +127,6 @@ class RationalFunction:
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + RationalFunction(-other.num, other.den)
 
-    def scale(self, factor: Number) -> "RationalFunction":
-        return RationalFunction(self.num.scale(factor), self.den)
-
 
 # --------------------------------------------------------------------------
 # quartic closed forms

@@ -11,6 +11,7 @@ import pytest
 
 from vcoupler import cli
 from vcoupler.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, main
+from vcoupler.errors import ZeroPolynomial
 
 REPO = Path(__file__).resolve().parents[1]
 TABLE = str(REPO / "table1.json")
@@ -379,15 +380,23 @@ def test_absolute_optimum_on_an_overflowing_grid_leaks_no_numpy_warning(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "exc",
+    [
+        RuntimeError("internal: closed-form and Sturm verdicts disagree"),
+        ZeroPolynomial("boom"),  # a library error no command expects
+    ],
+    ids=["cross-check", "library-error"],
+)
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, exc):
     def broken(*args, **kwargs):
-        raise RuntimeError("internal: closed-form and Sturm verdicts disagree")
+        raise exc
 
     monkeypatch.setattr(cli, "check_two_port_passivity", broken)
     code, out, err = run(capsys, "check", "--config", TABLE)
     assert code == EXIT_INTERNAL
     assert out == ""
-    assert err == "internal error: internal: closed-form and Sturm verdicts disagree\n"
+    assert err == f"internal error: {exc}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from vcoupler.model import (
     load_config,
     nominal_coupler,
     nominal_params,
+    plant_coefficients,
 )
 
 NOM = nominal_params()
@@ -170,6 +171,18 @@ def test_characteristic_polynomial_lists_coefficients_ascending():
     assert [float(x) for x in cp.coeffs] == [
         float(c.a0), float(c.a1), float(c.a2), float(c.a3), float(c.a4)
     ]
+
+
+@pytest.mark.parametrize(
+    "p, vc",
+    [(NOM, VC), (dataclasses.replace(NOM, Im=0.0, alpha=0.3), VirtualCoupler(0.0, 0.2))],
+)
+def test_coupler_records_extend_the_plant_record(p, vc):
+    plant = plant_coefficients(p)
+    c = derive_coefficients(p, vc)
+    for field in dataclasses.fields(plant):
+        assert getattr(c, field.name) == getattr(plant, field.name), field.name
+    assert hybrid_matrix(p, vc).coeffs == plant
 
 
 @settings(max_examples=60, deadline=None)
