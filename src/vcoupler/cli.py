@@ -9,9 +9,11 @@ Four subcommands drive the library from a JSON parameter file:
 
 Exit codes are a stable scripting contract: 0 means the requested verdict
 passed (or data was produced), 1 means a fail verdict or infeasibility,
-2 means a configuration or usage error, 3 means an internal error (a failed
-cross-check or any other unexpected exception), reported as one
-"internal error: ..." line on stderr.  CSV output is deterministic
+2 means a configuration or usage error (among them an --output path that
+cannot be written and a bode grid point on a pole of the response),
+reported as one "config error: ..." line on stderr, and 3 means an internal
+error (a failed cross-check or any other unexpected exception), reported as
+one "internal error: ..." line on stderr.  CSV output is deterministic
 byte-for-byte for identical inputs: 9 significant digits, "." decimal
 separator, "\n" line endings, fixed headers.
 """
@@ -122,9 +124,12 @@ def _require_vc(cfg: RunConfig) -> VirtualCoupler:
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def _parse_environment(spec: str) -> EnvironmentModel:
@@ -367,11 +372,7 @@ def cmd_bode(cfg: RunConfig, target: str) -> int:
     omegas = _grid_array(cfg)
     if omegas is None:
         omegas = default_grid(2000)
-    try:
-        rows = frequency_response(rf, omegas)
-    except PoleAtFrequency as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FAIL
+    rows = frequency_response(rf, omegas)
 
     if cfg.fmt == "json":
         payload = [
@@ -461,7 +462,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "optimize":
             return cmd_optimize(cfg, args.criterion, args.over)
         return cmd_bode(cfg, args.target)
-    except (ConfigError, InvalidParams) as exc:
+    except (ConfigError, InvalidParams, PoleAtFrequency) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except Exception as exc:

@@ -129,7 +129,6 @@ class PlantCoefficients:
     kappa3  alpha*(B+Pm) + Pm*Pf*kappa2
     tau2    2*M*(Im + alpha*Kf) - (B + Pm + alpha*Bf)**2
     r3..r0  cubic deciding Re h11 >= 0 (driving-point real part, x = omega**2)
-    Bf4     4*Bf
     w2..w0  quadratic w(x) = M**2 x^2 - tau2 x + (Im + alpha*Kf)**2 with
             |N12 - D|**2 (j*omega) = x**2 * w(x)
 
@@ -153,7 +152,6 @@ class PlantCoefficients:
     r2: Fraction
     r1: Fraction
     r0: Fraction
-    Bf4: Fraction
     w2: Fraction
     w1: Fraction
     w0: Fraction
@@ -163,11 +161,9 @@ class PlantCoefficients:
 class DerivedCoefficients(PlantCoefficients):
     """A plant's coefficients plus those of one coupler (k22, b22).
 
-    tau1    4*Bf - b22
     t3..t0  cubic deciding the two-port real-part determinant condition
     """
 
-    tau1: Fraction
     t3: Fraction
     t2: Fraction
     t1: Fraction
@@ -207,7 +203,7 @@ def plant_coefficients(params: SystemParams) -> PlantCoefficients:
         kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
         tau2=tau2,
         r3=r3, r2=r2, r1=r1, r0=r0,
-        Bf4=4 * Bf, w2=M * M, w1=-tau2, w0=ia * ia,
+        w2=M * M, w1=-tau2, w0=ia * ia,
     )
 
 
@@ -222,7 +218,6 @@ def coupler_coefficients(
     # t = 4*b22*r - (k22**2 + b22**2*x)*w, coefficient by coefficient
     return DerivedCoefficients(
         **vars(p),
-        tau1=p.Bf4 - b22,
         t3=b4 * p.r3 - bb * p.w2,
         t2=b4 * p.r2 - K * p.w2 - bb * p.w1,
         t1=b4 * p.r1 - K * p.w1 - bb * p.w0,

@@ -10,48 +10,29 @@ the bracket around the best sample.  maximize_k22_over_alpha nests the same
 search inside a golden-section scan of the feedforward blend alpha.
 
 Two criteria are supported: "passivity" maximizes the exact two-port bound
-k22_upper_bound; "absolute" maximizes the largest k22 at which the sampled
-Llewellyn margin used by check_absolute_stability holds on the same default
-grid, so the returned optimum is consistent with that checker's verdicts.
-Both run the one k22 search, passivity._sup_feasible, with a band of k22
-taken to pass below it and to fail above it, and each search builds its
-objective once per plant:
-
-- passivity keeps the plant's integer vectors of 4*r and w, and decides
-  each b22 by one search banded around a float estimate of the frontier,
-  certified by at most two exact probes (see passivity._DeterminantBound);
-- absolute samples the plant's memoized entries h11 and h12 once and turns
-  each sample into a threshold g on Re h22 = b22*w^2 / (k22^2 + b22^2*w^2).
-  Per b22, k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2) is one vector
-  op, and the band is k* narrowed by its rounding allowances; the grid
-  margin decides only probes inside it and grids the closed form does not
-  cover (see _LlewellynBound), so the bound is the bisected one bit for bit.
-
-Each objective lives for one maximize_k22 call.
+k22_upper_bound (passivity._DeterminantBound); "absolute" maximizes the
+largest k22 at which check_absolute_stability's sampled Llewellyn margin
+holds on the same grid (passivity._LlewellynBound), so the returned optimum
+is consistent with that checker's verdicts.  Each maximize_k22 call builds
+one bound object for its plant and keeps it for the whole search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BaselineNotPassive, InvalidParams
+from .errors import BaselineNotPassive
 from .model import SystemParams
 from .passivity import (
-    _LLEWELLYN_POINTS,
-    _LLEWELLYN_TOL,
-    _TINY,
     _DeterminantBound,
-    _llewellyn_margin,
-    _plant_analysis,
-    _sup_feasible,
+    _LlewellynBound,
     check_condition_a,
     check_condition_b,
     check_condition_c_i,
-    default_grid,
 )
 
 __all__ = [
@@ -120,126 +101,6 @@ def _require_baseline(params: SystemParams) -> None:
         )
 
 
-_UNBOUNDED = (
-    "the Llewellyn margin holds at every k22 tried up to the 1e15 search"
-    " ceiling on this grid, so the grid does not bound k22"
-)
-# The closed form needs Re h11, |h12| and w^2 of every finite sample in
-# [1/_RANGE, _RANGE], and b22 in [1/_B22_RANGE, _B22_RANGE]: every float step
-# of the sampled margin is then a normal double at each k22 the search can
-# probe (k22 <= 2**49), so its verdict is the exact one up to rounding.
-_RANGE = 1e60
-_B22_RANGE = 1e30
-# Rounding allowances: g's numerator is widened by _SLACK*(|Re h12| + |h12|),
-# far above the float margin's error (about 20 ulp of that), and each
-# threshold by _WINDOW of b22*w^2/g.
-_SLACK = 1e-12
-_WINDOW = 1e-9
-
-
-class _LlewellynBound:
-    """Largest k22 at which the sampled Llewellyn margin holds, per b22.
-
-    h11 and h12 do not depend on the coupler, so their grid samples are
-    computed once.  The margin is the one llewellyn_grid_margins computes,
-    and the acceptance tolerance is check_absolute_stability's default;
-    feasible(k22, b22) evaluates it on the whole grid.
-
-    bound(b22) returns exactly what bisecting feasible(., b22) returns, but
-    decides the probes in closed form.  At a sample with Re h11 > 0,
-    margin >= -tol reads Re h22 >= g with
-        g = (|h12| - Re h12 - 2*tol*|h12| - tol*_TINY) / (2*Re h11*(1 + tol)),
-    and Re h22 = b22*w^2 / (k22^2 + b22^2*w^2) falls with k22, so a sample
-    with g > 0 holds iff k22^2 <= b22*w^2/g - b22^2*w^2, and one with g <= 0
-    at every k22.  So k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2)
-    decides each probe: one vector op per b22 instead of about 30 grid
-    evaluations.  _sup_feasible takes k22 at or below the square root of
-    the lower threshold to pass and at or above that of the upper one to
-    fail.  The grid margin still decides
-    - feasible(0, b22), as before;
-    - a probe inside the rounding band around k* (the _WINDOW and _SLACK
-      allowances, at least 1e-9 of k*^2);
-    - every probe when a finite sample has Re h11 <= 0 (there the margin
-      does not fall with k22) or a magnitude outside _RANGE, or b22 lies
-      outside _B22_RANGE.
-
-    Raises InvalidParams when no grid point has finite h11 and h12 samples,
-    and bound() raises it when the margin holds at every k22 the doubling
-    search tries below its 1e15 ceiling, i.e. when the grid does not bound
-    k22: at once when no sample has g > 0.
-    """
-
-    def __init__(self, params: SystemParams, omegas: np.ndarray) -> None:
-        memo = _plant_analysis(params)
-        h11, h12 = memo.h11.eval_grid(omegas), memo.h12.eval_grid(omegas)
-        if not np.any(np.isfinite(h11) & np.isfinite(h12)):
-            raise InvalidParams(
-                "h11 and h12 overflow double precision at every grid point"
-            )
-        self._re11 = h11.real
-        self._re12 = h12.real
-        self._abs12 = np.abs(h12)
-        with np.errstate(all="ignore"):
-            self._w2 = np.asarray(omegas, dtype=float) ** 2
-        self._edges = self._closed_form_edges()
-
-    def _closed_form_edges(self) -> Optional[Tuple[np.ndarray, ...]]:
-        """(w2_h, c_h, w2_f, c_f) for the closed form, or None for grid-only.
-
-        A probe surely holds when k22^2 < b22*min(c_h - b22*w2_h) and surely
-        fails when k22^2 > b22*min(c_f - b22*w2_f).  Both c are w^2/g, with
-        g's numerator widened by the slack (up for c_h, down for c_f) and c
-        scaled by 1 -/+ _WINDOW.  Samples with a non-finite Re h11, Re h12 or
-        |h12| have a NaN margin at every probe and drop out, as in nanmin.
-        """
-        tol = _LLEWELLYN_TOL
-        finite = np.isfinite(self._re11) & np.isfinite(self._re12) & np.isfinite(self._abs12)
-        re11, re12, abs12, w2 = (
-            a[finite] for a in (self._re11, self._re12, self._abs12, self._w2)
-        )
-        if not re11.size or not all(
-            np.all((a >= 1.0 / _RANGE) & (a <= _RANGE)) for a in (re11, abs12, w2)
-        ):
-            return None
-        num = abs12 - re12 - 2.0 * tol * abs12 - tol * _TINY
-        slack = _SLACK * (np.abs(re12) + abs12)
-        scale = 2.0 * (1.0 + tol) * re11 * w2  # w^2/g = scale/num
-        can_fail = num + slack > 0.0
-        must_fail = num - slack > 0.0
-        return (
-            w2[can_fail],
-            scale[can_fail] / (num + slack)[can_fail] * (1.0 - _WINDOW),
-            w2[must_fail],
-            scale[must_fail] / (num - slack)[must_fail] * (1.0 + _WINDOW),
-        )
-
-    def feasible(self, k22: float, b22: float) -> bool:
-        with np.errstate(all="ignore"):
-            re22 = b22 * self._w2 / (k22 * k22 + b22 * b22 * self._w2)
-        margins = _llewellyn_margin(self._re11, self._re12, self._abs12, re22)
-        return float(np.nanmin(margins)) >= -_LLEWELLYN_TOL
-
-    def bound(self, b22: float, tol: float = 1e-3) -> float:
-        if not (b22 > 0.0 and math.isfinite(b22)):
-            return 0.0
-        if not self.feasible(0.0, b22):
-            return 0.0
-        # the grid has passed k22 = 0 already, and decides every k22 in (0, inf)
-        below, above = 0.0, math.inf
-        if self._edges is not None and 1.0 / _B22_RANGE <= b22 <= _B22_RANGE:
-            w2_h, c_h, w2_f, c_f = self._edges
-            if not w2_h.size:
-                raise InvalidParams(_UNBOUNDED)
-            below = math.sqrt(max(b22 * float(np.min(c_h - b22 * w2_h)), 0.0))
-            if w2_f.size:
-                above = math.sqrt(max(b22 * float(np.min(c_f - b22 * w2_f)), 0.0))
-        try:
-            return _sup_feasible(lambda k22: self.feasible(k22, b22), None, tol, below, above)[0]
-        except RuntimeError:
-            # the doubling search met no failing k22 below its 1e15 ceiling
-            raise InvalidParams(_UNBOUNDED) from None
-
-
 def _golden_max(
     f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> Tuple[float, float]:
@@ -277,16 +138,12 @@ def maximize_k22(
     crit = _normalize_criterion(criterion)
     _require_baseline(params)
 
-    if crit == "passivity":
-        objective = _DeterminantBound(params).bound
-    else:
-        omegas = default_grid(_LLEWELLYN_POINTS) if grid is None else grid
-        objective = _LlewellynBound(params, omegas).bound
+    bound = _DeterminantBound(params) if crit == "passivity" else _LlewellynBound(params, grid)
     b_hi = 4.0 * params.Bf
     trace: List[Tuple[float, float, float]] = []
 
     def f(b22: float) -> float:
-        k = objective(b22)
+        k = bound.bound(b22)
         trace.append((b22, params.alpha, k))
         return k
 
@@ -320,15 +177,12 @@ def maximize_k22_over_alpha(
     params: SystemParams,
     criterion: str = "passivity",
     grid: Optional[np.ndarray] = None,
-    alpha_candidates: Optional[Iterable[float]] = None,
 ) -> OptimizationResult:
     """Joint optimum over the feedforward blend alpha and b22.
 
     Runs maximize_k22 at both endpoints of [0, 1] and at golden-section
     probes in between, returning the best inner optimum; alpha values whose
     plant fails the coupler-independent conditions contribute k22 = 0.
-    Passing alpha_candidates restricts the search to exactly those values
-    (no interior refinement).
     """
     crit = _normalize_criterion(criterion)
     _require_baseline(params)
@@ -354,22 +208,14 @@ def maximize_k22_over_alpha(
             trace.append((res.b22_opt, a, res.k22_max))
         return results[a]
 
-    if alpha_candidates is not None:
-        candidates = [inner(a) for a in alpha_candidates]
-        if not candidates:
-            raise ValueError("alpha_candidates must be non-empty when given")
-        note = f"alpha restricted to {sorted(results)}"
-    else:
-        a_star, _ = _golden_max(lambda a: inner(a).k22_max, 0.0, 1.0, _ALPHA_TOL)
-        candidates = [inner(0.0), inner(1.0), inner(a_star)]
-        note = f"alpha golden-section on [0, 1] to {_ALPHA_TOL:g} plus endpoints"
-
-    best = max(candidates, key=lambda r: r.k22_max)
+    a_star, _ = _golden_max(lambda a: inner(a).k22_max, 0.0, 1.0, _ALPHA_TOL)
+    best = max((inner(0.0), inner(1.0), inner(a_star)), key=lambda r: r.k22_max)
     return OptimizationResult(
         b22_opt=best.b22_opt,
         alpha_opt=best.alpha_opt,
         k22_max=best.k22_max,
         criterion=crit,
         trace=tuple(trace),
-        notes=f"criterion={crit}; {note}; inner: {best.notes}",
+        notes=f"criterion={crit}; alpha golden-section on [0, 1] to {_ALPHA_TOL:g} "
+        f"plus endpoints; inner: {best.notes}",
     )

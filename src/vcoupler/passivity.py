@@ -38,6 +38,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from .errors import InvalidParams
 from .model import (
     PlantCoefficients,
     SystemParams,
@@ -52,6 +53,8 @@ from .model import (
 from .poly import (
     POS_INF,
     Polynomial,
+    _homogeneous,
+    _integer_vector,
     cubic_nonneg_closed_form,
     first_clause,
     is_nonnegative_on,
@@ -88,6 +91,21 @@ _TINY = 1e-300
 # Default grid size and acceptance tolerance of the sampled Llewellyn margin
 _LLEWELLYN_POINTS = 4000
 _LLEWELLYN_TOL = 1e-8
+_UNBOUNDED = (
+    "the Llewellyn margin holds at every k22 tried up to the 1e15 search"
+    " ceiling on this grid, so the grid does not bound k22"
+)
+# _LlewellynBound's closed form needs Re h11, |h12| and w^2 of every finite sample
+# in [1/_RANGE, _RANGE], and b22 in [1/_B22_RANGE, _B22_RANGE]: every float step
+# of the sampled margin is then a normal double at each k22 the search can probe
+# (k22 <= 2**49), so its verdict is the exact one up to rounding.
+_RANGE = 1e60
+_B22_RANGE = 1e30
+# Rounding allowances: g's numerator is widened by _SLACK*(|Re h12| + |h12|),
+# far above the float margin's error (about 20 ulp of that), and each
+# threshold by _WINDOW of b22*w^2/g.
+_SLACK = 1e-12
+_WINDOW = 1e-9
 # How far a sampled margin may dip below zero under an exact passivity pass
 _PASSIVITY_TOL = 1e-7
 
@@ -501,24 +519,6 @@ def _frontier_k2(
     return best, best_x
 
 
-def _witness(base: Tuple[int, ...], step: Tuple[int, ...], x: float) -> Tuple[int, int]:
-    """(B, S) with B*kd**2 + S*kn**2 a positive multiple of the probe cubic at x.
-
-    At x = xn/xd >= 0, with xd = 2**e as for every float, B and S are
-    xd**3 times base(x) and step(x), by Horner's rule on xn and shifts.  The
-    probe cubic at k22 = kn/kd is base*kd**2 + step*kn**2, so a probe with
-    B*kd**2 + S*kn**2 < 0 fails: the cubic is negative at a point of x >= 0.
-    """
-    xn, xd = x.as_integer_ratio()
-    e = xd.bit_length() - 1
-    b0, b1, b2, b3 = base
-    s0, s1, s2, _ = step  # w has no x**3 term
-    return (
-        ((b3 * xn + (b2 << e)) * xn + (b1 << 2 * e)) * xn + (b0 << 3 * e),
-        ((s2 * xn + (s1 << e)) * xn + (s0 << 2 * e)) << e,
-    )
-
-
 def _round_down(cubic: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
     """cubic shifted right (floor) so that its largest coefficient keeps _ROUND_BITS bits.
 
@@ -544,8 +544,8 @@ def _probe(
     """Exact verdict of base*kd**2 + step*kn**2 >= 0 on x >= 0 at k22 = kn/kd.
 
     The cheapest rule that can decide runs first, and each is exact:
-    1. a witness (B, S) of _witness with B*kd**2 + S*kn**2 < 0 fails the
-       probe: two products and a compare;
+    1. a witness (B, S), base(x) and step(x) times one positive factor at
+       some x >= 0, fails the probe when B*kd**2 + S*kn**2 < 0;
     2. when _round_down shortens the cubic and cubic_nonneg_closed_form
        passes the short one, the probe passes;
     3. cubic_nonneg_closed_form on the full integers decides the rest.
@@ -608,12 +608,8 @@ class _DeterminantBound:
 
     def __init__(self, params: SystemParams) -> None:
         p = _plant_analysis(params).coeffs
-        r4 = (4 * p.r0, 4 * p.r1, 4 * p.r2, 4 * p.r3)
-        w = (p.w0, p.w1, p.w2)
-        scale = math.lcm(*(q.denominator for q in r4 + w))
-        self._r4, self._w = (
-            tuple(q.numerator * (scale // q.denominator) for q in row) for row in (r4, w)
-        )
+        ints = _integer_vector((4 * p.r0, 4 * p.r1, 4 * p.r2, 4 * p.r3, p.w0, p.w1, p.w2))
+        self._r4, self._w = ints[:4], ints[4:]
         self._ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
         self._r0x4 = max(float(4 * p.r0), 0.0)
         self._start: Optional[float] = None
@@ -642,7 +638,9 @@ class _DeterminantBound:
             witnesses += ((base[2], step[2]),)
         if x is not None:
             self._start = x
-            witnesses += (_witness(base, step, x),)
+            # xd**3 times base(x) and step(x) at x = xn/xd
+            xn, xd = x.as_integer_ratio()
+            witnesses += ((_homogeneous(base, xn, xd), _homogeneous(step, xn, xd)),)
         probe = functools.partial(_probe, base, step, witnesses)
 
         below, above = -math.inf, math.inf
@@ -762,6 +760,113 @@ def llewellyn_grid_margins(
     return _llewellyn_margin(h11.real, h12.real, np.abs(h12), h22.real)
 
 
+class _LlewellynBound:
+    """Largest k22 at which the sampled Llewellyn margin holds, per b22.
+
+    h11 and h12 do not depend on the coupler, so their grid samples are
+    computed once.  The grid (by default 4000 points), the margin and its
+    tolerance are check_absolute_stability's.  feasible(k22, b22) evaluates
+    the margin on the whole grid with Re h22 in closed form, so it is that
+    check's llewellyn_ok, except that the two roundings of Re h22 may place
+    the k22 where the verdict flips a few floats apart.
+
+    bound(b22) returns exactly what bisecting feasible(., b22) returns, but
+    decides the probes in closed form.  At a sample with Re h11 > 0,
+    margin >= -tol reads Re h22 >= g with
+        g = (|h12| - Re h12 - 2*tol*|h12| - tol*_TINY) / (2*Re h11*(1 + tol)),
+    and Re h22 = b22*w^2 / (k22^2 + b22^2*w^2) falls with k22, so a sample
+    with g > 0 holds iff k22^2 <= b22*w^2/g - b22^2*w^2, and one with g <= 0
+    at every k22.  So k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2)
+    decides each probe: one vector op per b22 instead of about 30 grid
+    evaluations.  _sup_feasible takes k22 at or below the square root of
+    the lower threshold to pass and at or above that of the upper one to
+    fail.  The grid margin still decides
+    - feasible(0, b22);
+    - a probe inside the rounding band around k* (the _WINDOW and _SLACK
+      allowances, at least 1e-9 of k*^2);
+    - every probe when a finite sample has Re h11 <= 0 (there the margin
+      does not fall with k22) or a magnitude outside _RANGE, or b22 lies
+      outside _B22_RANGE.
+
+    Raises InvalidParams when no grid point has finite h11 and h12 samples,
+    and bound() raises it when the margin holds at every k22 the doubling
+    search tries below its 1e15 ceiling, i.e. when the grid does not bound
+    k22: at once when no sample has g > 0.
+    """
+
+    def __init__(self, params: SystemParams, grid: Optional[np.ndarray] = None) -> None:
+        grid = default_grid(_LLEWELLYN_POINTS) if grid is None else grid
+        omegas = np.asarray(grid, dtype=float)
+        memo = _plant_analysis(params)
+        h11, h12 = memo.h11.eval_grid(omegas), memo.h12.eval_grid(omegas)
+        if not np.any(np.isfinite(h11) & np.isfinite(h12)):
+            raise InvalidParams(
+                "h11 and h12 overflow double precision at every grid point"
+            )
+        self._re11 = h11.real
+        self._re12 = h12.real
+        self._abs12 = np.abs(h12)
+        with np.errstate(all="ignore"):
+            self._w2 = omegas ** 2
+        self._edges = self._closed_form_edges()
+
+    def _closed_form_edges(self) -> Optional[Tuple[np.ndarray, ...]]:
+        """(w2_h, c_h, w2_f, c_f) for the closed form, or None for grid-only.
+
+        A probe surely holds when k22^2 < b22*min(c_h - b22*w2_h) and surely
+        fails when k22^2 > b22*min(c_f - b22*w2_f).  Both c are w^2/g, with
+        g's numerator widened by the slack (up for c_h, down for c_f) and c
+        scaled by 1 -/+ _WINDOW.  Samples with a non-finite Re h11, Re h12 or
+        |h12| have a NaN margin at every probe and drop out, as in nanmin.
+        """
+        tol = _LLEWELLYN_TOL
+        finite = np.isfinite(self._re11) & np.isfinite(self._re12) & np.isfinite(self._abs12)
+        re11, re12, abs12, w2 = (
+            a[finite] for a in (self._re11, self._re12, self._abs12, self._w2)
+        )
+        if not re11.size or not all(
+            np.all((a >= 1.0 / _RANGE) & (a <= _RANGE)) for a in (re11, abs12, w2)
+        ):
+            return None
+        num = abs12 - re12 - 2.0 * tol * abs12 - tol * _TINY
+        slack = _SLACK * (np.abs(re12) + abs12)
+        scale = 2.0 * (1.0 + tol) * re11 * w2  # w^2/g = scale/num
+        can_fail = num + slack > 0.0
+        must_fail = num - slack > 0.0
+        return (
+            w2[can_fail],
+            scale[can_fail] / (num + slack)[can_fail] * (1.0 - _WINDOW),
+            w2[must_fail],
+            scale[must_fail] / (num - slack)[must_fail] * (1.0 + _WINDOW),
+        )
+
+    def feasible(self, k22: float, b22: float) -> bool:
+        with np.errstate(all="ignore"):
+            re22 = b22 * self._w2 / (k22 * k22 + b22 * b22 * self._w2)
+        margins = _llewellyn_margin(self._re11, self._re12, self._abs12, re22)
+        return float(np.nanmin(margins)) >= -_LLEWELLYN_TOL
+
+    def bound(self, b22: float, tol: float = 1e-3) -> float:
+        if not (b22 > 0.0 and math.isfinite(b22)):
+            return 0.0
+        if not self.feasible(0.0, b22):
+            return 0.0
+        # the grid has passed k22 = 0 already, and decides every k22 in (0, inf)
+        below, above = 0.0, math.inf
+        if self._edges is not None and 1.0 / _B22_RANGE <= b22 <= _B22_RANGE:
+            w2_h, c_h, w2_f, c_f = self._edges
+            if not w2_h.size:
+                raise InvalidParams(_UNBOUNDED)
+            below = math.sqrt(max(b22 * float(np.min(c_h - b22 * w2_h)), 0.0))
+            if w2_f.size:
+                above = math.sqrt(max(b22 * float(np.min(c_f - b22 * w2_f)), 0.0))
+        try:
+            return _sup_feasible(lambda k22: self.feasible(k22, b22), None, tol, below, above)[0]
+        except RuntimeError:
+            # the doubling search met no failing k22 below its 1e15 ceiling
+            raise InvalidParams(_UNBOUNDED) from None
+
+
 # --------------------------------------------------------------------------
 # top-level checks
 
@@ -858,13 +963,12 @@ def check_absolute_stability(
     params: SystemParams,
     coupler: VirtualCoupler,
     grid: Optional[np.ndarray] = None,
-    margin_tol: float = _LLEWELLYN_TOL,
 ) -> AbsoluteStabilityReport:
     """Absolute stability: (a), (b), (c-i) exact plus sampled Llewellyn margin.
 
     The Llewellyn condition is evaluated on the grid (default: 4000
     log-spaced points over [1e-3, 1e6] rad/s) and passes when the minimum
-    normalized margin stays above -margin_tol.
+    normalized margin stays at or above -1e-8.
     """
     a = check_condition_a(params)
     b = check_condition_b(params)
@@ -880,7 +984,7 @@ def check_absolute_stability(
     else:
         min_margin, argmin_omega = None, None
 
-    llewellyn_ok = min_margin is not None and min_margin >= -margin_tol
+    llewellyn_ok = min_margin is not None and min_margin >= -_LLEWELLYN_TOL
     overall = a.passed and b.passed and ci.passed and llewellyn_ok
     return AbsoluteStabilityReport(
         condition_a=a,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidInterval, ZeroPolynomial
 
@@ -306,10 +306,10 @@ def eval(p: Polynomial, x):  # noqa: A001 - module-level name fixed by the API
     return p.eval(x)
 
 
-def _integer_vector(q: Polynomial) -> Tuple[int, ...]:
-    """Coefficients of L*q as ints, L the positive lcm of their denominators."""
-    scale = math.lcm(*(c.denominator for c in q.coeffs))
-    return tuple(c.numerator * (scale // c.denominator) for c in q.coeffs)
+def _integer_vector(coeffs: Sequence[Fraction]) -> Tuple[int, ...]:
+    """L*coeffs as ints, L the positive lcm of their denominators."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (scale // c.denominator) for c in coeffs)
 
 
 def _homogeneous(ints: Tuple[int, ...], num: int, den: int) -> int:
@@ -349,7 +349,7 @@ class SturmChain:
     ints: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ints", tuple(_integer_vector(q) for q in self.polys))
+        object.__setattr__(self, "ints", tuple(_integer_vector(q.coeffs) for q in self.polys))
 
     @property
     def base(self) -> Polynomial:
@@ -505,11 +505,8 @@ def _gap_points(chain: SturmChain, lo: Fraction, hi: Fraction) -> List[Fraction]
             cells.append((l, h))
             continue
         m = mid(l, h)
-        work.append((l, m))
         work.append((m, h))
-    # the cells are disjoint, so ordering them by left end orders them
-    e_max = max(l[1] for l, _ in cells)
-    cells.sort(key=lambda cell: cell[0][0] << (e_max - cell[0][1]))
+        work.append((l, m))  # popped first, so the cells come out in ascending order
 
     # Each cell (l, h] holds one root r.  If l is itself a root (the previous
     # cell's root, or a root exactly at lo), refine until we find a clean
@@ -580,7 +577,7 @@ def is_nonnegative_on(p: Polynomial, interval) -> Tuple[bool, Optional[float]]:
         return True, None
 
     chain = sturm_sequence(p)
-    ints = _integer_vector(p)
+    ints = _integer_vector(p.coeffs)
     for t in _gap_points(chain, lo, hi):
         if _homogeneous(ints, t.numerator, t.denominator) < 0:
             return False, _witness_float(t)

@@ -19,8 +19,9 @@ from conftest import draw_coupler, draw_plant, record_acceptance
 from test_poly import _cubic_sampling_oracle
 
 from vcoupler.model import VirtualCoupler, hybrid_matrix, nominal_coupler, nominal_params
-from vcoupler.optimize import _LlewellynBound, maximize_k22, maximize_k22_over_alpha
+from vcoupler.optimize import maximize_k22, maximize_k22_over_alpha
 from vcoupler.passivity import (
+    _LlewellynBound,
     check_absolute_stability,
     check_condition_c_ii,
     check_two_port_passivity,

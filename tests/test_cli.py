@@ -301,6 +301,47 @@ def test_bode_whose_denominator_alone_overflows_is_a_config_error(capsys):
     )
 
 
+def test_bode_defaults_to_a_2000_point_grid(capsys):
+    code, out, err = run(capsys, "bode", "--config", TABLE, "--target", "h11")
+    assert code == EXIT_PASS
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "omega_rad_s,magnitude_db,phase_deg"
+    assert len(lines) == 2001
+    assert lines[1].startswith("0.001,") and lines[-1].startswith("1000000,")
+
+
+def test_bode_json_rows(capsys):
+    _, csv_out, _ = run(
+        capsys, "bode", "--config", TABLE, "--target", "h22", "--grid", "1:100:3",
+    )
+    code, out, _ = run(
+        capsys, "bode", "--config", TABLE, "--target", "h22", "--grid", "1:100:3",
+        "--format", "json",
+    )
+    assert code == EXIT_PASS
+    rows = json.loads(out)
+    assert [sorted(r) for r in rows] == [["magnitude_db", "omega_rad_s", "phase_deg"]] * 3
+    assert [cli._f(r["omega_rad_s"]) for r in rows] == ["1", "10", "100"]
+    assert [
+        ",".join(cli._f(r[k]) for k in ("omega_rad_s", "magnitude_db", "phase_deg"))
+        for r in rows
+    ] == csv_out.splitlines()[1:]
+
+
+def test_bode_grid_point_on_a_pole_is_a_config_error(capsys, config_file):
+    # the drive quartic is (s**2 + 1)*(2*s**2 + 2*s + 1): a pole pair at 1 rad/s
+    cfg = config_file(
+        Kf=1.0, Bf=0.0, J=2.0, B=1.0, Pm=1.0, Im=1.0, Pf=1.0, If=1.0, k22=1.0, b22=0.1,
+    )
+    code, out, err = run(
+        capsys, "bode", "--config", cfg, "--target", "h11", "--grid", "0.1:10:3",
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: response has a pole at omega = 1 rad/s\n"
+
+
 def test_check_on_an_overflowing_grid_leaks_no_numpy_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -493,6 +534,41 @@ def test_bad_sweep_range(capsys):
     )
     assert code == EXIT_CONFIG
     assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "vary,rng,message",
+    [
+        ("alpha", "0:2:3", "alpha sweep range must stay inside [0, 1]"),
+        ("alpha", "-0.5:1:3", "alpha sweep range must stay inside [0, 1]"),
+        ("k22", "-1:2:3", "k22 sweep range must be nonnegative"),
+        ("b22", "-0.1:0.2:3", "b22 sweep range must be nonnegative"),
+    ],
+)
+def test_sweep_range_outside_the_parameter_domain(capsys, vary, rng, message):
+    # a negative lower end must be attached with "=", or argparse reads it as a flag
+    code, out, err = run(capsys, "sweep", "--config", TABLE, "--vary", vary, f"--range={rng}")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"config error: {message}\n"
+
+
+def test_check_needs_a_coupler_in_the_config(capsys, tmp_path):
+    cfg = {k: v for k, v in _base_config().items() if k not in ("k22", "b22")}
+    p = tmp_path / "plant.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "check", "--config", str(p))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: this command needs k22 and b22 in the config file\n"
+
+
+def test_unwritable_output_path_is_a_config_error(capsys, tmp_path):
+    dest = tmp_path / "missing" / "report.csv"
+    code, out, err = run(capsys, "check", "--config", TABLE, "--output", str(dest))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"config error: cannot write {dest}: No such file or directory\n"
 
 
 def test_bad_bode_target(capsys):

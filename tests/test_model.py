@@ -130,6 +130,18 @@ def test_load_config_rejects_missing_and_unknown_keys():
         load_config("does-not-exist.json")
 
 
+def test_load_config_rejects_bad_values(tmp_path):
+    cfg = json.load(open("table1.json"))
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="must contain a JSON object"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match="config key Kf must be a number, got True"):
+        load_config({**cfg, "Kf": True})
+    with pytest.raises(ConfigError, match="invalid coupler in <mapping>"):
+        load_config({**cfg, "k22": -1.0})
+
+
 def test_inertia_key_is_mapped_on_ingestion():
     cfg = json.load(open("table1.json"))
     params, _ = load_config(cfg)

@@ -11,10 +11,14 @@ import pytest
 from conftest import draw_plant
 from vcoupler.errors import BaselineNotPassive, InvalidParams
 from vcoupler.model import VirtualCoupler, nominal_params
-from vcoupler.optimize import _LlewellynBound, maximize_k22, maximize_k22_over_alpha
+from vcoupler.optimize import maximize_k22, maximize_k22_over_alpha
 from vcoupler.passivity import (
+    _LlewellynBound,
     _sup_feasible,
     check_absolute_stability,
+    check_condition_a,
+    check_condition_b,
+    check_condition_c_i,
     check_two_port_passivity,
     default_grid,
 )
@@ -75,12 +79,6 @@ def test_absolute_joint_optimum_over_the_feedback_split():
         0.8215794912265513,
     )
     assert len(r.trace) == 16
-
-
-def test_restricted_split_candidates_pick_the_better_endpoint():
-    r = maximize_k22_over_alpha(NOM, alpha_candidates=(0.0, 1.0))
-    assert r.alpha_opt == 1.0
-    assert r.k22_max == pytest.approx(408.201, abs=0.05)
 
 
 def test_absolute_optimum_on_a_banded_grid():
@@ -160,6 +158,23 @@ def test_no_elastic_damping_is_infeasible():
         maximize_k22(bad)
     with pytest.raises(BaselineNotPassive, match="Bf = 0"):
         maximize_k22_over_alpha(bad)
+
+
+def _baseline_passes(params):
+    checks = (check_condition_a, check_condition_b, check_condition_c_i)
+    return all(c(params).passed for c in checks)
+
+
+def test_alpha_that_fails_the_baseline_scores_zero():
+    # a plant that passes (a), (b) and (c-i) at its own alpha but not at alpha = 0
+    rng = np.random.default_rng(7)
+    params = next(
+        p for p in (draw_plant(rng, 0.6) for _ in range(200))
+        if _baseline_passes(p) and not _baseline_passes(p.replace(alpha=0.0))
+    )
+    r = maximize_k22_over_alpha(params)
+    assert (4.0 * params.Bf, 0.0, 0.0) in r.trace
+    assert r.alpha_opt > 0.0 and r.k22_max > 0.0
 
 
 def test_unknown_criterion_is_rejected():
@@ -270,6 +285,28 @@ def test_negative_re_h11_sends_every_probe_to_the_grid():
     assert search._edges is None
     for b22 in (4.0 * params.Bf * i / 8 for i in range(1, 9)):
         assert _closed_form_bound(search, b22) == _bisected_bound(search, b22)
+
+
+def test_llewellyn_feasibility_is_the_checker_verdict():
+    # the absolute optimum is only consistent with check_absolute_stability
+    # while feasible() gives its llewellyn_ok; the two round Re h22
+    # differently, so where the verdict flips they may differ by a few floats
+    rng = np.random.default_rng(1952)
+    drawn = (draw_plant(rng, 0.3) for _ in range(12))
+    plants = [NOM] + [p for p in drawn if _baseline_passes(p)][:3]
+    assert len(plants) == 4
+    for params in plants:
+        search = _LlewellynBound(params)
+
+        def checker(k22, b22):
+            return check_absolute_stability(params, VirtualCoupler(k22, b22)).llewellyn_ok
+
+        for b22 in (4.0 * params.Bf * i / 6 for i in range(1, 7)):
+            bound = search.bound(b22)
+            for k22 in (bound, math.nextafter(bound, math.inf), bound + 1e-3, (1 - 1e-9) * bound):
+                assert search.feasible(k22, b22) is checker(k22, b22), (params, b22, k22)
+            flip = search.bound(b22, 0.0)  # feasible() passes here and fails one float up
+            assert checker((1 - 1e-12) * flip, b22) and not checker((1 + 1e-12) * flip, b22)
 
 
 @pytest.mark.parametrize("hi", [1.0, 1e-1])

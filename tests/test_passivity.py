@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_coupler, draw_plant
-from vcoupler import model, passivity
+from vcoupler import model, passivity, poly
 from vcoupler.model import SystemParams, VirtualCoupler, derive_coefficients, nominal_params
 from vcoupler.optimize import maximize_k22
 from vcoupler.passivity import (
@@ -353,7 +353,11 @@ def test_a_negative_witness_fails_the_closed_form(case, k22):
     t = (2, 3, -5, 0)  # step has no x**3 term
     base = tuple(c - kn * kn * ti for c, ti in zip(reversed(cubic), t))
     step = tuple(kd * kd * ti for ti in t)
-    witnesses = ((base[0], step[0]), passivity._witness(base, step, x))
+    xn, xd = x.as_integer_ratio()
+    witnesses = (
+        (base[0], step[0]),
+        (poly._homogeneous(base, xn, xd), poly._homogeneous(step, xn, xd)),
+    )
     if base[3] == 0:  # a quadratic falls to -inf when its x**2 coefficient is negative
         witnesses += ((base[2], step[2]),)
     exact = cubic_nonneg_closed_form(*cubic)
@@ -713,10 +717,16 @@ def test_relaxation_strictly_extends_the_passive_region():
         assert check_absolute_stability(NOM, point).overall, point
 
 
+def test_undamped_coupler_on_a_plant_without_static_stiffness_fails_at_x_squared():
+    # Im = alpha = 0 zeroes w0, so t0 = 0; b22 = 0 zeroes t3; t2 = -k22**2*M**2
+    rep = check_condition_c_ii(NOM.replace(Im=0.0, alpha=0.0), vc(100.0, 0.0))
+    assert not rep.passed
+    assert rep.failing == "t2"
+
+
 def test_margin_tolerance_is_respected():
     strict = check_absolute_stability(NOM, vc(409.0, 0.17))
-    loose = check_absolute_stability(NOM, vc(409.0, 0.17), margin_tol=1e-2)
-    assert not strict.llewellyn_ok and loose.llewellyn_ok
+    assert not strict.llewellyn_ok
     assert strict.min_margin == pytest.approx(-3.894e-4, rel=0.02)
 
 

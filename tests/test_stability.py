@@ -14,6 +14,7 @@ from vcoupler.poly import Polynomial
 from vcoupler.stability import (
     RationalFunction,
     analyze_denominator,
+    axis_residue_fault,
     imaginary_axis_pole,
     positive_real,
     quartic_hurwitz,
@@ -156,6 +157,26 @@ def test_positive_real_failure_details():
 
     v4 = positive_real(RationalFunction([1], [-25, -5, 12, 12, 5, 1]))  # root at s = 1
     assert not v4.passive and not v4.stable
+
+
+RESIDUE_FAULTS = [
+    ("double pole at infinity", RationalFunction([0, 0, 1], [1])),
+    ("negative pole at infinity", RationalFunction([0, -1], [1])),
+    ("double pole at zero", RationalFunction([1], [0, 0, 1])),
+    ("negative pole at zero", RationalFunction([-1], [0, 1])),
+    ("negative axis residue", RationalFunction([0, -1], [1, 0, 1])),
+    ("imaginary axis residue", RationalFunction([1], [1, 0, 1])),
+]
+
+
+@pytest.mark.parametrize("label,rf", RESIDUE_FAULTS, ids=[c[0] for c in RESIDUE_FAULTS])
+def test_positive_real_rejects_each_residue_fault(label, rf):
+    v = positive_real(rf)
+    assert not v.residues_ok and not v.passive
+    if "axis" in label:
+        pairs = analyze_denominator(rf.den).imaginary_pairs
+        fault, omega = axis_residue_fault(rf.num, rf.den, pairs)
+        assert fault == "residue" and omega == pytest.approx(1.0)
 
 
 @settings(max_examples=150, deadline=None)
