@@ -12,16 +12,15 @@ them.  They are computed together once per plant, with the plant
 coefficients, and memoized; only (c-ii) and the Llewellyn margin depend on
 the coupler (k22, b22).
 
-Both (c) conditions reduce to the nonnegativity of a cubic in x = w**2 on
-[0, inf).  Each cubic verdict is computed twice independently -- by the
-closed-form rule (poly.cubic_nonneg_closed_form) and by an exact Sturm-chain
-test (poly.is_nonnegative_on) -- and the two must agree exactly; any
-disagreement raises, because both routes are exact.  The structural
-reduction itself is verified once per plant, in exact rational arithmetic:
-the real-part polynomials built generically from the two-port entries must
-equal x*r(x) for h11 and x**2*w(x) for |h12 - 1|**2, coefficient by
-coefficient.  The (c-ii) cubic t = 4*b22*r - (k22**2 + b22**2*x)*w then
-needs no check per coupler.
+Each condition is decided by one exact route.  Both (c) conditions reduce
+to the nonnegativity of a cubic in x = w**2 on [0, inf), decided by the
+closed-form rule (poly.cubic_nonneg_closed_form); only a failing cubic
+builds the exact Sturm chain (poly.is_nonnegative_on), for its witness.
+The reduction rests on two identities in the nine parameters: the
+real-part polynomials of the two-port entries equal x*r(x) for h11 and
+x**2*w(x) for |h12 - 1|**2.  tests/test_passivity.py proves them once, by
+the Schwartz-Zippel lemma, so the (c-ii) cubic
+t = 4*b22*r - (k22**2 + b22**2*x)*w needs no check per plant or coupler.
 
 Absolute stability keeps (a), (b), (c-i) and replaces (c-ii) with the
 Llewellyn form 2*Re h11*Re h22 - Re(h12*h21) - |h12*h21| >= 0, decided on a
@@ -129,7 +128,7 @@ def default_grid(points: int = 2000) -> np.ndarray:
     return np.logspace(-3.0, 6.0, points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
     """Outcome of a single passivity condition.
 
@@ -149,7 +148,7 @@ class ConditionReport:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PassivityReport:
     condition_a: ConditionReport
     condition_b: ConditionReport
@@ -162,7 +161,7 @@ class PassivityReport:
     witnesses: Tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbsoluteStabilityReport:
     condition_a: ConditionReport
     condition_b: ConditionReport
@@ -181,15 +180,15 @@ class AbsoluteStabilityReport:
 def _decide_cubic(
     c3: Fraction, c2: Fraction, c1: Fraction, c0: Fraction, context: str
 ) -> Tuple[bool, Optional[float]]:
-    """Exact cubic-on-[0,inf) verdict via two independent exact routes."""
-    closed = cubic_nonneg_closed_form(c3, c2, c1, c0)
+    """Closed-form verdict on [0, inf), with the Sturm chain's witness x on failure."""
+    if cubic_nonneg_closed_form(c3, c2, c1, c0):
+        return True, None
     sturm, witness_x = is_nonnegative_on(Polynomial([c0, c1, c2, c3]), (0, POS_INF))
-    if closed != sturm:
+    if sturm:
         raise RuntimeError(
-            f"internal: closed-form ({closed}) and Sturm ({sturm}) verdicts "
-            f"disagree for {context}"
+            f"internal: closed-form (False) and Sturm (True) verdicts disagree for {context}"
         )
-    return closed, witness_x
+    return False, witness_x
 
 
 def _verify_c_ii_identity(N12: Polynomial, D: Polynomial, p: PlantCoefficients) -> None:
@@ -198,6 +197,7 @@ def _verify_c_ii_identity(N12: Polynomial, D: Polynomial, p: PlantCoefficients) 
     With Re h11 * |D|**2 == x * r(x), this proves for every coupler that
     4*b22*x*f11(x) - (k22**2 + b22**2*x) * |N12 - D|**2(x) == x**2 * t(x),
     where t = 4*b22*r - (k22**2 + b22**2*x)*w is the cubic of condition (c-ii).
+    Only tests call it, as the oracle of that identity for all parameters.
     """
     V = N12 - D
     if real_part_even_polynomial(V, V) != Polynomial([0, 0, p.w0, p.w1, p.w2]):
@@ -227,20 +227,17 @@ class _PlantAnalysis:
 def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
     """(a), (b) and (c-i) of one plant, sharing one derivation of its entries.
 
-    One s-cancelled h11 and one exact root-location analysis of its
-    denominator serve (a) and the degenerate-gain branch of (b).  The
-    identities behind both (c) cubics are verified here, once per plant.
+    The quartic's Hurwitz margin decides (a) and (b) when both integral
+    gains are positive, else one root-location analysis of the s-cancelled
+    h11's denominator serves both; the closed-form rule decides (c-i).
     """
     p = plant_coefficients(params)
     N11, N12, D = unreduced_entries(params, p)
     h11 = _cancel_s(N11, D)
-    analysis = analyze_denominator(h11.den)
 
     if params.Im > 0 and params.If > 0:
         quartic = (p.a4, p.a3, p.a2, p.a1, p.a0)
         qh = quartic_hurwitz(quartic)
-        if qh.no_open_rhp != analysis.open_rhp_free:
-            raise RuntimeError("internal: quartic margin and generic root analysis disagree")
         a = ConditionReport(
             name="condition_a", passed=qh.no_open_rhp, margin=float(qh.margin),
             branch="quartic-margin", failing=None if qh.no_open_rhp else "margin",
@@ -262,6 +259,7 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
                 note=f"axis pole pair at omega = {w:.6g} rad/s",
             )
     else:
+        analysis = analyze_denominator(h11.den)
         a = ConditionReport(
             name="condition_a", passed=analysis.open_rhp_free, branch="generic",
             failing=None if analysis.open_rhp_free else "rhp-root",
@@ -274,18 +272,11 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
             note="" if fault else "degenerate integral gain: numeric residue checks",
         )
 
-    # Re h11 * |D|**2 must equal x*(r3 x^3 + r2 x^2 + r1 x + r0) exactly
-    if real_part_even_polynomial(N11, D) != Polynomial([0, p.r0, p.r1, p.r2, p.r3]):
-        raise RuntimeError(
-            "internal: generic real-part polynomial of h11 does not match "
-            "the closed-form coefficients"
-        )
-    _verify_c_ii_identity(N12, D, p)
     passed, witness_x = _decide_cubic(p.r3, p.r2, p.r1, p.r0, "condition (c-i)")
     branch: Optional[str] = None
     failing: Optional[str] = None
     if params.Bf == 0:
-        branch = "generic"  # quadratic shape; decided by the same exact routes
+        branch = "generic"  # quadratic shape, which the closed form decides too
     elif passed:
         branch = "i1" if first_clause(p.r3, p.r2, p.r1) else "i2"
     else:
@@ -305,10 +296,9 @@ def check_condition_a(params: SystemParams) -> ConditionReport:
     """No open-right-half-plane poles of the drive two-port.
 
     With both integral gains positive the characteristic quartic has
-    strictly positive coefficients and the closed-form Hurwitz margin
-    decides; the margin is cross-checked against the generic exact
-    root-location analysis.  Degenerate integral gains reduce the
-    denominator degree and only the generic analysis applies.
+    strictly positive coefficients and its closed-form Hurwitz margin
+    decides; a zero integral gain lowers the denominator degree and the
+    generic exact root-location analysis decides.  Tests compare the two.
     """
     return _plant_analysis(params).a
 
@@ -331,8 +321,8 @@ def check_condition_c_i(params: SystemParams) -> ConditionReport:
     """Re h11(j*w) >= 0 for all w, decided exactly.
 
     Reduces to r3 x^3 + r2 x^2 + r1 x + r0 >= 0 on x = w**2 >= 0 (the
-    common factor x is stripped; by continuity the verdicts agree).  The
-    reduction is verified against the two-port entries once per plant.
+    common factor x is stripped; by continuity the verdicts agree), decided
+    by the closed form; tests prove the reduction for all parameters.
     """
     return _plant_analysis(params).c_i
 
@@ -345,8 +335,8 @@ def check_condition_c_ii(params: SystemParams, coupler: VirtualCoupler) -> Condi
     coupler damping above 4*Bf; with b22 == 0 the x^2 coefficient -k22^2*M^2
     takes over as 't2'), the static violation (t0 < 0: coupler stiffness
     beyond the static bound), and an interior dip ('interior').  The cubic
-    is t = 4*b22*r - (k22**2 + b22**2*x)*w, whose plant polynomials r and w
-    are verified against the two-port entries once per plant.
+    is t = 4*b22*r - (k22**2 + b22**2*x)*w, decided by the closed form; tests
+    prove the identities behind r and w (see _verify_c_ii_identity).
     """
     c = coupler_coefficients(_plant_analysis(params).coeffs, coupler)
     passed, witness_x = _decide_cubic(c.t3, c.t2, c.t1, c.t0, "condition (c-ii)")

@@ -18,7 +18,14 @@ import pytest
 from conftest import draw_coupler, draw_plant, record_acceptance
 from test_poly import _cubic_sampling_oracle
 
-from vcoupler.model import VirtualCoupler, hybrid_matrix, nominal_coupler, nominal_params
+from vcoupler.model import (
+    VirtualCoupler,
+    coupler_coefficients,
+    hybrid_matrix,
+    nominal_coupler,
+    nominal_params,
+    plant_coefficients,
+)
 from vcoupler.optimize import maximize_k22, maximize_k22_over_alpha
 from vcoupler.passivity import (
     _LlewellynBound,
@@ -340,12 +347,19 @@ def test_c5_necessity_of_motor_integral_action():
 
 
 def test_c6_exact_verdicts_match_dense_sampling(corpus, corpus_sampled_margins):
+    splits = 0
     disagreements = 0
     boundary = 0
     for inst, sampled_min in zip(corpus, corpus_sampled_margins):
-        # the closed-form and chain routes run together inside the checker
-        # and raise if they ever split
-        check_condition_c_ii(inst.params, inst.coupler)
+        # the checker decides each cubic by its closed form; the Sturm chain
+        # on the same cubics is the second exact route
+        c = coupler_coefficients(plant_coefficients(inst.params), inst.coupler)
+        for report, cubic in (
+            (inst.two_port.condition_c_i, (c.r0, c.r1, c.r2, c.r3)),
+            (inst.two_port.condition_c_ii, (c.t0, c.t1, c.t2, c.t3)),
+        ):
+            if report.passed != is_nonnegative_on(Polynomial(cubic), (0.0, math.inf))[0]:
+                splits += 1
         exact = inst.two_port.condition_c_i.passed and inst.two_port.condition_c_ii.passed
         sampled = sampled_min >= -1e-8
         if sampled != exact:
@@ -353,11 +367,11 @@ def test_c6_exact_verdicts_match_dense_sampling(corpus, corpus_sampled_margins):
                 boundary += 1
             else:
                 disagreements += 1
-    ok = disagreements == 0
+    ok = splits == 0 and disagreements == 0
     _report(
         "c6 route agreement: plant corpus", ok,
         f"{len(corpus)} random plant/coupler draws: closed form == chain route "
-        f"== dense sampling; {disagreements} disagreements "
+        f"== dense sampling; {splits} route splits, {disagreements} disagreements "
         f"({boundary} within the 1e-8 sampling band)",
     )
 

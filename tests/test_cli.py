@@ -553,6 +553,16 @@ def test_sweep_range_outside_the_parameter_domain(capsys, vary, rng, message):
     assert err == f"config error: {message}\n"
 
 
+def test_negative_sweep_range_after_a_space_is_an_argparse_error(capsys):
+    # argparse takes "-1:2:3" for an option, so the value is missing
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", TABLE, "--vary", "k22", "--range", "-1:2:3"])
+    assert exc.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --range: expected one argument" in captured.err
+
+
 def test_check_needs_a_coupler_in_the_config(capsys, tmp_path):
     cfg = {k: v for k, v in _base_config().items() if k not in ("k22", "b22")}
     p = tmp_path / "plant.json"

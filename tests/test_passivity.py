@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_coupler, draw_plant
+from conftest import PLANT_FIELDS, draw_coupler, draw_plant
 from vcoupler import model, passivity, poly
 from vcoupler.model import SystemParams, VirtualCoupler, derive_coefficients, nominal_params
 from vcoupler.optimize import maximize_k22
@@ -31,7 +31,7 @@ from vcoupler.passivity import (
     two_port_grid_margins,
 )
 from vcoupler.poly import Polynomial, cubic_nonneg_closed_form, is_nonnegative_on
-from vcoupler.stability import real_part_even_polynomial
+from vcoupler.stability import analyze_denominator, real_part_even_polynomial
 
 NOM = nominal_params()
 
@@ -461,17 +461,60 @@ def test_bound_tolerance_below_the_float_spacing_ends_or_raises(tol):
     assert not check_condition_c_ii(NOM, vc(math.nextafter(result, math.inf), 0.1)).passed
 
 
-def test_plant_analysis_rejects_a_w_quadratic_off_the_two_port_entries(monkeypatch):
-    real = passivity.plant_coefficients
+def _integer_plant(rng, **fixed):
+    """A plant with integer fields in [1, 2**50) and alpha = k/2**50, k in [1, 2**50)."""
+    kw = {f: float(rng.integers(1, 2**50)) for f in PLANT_FIELDS}
+    kw["alpha"] = float(rng.integers(1, 2**50)) / 2**50
+    kw.update(fixed)
+    return SystemParams(**kw)
 
-    def with_wrong_w1(params):
-        p = real(params)
-        return dataclasses.replace(p, w1=p.w1 + 1)
 
-    monkeypatch.setattr(passivity, "plant_coefficients", with_wrong_w1)
-    passivity._plant_analysis.cache_clear()
+def test_plant_identities_hold_for_all_parameters():
+    """Re h11*|D|**2 == x*r(x) and |N12 - D|**2 == x**2*w(x), as identities.
+
+    Both sides are computed by the library: plant_coefficients and
+    unreduced_entries, real_part_even_polynomial for the first identity and
+    _verify_c_ii_identity (which raises on a mismatch) for the second.  Each
+    coefficient of either side is a rational function of the nine
+    parameters whose denominator divides Pm**2*Pf**2.  Times that, and with
+    alpha = k/2**50 times 2**(50*9), each coefficient of the difference is
+    a polynomial of total degree at most d = 9 in the eight plant fields
+    and k.  By the Schwartz-Zippel lemma (Schwartz, JACM 1980) a nonzero
+    one vanishes at a point drawn uniformly from S**9, S = {1, ..., 2**50 - 1},
+    with probability at most d/|S|.  So code that breaks either identity
+    passes the 20 random points with probability at most
+    (9/(2**50 - 1))**20 < 1e-281.  Five more points, each with one random
+    field replaced, run the degenerate shapes: Im = 0, If = 0, Bf = 0,
+    alpha = 0 and alpha = 1.
+    """
+    rng = np.random.default_rng(1980)
+    plants = [_integer_plant(rng) for _ in range(20)]
+    plants += [
+        _integer_plant(rng, **fixed)
+        for fixed in ({"Im": 0.0}, {"If": 0.0}, {"Bf": 0.0}, {"alpha": 0.0}, {"alpha": 1.0})
+    ]
+    for params in plants:
+        p = model.plant_coefficients(params)
+        N11, N12, D = model.unreduced_entries(params, p)
+        assert real_part_even_polynomial(N11, D) == Polynomial([0, p.r0, p.r1, p.r2, p.r3]), params
+        passivity._verify_c_ii_identity(N12, D, p)
+    # the oracle rejects a w quadratic off the two-port entries
+    p = model.plant_coefficients(NOM)
+    _, N12, D = model.unreduced_entries(NOM, p)
     with pytest.raises(RuntimeError, match="^internal: "):
-        passivity._plant_analysis(NOM)
+        passivity._verify_c_ii_identity(N12, D, dataclasses.replace(p, w1=p.w1 + 1))
+
+
+def test_a_closed_form_failure_that_the_sturm_chain_passes_raises(monkeypatch):
+    # a failing closed form builds the chain for its witness; the chain's
+    # verdict must agree, or the checker reports an internal error
+    check_condition_c_i(NOM)  # the plant memo, filled before the patch
+    monkeypatch.setattr(passivity, "cubic_nonneg_closed_form", lambda *cubic: False)
+    with pytest.raises(RuntimeError, match=r"^internal: .* disagree for condition \(c-ii\)$"):
+        check_condition_c_ii(NOM, vc(408.0, 0.17))
+    passivity._plant_analysis.cache_clear()
+    with pytest.raises(RuntimeError, match=r"^internal: .* disagree for condition \(c-i\)$"):
+        check_condition_c_i(NOM)
 
 
 def _determinant_polynomial(params, coupler):
@@ -640,7 +683,7 @@ def test_plant_work_runs_once_for_the_three_checks(monkeypatch):
     calls = collections.Counter()
     names = (
         "analyze_denominator", "quartic_hurwitz", "derive_coefficients",
-        "plant_coefficients", "real_part_even_polynomial",
+        "plant_coefficients", "real_part_even_polynomial", "is_nonnegative_on",
     )
     for module in (passivity, model):
         for name in names:
@@ -658,15 +701,35 @@ def test_plant_work_runs_once_for_the_three_checks(monkeypatch):
     check_two_port_passivity(NOM, coupler)
     check_absolute_stability(NOM, coupler)
     check_sufficient_conditions(NOM, coupler)
-    assert calls["analyze_denominator"] == 1
+    assert calls["analyze_denominator"] == 0
     assert calls["quartic_hurwitz"] == 1
     assert calls["plant_coefficients"] == 1
     assert calls["derive_coefficients"] == 0
-    # the (c-i) and (c-ii) identities, once per plant, and none per coupler
-    assert calls["real_part_even_polynomial"] == 2
-    for k22 in (100.0, 200.0, 300.0, 400.0, 500.0):
-        check_condition_c_ii(NOM, vc(k22, 0.15))
-    assert calls["real_part_even_polynomial"] == 2
+    # the (c-i) and (c-ii) identities are proved by tests, not per plant
+    assert calls["real_part_even_polynomial"] == 0
+    for k22 in (100.0, 200.0, 300.0, 350.0, 380.0):
+        assert check_condition_c_ii(NOM, vc(k22, 0.15)).passed
+    assert calls["real_part_even_polynomial"] == 0
+    # a passing cubic is decided by its closed form alone; only a failing
+    # one builds the Sturm chain, for its witness
+    assert calls["is_nonnegative_on"] == 0
+    assert not check_condition_c_ii(NOM, vc(400.0, 0.15)).passed
+    assert calls["is_nonnegative_on"] == 1
+
+
+def test_quartic_margin_verdict_matches_the_generic_root_analysis(corpus):
+    # with Im, If > 0 the quartic's Hurwitz margin alone decides (a); the
+    # generic exact root location of h11's denominator must agree
+    verdicts = collections.Counter()
+    for inst in corpus:
+        p = inst.params
+        assert p.Im > 0 and p.If > 0
+        den = model.hybrid_matrix(p, inst.coupler).h11.den
+        a = check_condition_a(p)
+        assert a.branch == "quartic-margin"
+        assert a.passed == analyze_denominator(den).open_rhp_free, p
+        verdicts[a.passed] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 # ---------------------------------------------------------------------------
@@ -805,12 +868,20 @@ def test_corpus_exercises_both_sides_of_every_verdict(corpus):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_dual_route_interior_test_never_disagrees(seed):
-    # the coefficient test runs its closed form and its chain route together
-    # and raises if they ever split; random draws must stay silent
+    # the checkers decide each cubic by its closed form; the exact Sturm
+    # chain on the same cubic must give the same verdict, and its witness
+    # on failure
     rng = np.random.default_rng(seed)
     p = draw_plant(rng)
     coupler = draw_coupler(rng, p.Bf)
-    check_condition_c_ii(p, coupler)
+    c = model.coupler_coefficients(model.plant_coefficients(p), coupler)
+    for report, cubic in (
+        (check_condition_c_i(p), (c.r0, c.r1, c.r2, c.r3)),
+        (check_condition_c_ii(p, coupler), (c.t0, c.t1, c.t2, c.t3)),
+    ):
+        ok, witness_x = is_nonnegative_on(Polynomial(cubic), (0, math.inf))
+        assert report.passed == ok, (p, coupler)
+        assert report.witness_omega == (None if ok else math.sqrt(witness_x))
 
 
 # ---------------------------------------------------------------------------
