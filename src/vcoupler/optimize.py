@@ -12,16 +12,26 @@ search inside a golden-section scan of the feedforward blend alpha.
 Two criteria are supported: "passivity" maximizes the exact two-port bound
 k22_upper_bound (passivity._DeterminantBound); "absolute" maximizes the
 largest k22 at which check_absolute_stability's sampled Llewellyn margin
-holds on the same grid (passivity._LlewellynBound), so the returned optimum
-is consistent with that checker's verdicts.  Each maximize_k22 call builds
-one bound object for its plant and keeps it for the whole search.
+holds on the same grid (passivity._LlewellynBound).  At the search's 1e-3
+tolerance the returned optimum agrees with that checker's verdicts; the
+two round Re h22 differently, so at tol = 0 they may flip a few floats
+apart.  Each inner search builds one bound object for its plant and keeps
+it for the whole search.
+
+Under the passivity criterion the joint search prunes its inner sweeps:
+before evaluating a sweep point it runs one exact probe at the largest
+bound found so far, and skips the point when the probe fails.  Feasibility
+is downward-closed in k22 and a bound is a k22 that passed exactly, so a
+skipped point's bound is strictly below the running maximum: the bracket,
+refinement, guard and every inner optimum are those of the full sweep.
+maximize_k22 and the absolute criterion evaluate all 50 points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -130,15 +140,35 @@ def maximize_k22(
     Sweeps the objective at 50 uniform points of (0, 4*Bf], golden-sections
     the bracket around the best sample down to 1e-4, and returns whichever
     of the refined point and the best sweep sample scored higher -- the
-    sweep acting as the unimodality guard for the local refinement.
+    sweep acting as the unimodality guard for the local refinement.  The
+    trace holds every evaluation, the 50 sweep points first.
 
     Raises BaselineNotPassive when Bf = 0 or any coupler-independent
     condition fails.
     """
     crit = _normalize_criterion(criterion)
     _require_baseline(params)
-
     bound = _DeterminantBound(params) if crit == "passivity" else _LlewellynBound(params, grid)
+    return _search_b22(params, crit, bound)[0]
+
+
+def _search_b22(
+    params: SystemParams,
+    crit: str,
+    bound: Union[_DeterminantBound, _LlewellynBound],
+    first: Optional[int] = None,
+) -> Tuple[OptimizationResult, int]:
+    """maximize_k22's search on one bound object, and its best sweep index.
+
+    With first = None every sweep point is evaluated, in order.  A sweep
+    index prunes the sweep instead, for a _DeterminantBound only: the
+    visits start at first and walk outward, and a point is skipped when
+    bound.admits(b22, top) fails for the largest bound top > 0 found so far.
+    Its bound is then strictly below top, so it is not the sweep's first
+    maximum, and the bracket, refinement, guard and notes are those of the
+    full sweep.  Only the trace differs: it holds the evaluated points in
+    visit order, so a caller prunes only when it discards the trace.
+    """
     b_hi = 4.0 * params.Bf
     trace: List[Tuple[float, float, float]] = []
 
@@ -148,8 +178,16 @@ def maximize_k22(
         return k
 
     pts = [b_hi * i / _SWEEP_POINTS for i in range(1, _SWEEP_POINTS + 1)]
-    vals = [f(b) for b in pts]
-    best = max(range(len(pts)), key=vals.__getitem__)
+    order = range(len(pts))
+    if first is not None:
+        order = sorted(order, key=lambda i: (abs(i - first), i))
+    vals: Dict[int, float] = {}
+    top = 0.0
+    for i in order:
+        if first is None or top == 0.0 or bound.admits(pts[i], top):
+            vals[i] = f(pts[i])
+            top = max(top, vals[i])
+    best = max(sorted(vals), key=vals.__getitem__)
     lo_b = pts[best - 1] if best > 0 else 0.5 * pts[0]
     hi_b = pts[best + 1] if best + 1 < len(pts) else b_hi
 
@@ -163,7 +201,7 @@ def maximize_k22(
         f"criterion={crit}; sweep {_SWEEP_POINTS} points on (0, {b_hi:g}]; "
         f"bracket [{lo_b:.6g}, {hi_b:.6g}]; {guard}"
     )
-    return OptimizationResult(
+    result = OptimizationResult(
         b22_opt=b_opt,
         alpha_opt=params.alpha,
         k22_max=k_max,
@@ -171,6 +209,7 @@ def maximize_k22(
         trace=tuple(trace),
         notes=notes,
     )
+    return result, best
 
 
 def maximize_k22_over_alpha(
@@ -180,21 +219,30 @@ def maximize_k22_over_alpha(
 ) -> OptimizationResult:
     """Joint optimum over the feedforward blend alpha and b22.
 
-    Runs maximize_k22 at both endpoints of [0, 1] and at golden-section
-    probes in between, returning the best inner optimum; alpha values whose
-    plant fails the coupler-independent conditions contribute k22 = 0.
+    Runs maximize_k22's search at both endpoints of [0, 1] and at
+    golden-section probes in between, returning the best inner optimum;
+    alpha values whose plant fails the coupler-independent conditions
+    contribute k22 = 0.  The trace holds one (b22_opt, alpha, k22_max) per
+    alpha and the inner traces are discarded, so under the passivity
+    criterion each inner sweep is pruned (see _search_b22): it starts at the
+    previous alpha's best sweep index (the last point for the first alpha)
+    and its first estimate at the previous alpha's stationary point.  Each
+    inner result is the one maximize_k22 returns, apart from its trace.
     """
     crit = _normalize_criterion(criterion)
     _require_baseline(params)
 
     results: dict[float, OptimizationResult] = {}
     trace: List[Tuple[float, float, float]] = []
+    first, start = _SWEEP_POINTS - 1, None
 
     def inner(alpha: float) -> OptimizationResult:
+        nonlocal first, start
         a = min(max(float(alpha), 0.0), 1.0)
         if a not in results:
+            p = params.replace(alpha=a)
             try:
-                res = maximize_k22(params.replace(alpha=a), crit, grid)
+                _require_baseline(p)
             except BaselineNotPassive:
                 res = OptimizationResult(
                     b22_opt=4.0 * params.Bf,
@@ -204,6 +252,13 @@ def maximize_k22_over_alpha(
                     trace=(),
                     notes="coupler-independent conditions fail at this alpha",
                 )
+            else:
+                if crit == "passivity":
+                    bound = _DeterminantBound(p, start)
+                    res, first = _search_b22(p, crit, bound, first)
+                    start = bound.start
+                else:
+                    res, _ = _search_b22(p, crit, _LlewellynBound(p, grid))
             results[a] = res
             trace.append((res.b22_opt, a, res.k22_max))
         return results[a]

@@ -213,28 +213,34 @@ def _verify_c_ii_identity(N12: Polynomial, D: Polynomial, p: PlantCoefficients) 
 
 @dataclass(frozen=True)
 class _PlantAnalysis:
-    """One plant's coefficients, s-cancelled h11 and h12, and (a), (b), (c-i)."""
+    """One plant's coefficients and (a), (b), (c-i), with its entries on demand."""
 
+    params: SystemParams
     coeffs: PlantCoefficients
-    h11: RationalFunction
-    h12: RationalFunction
     a: ConditionReport
     b: ConditionReport
     c_i: ConditionReport
 
+    @functools.cached_property
+    def entries(self) -> Tuple[RationalFunction, RationalFunction]:
+        """The s-cancelled h11 and h12, built on first read.
+
+        Grid margins, the Llewellyn bound and the dip recheck read them; the
+        exact conditions and the k22 bound do not.
+        """
+        N11, N12, D = unreduced_entries(self.params, self.coeffs)
+        return _cancel_s(N11, D), _cancel_s(N12, D)
+
 
 @functools.lru_cache(maxsize=512)
 def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
-    """(a), (b) and (c-i) of one plant, sharing one derivation of its entries.
+    """(a), (b) and (c-i) of one plant, sharing one derivation of its coefficients.
 
     The quartic's Hurwitz margin decides (a) and (b) when both integral
     gains are positive, else one root-location analysis of the s-cancelled
     h11's denominator serves both; the closed-form rule decides (c-i).
     """
     p = plant_coefficients(params)
-    N11, N12, D = unreduced_entries(params, p)
-    h11 = _cancel_s(N11, D)
-
     if params.Im > 0 and params.If > 0:
         quartic = (p.a4, p.a3, p.a2, p.a1, p.a0)
         qh = quartic_hurwitz(quartic)
@@ -259,6 +265,8 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
                 note=f"axis pole pair at omega = {w:.6g} rad/s",
             )
     else:
+        N11, _, D = unreduced_entries(params, p)
+        h11 = _cancel_s(N11, D)
         analysis = analyze_denominator(h11.den)
         a = ConditionReport(
             name="condition_a", passed=analysis.open_rhp_free, branch="generic",
@@ -285,7 +293,7 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
         name="condition_c_i", passed=passed, branch=branch, failing=failing,
         witness_omega=math.sqrt(witness_x) if witness_x is not None else None,
     )
-    return _PlantAnalysis(p, h11, _cancel_s(N12, D), a, b, c_i)
+    return _PlantAnalysis(params, p, a, b, c_i)
 
 
 # perfbench clears the plant memo under this name; ROADMAP item 1 drops the alias
@@ -525,6 +533,24 @@ def _round_down(cubic: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
     return c3 >> shift, c2 >> shift, c1 >> shift, c0 >> shift
 
 
+def _witnesses(
+    base: Tuple[int, ...], step: Tuple[int, ...], x: Optional[float]
+) -> Tuple[Tuple[int, int], ...]:
+    """_probe's witnesses (B, S) of the cubics base and step.
+
+    base(0) and step(0); the x**2 coefficients when base[3] = 0 leaves a
+    quadratic, whose sign decides as x -> inf; and xd**3 times base(x) and
+    step(x) at x = xn/xd > 0, when x is given.
+    """
+    witnesses: Tuple[Tuple[int, int], ...] = ((base[0], step[0]),)
+    if base[3] == 0:
+        witnesses += ((base[2], step[2]),)
+    if x is not None:
+        xn, xd = x.as_integer_ratio()
+        witnesses += ((_homogeneous(base, xn, xd), _homogeneous(step, xn, xd)),)
+    return witnesses
+
+
 def _probe(
     base: Tuple[int, ...],
     step: Tuple[int, ...],
@@ -562,10 +588,11 @@ class _DeterminantBound:
     coefficient record and scaled to Python ints by one lcm.  At
     b22 = bn/bd that lcm times bd**2 times t is base + k22**2*step, with
     the integer cubics base = 4*r*bn*bd - x*w*bn**2 and step = -w*bd**2.
-    Beyond its plant, an instance keeps only the stationary point of the
-    last b22 whose estimate found a minimum, a Newton start that changes
-    the cost of the next call and never its result; a caller keeps it for
-    one search.
+    Beyond its plant, an instance keeps only start, the stationary point of
+    the last b22 whose estimate found a minimum (or the one a caller passed
+    in, such as that of a neighbouring plant): a Newton start that changes
+    the cost of the next call and never its result.  A caller keeps an
+    instance for one search.
 
     Feasibility is downward-closed in k22: x**2*w = |N12 - D|**2 >= 0, so
     w >= 0 on x >= 0 and t decreases pointwise in K = k22**2.  bound()
@@ -594,15 +621,45 @@ class _DeterminantBound:
        two, so its pass is a pass;
     3. the closed form on the full integers, several hundred bits long.
     So the verdict is always the closed form's own.
+
+    admits(b22, k22) is one such probe, witnessed at x = 0 and at start.
+    bound() returns 0.0 or a k22 that passed an exact probe, and a feasible
+    k22 is at most the supremum; so when admits(b22, k) fails for some
+    k > 0, bound(b22) < k.  maximize_k22_over_alpha's pruned sweep skips
+    such a b22 without calling bound().
     """
 
-    def __init__(self, params: SystemParams) -> None:
+    def __init__(self, params: SystemParams, start: Optional[float] = None) -> None:
         p = _plant_analysis(params).coeffs
         ints = _integer_vector((4 * p.r0, 4 * p.r1, 4 * p.r2, 4 * p.r3, p.w0, p.w1, p.w2))
         self._r4, self._w = ints[:4], ints[4:]
         self._ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
         self._r0x4 = max(float(4 * p.r0), 0.0)
-        self._start: Optional[float] = None
+        self.start = start
+
+    def _cubics(self, b22: float) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The integer cubics (base, step) of a finite b22 > 0, lowest degree first.
+
+        At b22 = bn/bd and k22 = kn/kd the determinant cubic times
+        scale*bd**2*kd**2 > 0 has the integer coefficients
+        base*kd**2 + step*kn**2, and a positive scale leaves the homogeneous
+        closed-form verdict unchanged.
+        """
+        bn, bd = b22.as_integer_ratio()
+        bb, bnd, dd = bn * bn, bn * bd, bd * bd
+        r0, r1, r2, r3 = self._r4
+        w0, w1, w2 = self._w
+        base = (r0 * bnd, r1 * bnd - w0 * bb, r2 * bnd - w1 * bb, r3 * bnd - w2 * bb)
+        return base, (-w0 * dd, -w1 * dd, -w2 * dd, 0)
+
+    def admits(self, b22: float, k22: float) -> bool:
+        """Exact verdict of condition (c-ii) at a finite b22 > 0 and k22 >= 0.
+
+        One _probe, witnessed at x = 0 and at the current start; by
+        downward closure a failure proves bound(b22) < k22 for k22 > 0.
+        """
+        base, step = self._cubics(b22)
+        return _probe(base, step, _witnesses(base, step, self.start), k22)
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
         if not tol >= 0.0:
@@ -610,28 +667,14 @@ class _DeterminantBound:
         if b22 <= 0 or not math.isfinite(b22):
             return 0.0
 
-        # At b22 = bn/bd and k22 = kn/kd the cubic times scale*bd**2*kd**2 > 0
-        # has integer coefficients base*kd**2 + step*kn**2, and a positive
-        # scale leaves the homogeneous closed-form verdict unchanged.
-        bn, bd = b22.as_integer_ratio()
-        bb, bnd, dd = bn * bn, bn * bd, bd * bd
-        r0, r1, r2, r3 = self._r4
-        w0, w1, w2 = self._w
-        base = (r0 * bnd, r1 * bnd - w0 * bb, r2 * bnd - w1 * bb, r3 * bnd - w2 * bb)
-        step = (-w0 * dd, -w1 * dd, -w2 * dd, 0)
+        base, step = self._cubics(b22)
         if base[3] < 0:  # t3 < 0 at every k22: b22 > 4*Bf
             return 0.0
         hi = math.sqrt(self._r0x4 * b22) / self._ia if self._ia > 0 else None
-        K, x = _frontier_k2(base, step, self._start)
-        witnesses: Tuple[Tuple[int, int], ...] = ((base[0], step[0]),)  # x = 0
-        if base[3] == 0:  # a quadratic: its x**2 coefficient is a witness at x -> inf
-            witnesses += ((base[2], step[2]),)
+        K, x = _frontier_k2(base, step, self.start)
         if x is not None:
-            self._start = x
-            # xd**3 times base(x) and step(x) at x = xn/xd
-            xn, xd = x.as_integer_ratio()
-            witnesses += ((_homogeneous(base, xn, xd), _homogeneous(step, xn, xd)),)
-        probe = functools.partial(_probe, base, step, witnesses)
+            self.start = x
+        probe = functools.partial(_probe, base, step, _witnesses(base, step, x))
 
         below, above = -math.inf, math.inf
         if 0.0 < K < math.inf:
@@ -670,12 +713,8 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
 
 
 def _entry_grids(params: SystemParams, coupler: VirtualCoupler, omegas: np.ndarray):
-    memo = _plant_analysis(params)
-    return (
-        memo.h11.eval_grid(omegas),
-        memo.h12.eval_grid(omegas),
-        _coupler_port(coupler).eval_grid(omegas),
-    )
+    h11, h12 = _plant_analysis(params).entries
+    return h11.eval_grid(omegas), h12.eval_grid(omegas), _coupler_port(coupler).eval_grid(omegas)
 
 
 def two_port_grid_margins(
@@ -715,7 +754,7 @@ def _confirm_sampled_dip(
     h12 - 1 = (N12 - D)/D exactly and sampling it afterwards does not.
     """
     h11, _, h22 = _entry_grids(params, coupler, omegas)
-    h12 = _plant_analysis(params).h12
+    _, h12 = _plant_analysis(params).entries
     h12m1 = RationalFunction(h12.num - h12.den, h12.den)
     _, _, mdet = _two_port_margins(h11, h12m1.eval_grid(omegas), h22)
     worst = np.minimum(m11, mdet)
@@ -787,8 +826,7 @@ class _LlewellynBound:
     def __init__(self, params: SystemParams, grid: Optional[np.ndarray] = None) -> None:
         grid = default_grid(_LLEWELLYN_POINTS) if grid is None else grid
         omegas = np.asarray(grid, dtype=float)
-        memo = _plant_analysis(params)
-        h11, h12 = memo.h11.eval_grid(omegas), memo.h12.eval_grid(omegas)
+        h11, h12 = (h.eval_grid(omegas) for h in _plant_analysis(params).entries)
         if not np.any(np.isfinite(h11) & np.isfinite(h12)):
             raise InvalidParams(
                 "h11 and h12 overflow double precision at every grid point"

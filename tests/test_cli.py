@@ -198,6 +198,46 @@ def test_optimize_joint_search(capsys):
     assert doc["k22_max"] == pytest.approx(417.109, abs=0.2)
 
 
+_JOINT_NOTES = (
+    "criterion={0}; alpha golden-section on [0, 1] to 0.005 plus endpoints; "
+    "inner: criterion={0}; sweep 50 points on (0, 0.2]; bracket [{1}]; "
+    "guard: refinement held the sweep maximum"
+)
+# the bytes of the joint search, as the unpruned sweep printed them
+_JOINT_OUTPUT = {
+    ("passivity", "csv"): (
+        "criterion: passivity\nk22_max: 417.1\nb22_opt: 0.15\nalpha_opt: 0.89\n"
+        "evaluations: 16\nnotes: " + _JOINT_NOTES.format("passivity", "0.144, 0.152") + "\n"
+    ),
+    ("passivity", "json"): (
+        '{\n  "criterion": "passivity",\n  "k22_max": 417.1094177087317,\n'
+        '  "b22_opt": 0.14845824720006734,\n  "alpha_opt": 0.8904631987238172,\n'
+        '  "evaluations": 16,\n  "notes": "'
+        + _JOINT_NOTES.format("passivity", "0.144, 0.152") + '"\n}\n'
+    ),
+    ("absolute", "csv"): (
+        "criterion: absolute\nk22_max: 424.3\nb22_opt: 0.14\nalpha_opt: 0.82\n"
+        "evaluations: 16\nnotes: " + _JOINT_NOTES.format("absolute", "0.132, 0.14") + "\n"
+    ),
+    ("absolute", "json"): (
+        '{\n  "criterion": "absolute",\n  "k22_max": 424.3310546875,\n'
+        '  "b22_opt": 0.13512077304004713,\n  "alpha_opt": 0.8215794912265513,\n'
+        '  "evaluations": 16,\n  "notes": "'
+        + _JOINT_NOTES.format("absolute", "0.132, 0.14") + '"\n}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("criterion, fmt", sorted(_JOINT_OUTPUT))
+def test_optimize_joint_search_bytes(capsys, criterion, fmt):
+    code, out, _ = run(
+        capsys, "optimize", "--config", TABLE, "--over", "b22+alpha",
+        "--criterion", criterion, "--format", fmt,
+    )
+    assert code == EXIT_PASS
+    assert out == _JOINT_OUTPUT[criterion, fmt]
+
+
 def test_optimize_absolute_criterion(capsys):
     code, out, _ = run(
         capsys, "optimize", "--config", TABLE, "--criterion", "absolute",

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import draw_plant
+from vcoupler import passivity
 from vcoupler.errors import BaselineNotPassive, InvalidParams
 from vcoupler.model import VirtualCoupler, nominal_params
 from vcoupler.optimize import maximize_k22, maximize_k22_over_alpha
 from vcoupler.passivity import (
+    _DeterminantBound,
     _LlewellynBound,
     _sup_feasible,
     check_absolute_stability,
@@ -145,6 +147,81 @@ def test_optimizer_is_deterministic():
     assert a.trace == b.trace
     assert a.k22_max == b.k22_max
     assert a.b22_opt == b.b22_opt
+
+
+# ---------------------------------------------------------------------------
+# the joint search's pruned sweep returns maximize_k22's inner optima
+# ---------------------------------------------------------------------------
+
+
+def _joint_plants():
+    rng = np.random.default_rng(2718)
+    drawn = (draw_plant(rng, 0.3) for _ in range(40))
+    return [NOM] + [p for p in drawn if _baseline_passes(p)][:5]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_joint_search_keeps_every_inner_optimum(index):
+    params = _joint_plants()[index]
+    r = maximize_k22_over_alpha(params)
+    solved = [(b22, alpha, k22) for b22, alpha, k22 in r.trace if k22 > 0.0]
+    assert solved
+    for b22, alpha, k22 in solved:
+        inner = maximize_k22(params.replace(alpha=alpha))
+        assert (inner.b22_opt, inner.k22_max) == (b22, k22), alpha
+    winner = maximize_k22(params.replace(alpha=r.alpha_opt))
+    assert r.notes.endswith("; inner: " + winner.notes)
+
+
+def test_failed_pruning_test_proves_a_lower_bound():
+    # along the nominal sweep: admits() at the bound itself passes, and where
+    # it fails at another point's bound k, this point's bound lies below k
+    bounds = _DeterminantBound(NOM)
+    pts = [4.0 * NOM.Bf * i / 50 for i in range(1, 51)]
+    vals = [bounds.bound(b22) for b22 in pts]
+    assert min(vals) > 0.0
+    failed = 0
+    for b22, k in zip(pts, vals):
+        assert bounds.admits(b22, k), b22
+        for top in vals + [math.nextafter(k, math.inf), k + 1e-3]:
+            if not bounds.admits(b22, top):
+                failed += 1
+                assert k < top, (b22, top)
+    assert failed > 1000
+
+
+def test_joint_search_prunes_the_sweep(monkeypatch):
+    # unpruned, 16 alphas at 50 sweep and 12 refinement points each would
+    # make 992 bound calls; the pruned sweep evaluates a few points near the peak
+    calls = []
+    bound = _DeterminantBound.bound
+    monkeypatch.setattr(
+        _DeterminantBound, "bound", lambda self, *a: calls.append(a) or bound(self, *a)
+    )
+    assert maximize_k22_over_alpha(NOM).k22_max == 417.1094177087317
+    assert len(calls) <= 300
+    calls.clear()
+    assert len(maximize_k22(NOM).trace) == len(calls) == 62
+
+
+def test_joint_search_builds_no_hybrid_entries(monkeypatch):
+    # the exact conditions and the k22 bound need the coefficients alone
+    built = []
+    entries = passivity.unreduced_entries
+    monkeypatch.setattr(
+        passivity, "unreduced_entries", lambda *a: built.append(a) or entries(*a)
+    )
+    passivity._plant_analysis.cache_clear()
+    maximize_k22_over_alpha(NOM)
+    assert built == []
+
+
+def test_joint_search_does_not_depend_on_the_call_history():
+    other = _joint_plants()[1]
+    passivity._plant_analysis.cache_clear()
+    alone = maximize_k22_over_alpha(NOM), maximize_k22_over_alpha(other)
+    after = maximize_k22_over_alpha(other), maximize_k22_over_alpha(NOM)
+    assert after == alone[::-1]
 
 
 # ---------------------------------------------------------------------------

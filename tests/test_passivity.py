@@ -305,12 +305,12 @@ def test_the_call_after_the_window_edge_polishes_the_previous_minimum(monkeypatc
     bounds = passivity._DeterminantBound(NOM)
     for b22 in trace[: edge + 1]:
         bounds.bound(b22)
-    start = bounds._start
+    start = bounds.start
     assert start is not None
     roots.clear()
     bounds.bound(trace[edge + 1])
     assert roots == []
-    assert bounds._start != start
+    assert bounds.start != start
 
 
 def _touching_cubic(an, e, p, q):
