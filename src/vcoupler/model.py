@@ -42,12 +42,19 @@ __all__ = [
     "nominal_params",
     "nominal_coupler",
     "plant_coefficients",
-    "coupler_coefficients",
     "derive_coefficients",
     "hybrid_matrix",
     "eval_h",
     "load_config",
 ]
+
+
+def _isfinite(v) -> bool:
+    """math.isfinite(v), but False instead of OverflowError for an int beyond the float range."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -75,14 +82,14 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("Kf", "M", "B", "Pm", "Pf"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, (int, float)) and _isfinite(v) and v > 0):
                 raise InvalidParams(f"{name} must be a positive finite number, got {v!r}")
         for name in ("Bf", "Im", "If"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            if not (isinstance(v, (int, float)) and _isfinite(v) and v >= 0):
                 raise InvalidParams(f"{name} must be a nonnegative finite number, got {v!r}")
         a = self.alpha
-        if not (isinstance(a, (int, float)) and math.isfinite(a) and 0 <= a <= 1):
+        if not (isinstance(a, (int, float)) and 0 <= a <= 1):
             raise InvalidParams(f"alpha must lie in [0, 1], got {a!r}")
 
     # params.replace(alpha=a): a copy, validated again by __post_init__
@@ -99,7 +106,7 @@ class VirtualCoupler:
     def __post_init__(self) -> None:
         for name in ("k22", "b22"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            if not (isinstance(v, (int, float)) and _isfinite(v) and v >= 0):
                 raise InvalidParams(f"{name} must be a nonnegative finite number, got {v!r}")
         if self.k22 == 0 and self.b22 == 0:
             raise InvalidParams("coupler must have k22 > 0 or b22 > 0")
@@ -207,11 +214,15 @@ def plant_coefficients(params: SystemParams) -> PlantCoefficients:
     )
 
 
-def coupler_coefficients(
-    plant: PlantCoefficients, coupler: VirtualCoupler
+def derive_coefficients(
+    params: SystemParams, coupler: VirtualCoupler
 ) -> DerivedCoefficients:
-    """Combine a plant's coefficients with a coupler (k22, b22)."""
-    p = plant
+    """Exact derived coefficients for a plant/coupler pair, as Fractions.
+
+    The checkers in passivity decide the (c-ii) cubic on the plant's integer
+    vector instead; this record is their test oracle.
+    """
+    p = plant_coefficients(params)
     k22, b22 = _exact(coupler.k22), _exact(coupler.b22)
     K, b4, bb = k22 * k22, 4 * b22, b22 * b22
 
@@ -223,13 +234,6 @@ def coupler_coefficients(
         t1=b4 * p.r1 - K * p.w1 - bb * p.w0,
         t0=b4 * p.r0 - K * p.w0,
     )
-
-
-def derive_coefficients(
-    params: SystemParams, coupler: VirtualCoupler
-) -> DerivedCoefficients:
-    """Exact derived coefficients for a plant/coupler pair."""
-    return coupler_coefficients(plant_coefficients(params), coupler)
 
 
 @dataclass(frozen=True)
@@ -378,7 +382,7 @@ def load_config(
             data = json.loads(path.read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int literal beyond Python's digit limit
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must contain a JSON object")
@@ -393,6 +397,8 @@ def load_config(
     for k, v in data.items():
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"config key {k} must be a number, got {v!r}")
+        if isinstance(v, int) and not _isfinite(v):
+            raise ConfigError(f"config key {k} must be a finite number, got {v!r}")
 
     try:
         params = SystemParams(

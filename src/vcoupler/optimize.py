@@ -225,16 +225,19 @@ def maximize_k22_over_alpha(
     contribute k22 = 0.  The trace holds one (b22_opt, alpha, k22_max) per
     alpha and the inner traces are discarded, so under the passivity
     criterion each inner sweep is pruned (see _search_b22): it starts at the
-    previous alpha's best sweep index (the last point for the first alpha)
-    and its first estimate at the previous alpha's stationary point.  Each
-    inner result is the one maximize_k22 returns, apart from its trace.
+    previous alpha's best sweep index and its first estimate at the previous
+    alpha's stationary point.  The first alpha starts one point below
+    b22 = 4*Bf: at 4*Bf the frontier estimate finds no stationary minimum to
+    start the next Newton from, so starting there costs a second eigenvalue
+    fallback.  Each inner result is the one maximize_k22 returns, apart
+    from its trace.
     """
     crit = _normalize_criterion(criterion)
     _require_baseline(params)
 
     results: dict[float, OptimizationResult] = {}
     trace: List[Tuple[float, float, float]] = []
-    first, start = _SWEEP_POINTS - 1, None
+    first, start = _SWEEP_POINTS - 2, None
 
     def inner(alpha: float) -> OptimizationResult:
         nonlocal first, start

@@ -22,6 +22,15 @@ x**2*w(x) for |h12 - 1|**2.  tests/test_passivity.py proves them once, by
 the Schwartz-Zippel lemma, so the (c-ii) cubic
 t = 4*b22*r - (k22**2 + b22**2*x)*w needs no check per plant or coupler.
 
+Both cubics are read from one integer vector per plant, L*(4*r, w) with L
+the positive lcm of the denominators (_PlantAnalysis.rw): (c-i) decides on
+its first four entries, and (c-ii), the sufficient test and the k22 bound
+all decide on the integer multiple of t that _cubics and _at_k22 form from
+it.  A positive multiple leaves every coefficient sign, the homogeneous
+closed form and the Sturm chain's sample points unchanged, so verdicts,
+labels and witnesses are those of the Fraction coefficients of
+model.derive_coefficients, which tests keep as the oracle.
+
 Absolute stability keeps (a), (b), (c-i) and replaces (c-ii) with the
 Llewellyn form 2*Re h11*Re h22 - Re(h12*h21) - |h12*h21| >= 0, decided on a
 dense frequency grid (the modulus term is not polynomial in w**2).
@@ -44,7 +53,6 @@ from .model import (
     VirtualCoupler,
     _cancel_s,
     _coupler_port,
-    coupler_coefficients,
     h11_numerator_cubic,
     plant_coefficients,
     unreduced_entries,
@@ -178,7 +186,7 @@ class AbsoluteStabilityReport:
 
 
 def _decide_cubic(
-    c3: Fraction, c2: Fraction, c1: Fraction, c0: Fraction, context: str
+    c3: int, c2: int, c1: int, c0: int, context: str
 ) -> Tuple[bool, Optional[float]]:
     """Closed-form verdict on [0, inf), with the Sturm chain's witness x on failure."""
     if cubic_nonneg_closed_form(c3, c2, c1, c0):
@@ -213,10 +221,17 @@ def _verify_c_ii_identity(N12: Polynomial, D: Polynomial, p: PlantCoefficients) 
 
 @dataclass(frozen=True)
 class _PlantAnalysis:
-    """One plant's coefficients and (a), (b), (c-i), with its entries on demand."""
+    """One plant's coefficients and (a), (b), (c-i), with its entries on demand.
+
+    rw is L*(4*r0, 4*r1, 4*r2, 4*r3, w0, w1, w2) as Python ints, for the
+    one positive L that clears the denominators.  Both (c) cubics are read
+    from it: (c-i) from its first four entries, and the (c-ii) cubic t of
+    every coupler from _cubics.
+    """
 
     params: SystemParams
     coeffs: PlantCoefficients
+    rw: Tuple[int, ...]
     a: ConditionReport
     b: ConditionReport
     c_i: ConditionReport
@@ -241,6 +256,7 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
     h11's denominator serves both; the closed-form rule decides (c-i).
     """
     p = plant_coefficients(params)
+    rw = _integer_vector((4 * p.r0, 4 * p.r1, 4 * p.r2, 4 * p.r3, p.w0, p.w1, p.w2))
     if params.Im > 0 and params.If > 0:
         quartic = (p.a4, p.a3, p.a2, p.a1, p.a0)
         qh = quartic_hurwitz(quartic)
@@ -280,20 +296,21 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
             note="" if fault else "degenerate integral gain: numeric residue checks",
         )
 
-    passed, witness_x = _decide_cubic(p.r3, p.r2, p.r1, p.r0, "condition (c-i)")
+    r0, r1, r2, r3 = rw[:4]
+    passed, witness_x = _decide_cubic(r3, r2, r1, r0, "condition (c-i)")
     branch: Optional[str] = None
     failing: Optional[str] = None
     if params.Bf == 0:
         branch = "generic"  # quadratic shape, which the closed form decides too
     elif passed:
-        branch = "i1" if first_clause(p.r3, p.r2, p.r1) else "i2"
+        branch = "i1" if first_clause(r3, r2, r1) else "i2"
     else:
-        failing = "r0" if p.r0 < 0 else "interior"
+        failing = "r0" if r0 < 0 else "interior"
     c_i = ConditionReport(
         name="condition_c_i", passed=passed, branch=branch, failing=failing,
         witness_omega=math.sqrt(witness_x) if witness_x is not None else None,
     )
-    return _PlantAnalysis(params, p, a, b, c_i)
+    return _PlantAnalysis(params, p, rw, a, b, c_i)
 
 
 # perfbench clears the plant memo under this name; ROADMAP item 1 drops the alias
@@ -343,30 +360,28 @@ def check_condition_c_ii(params: SystemParams, coupler: VirtualCoupler) -> Condi
     coupler damping above 4*Bf; with b22 == 0 the x^2 coefficient -k22^2*M^2
     takes over as 't2'), the static violation (t0 < 0: coupler stiffness
     beyond the static bound), and an interior dip ('interior').  The cubic
-    is t = 4*b22*r - (k22**2 + b22**2*x)*w, decided by the closed form; tests
-    prove the identities behind r and w (see _verify_c_ii_identity).
+    is t = 4*b22*r - (k22**2 + b22**2*x)*w, formed times one positive
+    integer on the plant's integer vector (_determinant_cubic) and decided
+    by the closed form; tests prove the identities behind r and w (see
+    _verify_c_ii_identity).
     """
-    c = coupler_coefficients(_plant_analysis(params).coeffs, coupler)
-    passed, witness_x = _decide_cubic(c.t3, c.t2, c.t1, c.t0, "condition (c-ii)")
+    t3, t2, t1, t0 = _determinant_cubic(params, coupler)
+    passed, witness_x = _decide_cubic(t3, t2, t1, t0, "condition (c-ii)")
 
     branch: Optional[str] = None
     failing: Optional[str] = None
     if passed:
-        branch = "ii1" if first_clause(c.t3, c.t2, c.t1) else "ii2"
+        branch = "ii1" if first_clause(t3, t2, t1) else "ii2"
+    elif t0 < 0:
+        failing = "t0"
+    elif t3 < 0:
+        failing = "t3"
+    elif coupler.b22 == 0 and t2 < 0:
+        failing = "t2"
     else:
-        if c.t0 < 0:
-            failing = "t0"
-        elif c.t3 < 0:
-            failing = "t3"
-        elif coupler.b22 == 0 and c.t2 < 0:
-            failing = "t2"
-        else:
-            failing = "interior"
+        failing = "interior"
     return ConditionReport(
-        name="condition_c_ii",
-        passed=passed,
-        branch=branch,
-        failing=failing,
+        name="condition_c_ii", passed=passed, branch=branch, failing=failing,
         witness_omega=math.sqrt(witness_x) if witness_x is not None else None,
     )
 
@@ -517,6 +532,36 @@ def _frontier_k2(
     return best, best_x
 
 
+def _cubics(rw: Tuple[int, ...], b22: float) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The integer cubics (base, step) of a plant's rw at b22 >= 0, lowest degree first.
+
+    At b22 = bn/bd, base = 4*r*bn*bd - x*w*bn**2 and step = -w*bd**2 in
+    rw's scale L, so at k22 = kn/kd, _at_k22(base, step, kn**2, kd**2) is
+    the determinant cubic t times L*bd**2*kd**2 > 0.  as_integer_ratio reads
+    an int b22 or k22 exactly, and a positive factor changes no coefficient
+    sign and no closed-form verdict.
+    """
+    bn, bd = b22.as_integer_ratio()
+    bb, bnd, dd = bn * bn, bn * bd, bd * bd
+    r0, r1, r2, r3, w0, w1, w2 = rw
+    base = (r0 * bnd, r1 * bnd - w0 * bb, r2 * bnd - w1 * bb, r3 * bnd - w2 * bb)
+    return base, (-w0 * dd, -w1 * dd, -w2 * dd, 0)
+
+
+def _at_k22(base: Tuple[int, ...], step: Tuple[int, ...], n2: int, d2: int) -> Tuple[int, ...]:
+    """base*d2 + step*n2, highest degree first: the cubic at k22**2 = n2/d2, scaled."""
+    b0, b1, b2, b3 = base
+    s0, s1, s2, _ = step  # w has no x**3 term
+    return b3 * d2, b2 * d2 + s2 * n2, b1 * d2 + s1 * n2, b0 * d2 + s0 * n2
+
+
+def _determinant_cubic(params: SystemParams, coupler: VirtualCoupler) -> Tuple[int, int, int, int]:
+    """(t3, t2, t1, t0) of condition (c-ii), times one positive integer."""
+    base, step = _cubics(_plant_analysis(params).rw, coupler.b22)
+    kn, kd = coupler.k22.as_integer_ratio()
+    return _at_k22(base, step, kn * kn, kd * kd)
+
+
 def _round_down(cubic: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
     """cubic shifted right (floor) so that its largest coefficient keeps _ROUND_BITS bits.
 
@@ -571,9 +616,7 @@ def _probe(
     for wb, ws in witnesses:
         if wb * d2 + ws * n2 < 0:
             return False
-    b0, b1, b2, b3 = base
-    s0, s1, s2, _ = step  # w has no x**3 term
-    cubic = (b3 * d2, b2 * d2 + s2 * n2, b1 * d2 + s1 * n2, b0 * d2 + s0 * n2)
+    cubic = _at_k22(base, step, n2, d2)
     rounded = _round_down(cubic)
     if rounded is not None and cubic_nonneg_closed_form(*rounded):
         return True
@@ -584,15 +627,14 @@ class _DeterminantBound:
     """sup{k22 >= 0 : condition (c-ii) holds} for one plant, at any b22.
 
     The determinant cubic is t = 4*b22*r - (k22**2 + b22**2*x)*w, so an
-    instance keeps the vectors of 4*r and w, read from the plant's verified
-    coefficient record and scaled to Python ints by one lcm.  At
-    b22 = bn/bd that lcm times bd**2 times t is base + k22**2*step, with
-    the integer cubics base = 4*r*bn*bd - x*w*bn**2 and step = -w*bd**2.
-    Beyond its plant, an instance keeps only start, the stationary point of
-    the last b22 whose estimate found a minimum (or the one a caller passed
-    in, such as that of a neighbouring plant): a Newton start that changes
-    the cost of the next call and never its result.  A caller keeps an
-    instance for one search.
+    instance keeps the plant's integer vector rw of 4*r and w (see
+    _PlantAnalysis), the one check_condition_c_ii reads, and _cubics turns
+    each b22 into the integer cubics base and step with t proportional to
+    base + k22**2*step.  Beyond its plant, an instance keeps only start,
+    the stationary point of the last b22 whose estimate found a minimum (or
+    the one a caller passed in, such as that of a neighbouring plant): a
+    Newton start that changes the cost of the next call and never its
+    result.  A caller keeps an instance for one search.
 
     Feasibility is downward-closed in k22: x**2*w = |N12 - D|**2 >= 0, so
     w >= 0 on x >= 0 and t decreases pointwise in K = k22**2.  bound()
@@ -630,27 +672,11 @@ class _DeterminantBound:
     """
 
     def __init__(self, params: SystemParams, start: Optional[float] = None) -> None:
-        p = _plant_analysis(params).coeffs
-        ints = _integer_vector((4 * p.r0, 4 * p.r1, 4 * p.r2, 4 * p.r3, p.w0, p.w1, p.w2))
-        self._r4, self._w = ints[:4], ints[4:]
+        plant = _plant_analysis(params)
+        self._rw = plant.rw
         self._ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
-        self._r0x4 = max(float(4 * p.r0), 0.0)
+        self._r0x4 = max(float(4 * plant.coeffs.r0), 0.0)
         self.start = start
-
-    def _cubics(self, b22: float) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """The integer cubics (base, step) of a finite b22 > 0, lowest degree first.
-
-        At b22 = bn/bd and k22 = kn/kd the determinant cubic times
-        scale*bd**2*kd**2 > 0 has the integer coefficients
-        base*kd**2 + step*kn**2, and a positive scale leaves the homogeneous
-        closed-form verdict unchanged.
-        """
-        bn, bd = b22.as_integer_ratio()
-        bb, bnd, dd = bn * bn, bn * bd, bd * bd
-        r0, r1, r2, r3 = self._r4
-        w0, w1, w2 = self._w
-        base = (r0 * bnd, r1 * bnd - w0 * bb, r2 * bnd - w1 * bb, r3 * bnd - w2 * bb)
-        return base, (-w0 * dd, -w1 * dd, -w2 * dd, 0)
 
     def admits(self, b22: float, k22: float) -> bool:
         """Exact verdict of condition (c-ii) at a finite b22 > 0 and k22 >= 0.
@@ -658,7 +684,7 @@ class _DeterminantBound:
         One _probe, witnessed at x = 0 and at the current start; by
         downward closure a failure proves bound(b22) < k22 for k22 > 0.
         """
-        base, step = self._cubics(b22)
+        base, step = _cubics(self._rw, b22)
         return _probe(base, step, _witnesses(base, step, self.start), k22)
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
@@ -667,7 +693,7 @@ class _DeterminantBound:
         if b22 <= 0 or not math.isfinite(b22):
             return 0.0
 
-        base, step = self._cubics(b22)
+        base, step = _cubics(self._rw, b22)
         if base[3] < 0:  # t3 < 0 at every k22: b22 > 4*Bf
             return 0.0
         hi = math.sqrt(self._r0x4 * b22) / self._ia if self._ia > 0 else None
@@ -968,18 +994,10 @@ def check_sufficient_conditions(
     """
     a = check_condition_a(params)
     b = check_condition_b(params)
-    c = coupler_coefficients(_plant_analysis(params).coeffs, coupler)
-    failed = []
-    if not a.passed:
-        failed.append("condition_a")
-    if not b.passed:
-        failed.append("condition_b")
-    for name in ("r0", "r1", "r2"):
-        if getattr(c, name) < 0:
-            failed.append(name)
-    for name in ("t0", "t1", "t2", "t3"):
-        if getattr(c, name) < 0:
-            failed.append(name)
+    # the coefficients in the report's order, each times a positive integer
+    values = (*_plant_analysis(params).rw[:3], *reversed(_determinant_cubic(params, coupler)))
+    failed = [r.name for r in (a, b) if not r.passed]
+    failed += [n for n, v in zip(("r0", "r1", "r2", "t0", "t1", "t2", "t3"), values) if v < 0]
     return ConditionReport(
         name="sufficient_conditions",
         passed=not failed,

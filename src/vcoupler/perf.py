@@ -45,7 +45,7 @@ from .errors import (
     InvalidParams,
     PoleAtFrequency,
 )
-from .model import HybridMatrix
+from .model import HybridMatrix, _isfinite
 from .poly import Polynomial
 from .stability import RationalFunction
 
@@ -82,7 +82,7 @@ class EnvironmentModel:
             raise InvalidParams(f"environment kind must be one of {_KINDS}, got {self.kind!r}")
         for name in ("Ke", "Be"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            if not (isinstance(v, (int, float)) and _isfinite(v) and v >= 0):
                 raise InvalidParams(f"{name} must be a nonnegative finite number, got {v!r}")
         if self.kind in ("null", "damper") and self.Ke != 0:
             raise InvalidParams(f"{self.kind} environment cannot carry Ke = {self.Ke}")
@@ -188,7 +188,7 @@ def transparency_limits(
     frequency (the exact matrices reproduce those patterns for any
     nondegenerate parameter set).
     """
-    if not (0 < omega_low < omega_high and math.isfinite(omega_high)):
+    if not (0 < omega_low < omega_high and _isfinite(omega_high)):
         raise InvalidParams("probe frequencies must satisfy 0 < omega_low < omega_high")
 
     entries = h.entries()
@@ -237,9 +237,9 @@ def spring_reference(k22: float, Kd: float) -> float:
     DesiredExceedsCoupler when Kd >= k22 (the series pair saturates at
     k22 no matter how stiff the environment is made).
     """
-    if not (math.isfinite(k22) and k22 > 0):
+    if not (_isfinite(k22) and k22 > 0):
         raise InvalidParams(f"k22 must be positive and finite, got {k22!r}")
-    if not (math.isfinite(Kd) and Kd >= 0):
+    if not (_isfinite(Kd) and Kd >= 0):
         raise InvalidParams(f"Kd must be nonnegative and finite, got {Kd!r}")
     if Kd >= k22:
         raise DesiredExceedsCoupler(
@@ -254,9 +254,9 @@ def voigt_reference(b22: float, Bd: float) -> float:
     Series counterpart of spring_reference: Be = b22*Bd/(b22 - Bd), with
     DesiredExceedsCoupler when Bd >= b22.
     """
-    if not (math.isfinite(b22) and b22 > 0):
+    if not (_isfinite(b22) and b22 > 0):
         raise InvalidParams(f"b22 must be positive and finite, got {b22!r}")
-    if not (math.isfinite(Bd) and Bd >= 0):
+    if not (_isfinite(Bd) and Bd >= 0):
         raise InvalidParams(f"Bd must be nonnegative and finite, got {Bd!r}")
     if Bd >= b22:
         raise DesiredExceedsCoupler(

@@ -20,11 +20,10 @@ from test_poly import _cubic_sampling_oracle
 
 from vcoupler.model import (
     VirtualCoupler,
-    coupler_coefficients,
+    derive_coefficients,
     hybrid_matrix,
     nominal_coupler,
     nominal_params,
-    plant_coefficients,
 )
 from vcoupler.optimize import maximize_k22, maximize_k22_over_alpha
 from vcoupler.passivity import (
@@ -353,7 +352,7 @@ def test_c6_exact_verdicts_match_dense_sampling(corpus, corpus_sampled_margins):
     for inst, sampled_min in zip(corpus, corpus_sampled_margins):
         # the checker decides each cubic by its closed form; the Sturm chain
         # on the same cubics is the second exact route
-        c = coupler_coefficients(plant_coefficients(inst.params), inst.coupler)
+        c = derive_coefficients(inst.params, inst.coupler)
         for report, cubic in (
             (inst.two_port.condition_c_i, (c.r0, c.r1, c.r2, c.r3)),
             (inst.two_port.condition_c_ii, (c.t0, c.t1, c.t2, c.t3)),

@@ -74,6 +74,70 @@ def test_check_json_payload(capsys):
     assert doc["grid_min_determinant"] == pytest.approx(1.0890927e-4, rel=1e-6)
 
 
+_CHECK_HEAD = (
+    "criterion: passivity\ncoupler: k22={} b22={}\n"
+    "condition_a: PASS (branch quartic-margin; margin 5.91262021e+09)\n"
+    "condition_b: PASS (branch no-axis-pole; vacuous: characteristic quartic has no "
+    "imaginary-axis pole)\n"
+    "condition_c_i: PASS (branch i1)\n"
+)
+# (k22, b22): violated label, then the c-ii witness, the minimum determinant
+# margin and its argmin as the text and the JSON print them
+_FAILING_CHECKS = {
+    (500.0, 0.17): (
+        "t0", "0", "-0.200479434", "0.0011324708",
+        0.0, -0.20047943433242504, 0.0011324708017456473,
+    ),
+    (408.0, 0.0): (
+        "t0", "721987.811", "-1", "0.001",
+        721987.8105967906, -1.0, 0.001,
+    ),
+    (408.0, 0.25): (
+        "t3", "1.80802588e+09", "-0.120772688", "5667.30634",
+        1808025881.7199683, -0.12077268767747157, 5667.3063368481835,
+    ),
+    (380.0, 0.19): (
+        "interior", "4561.19158", "-0.00970200049", "4195.76741",
+        4561.1915755162445, -0.009702000489030783, 4195.767413707294,
+    ),
+}
+
+
+@pytest.mark.parametrize("k22, b22", sorted(_FAILING_CHECKS))
+def test_failing_check_bytes(capsys, config_file, k22, b22):
+    label, witness, det, argmin, witness_f, det_f, argmin_f = _FAILING_CHECKS[k22, b22]
+    path = config_file(k22=k22, b22=b22)
+    code, out, _ = run(capsys, "check", "--config", path)
+    assert code == EXIT_FAIL
+    assert out == _CHECK_HEAD.format(f"{k22:g}", f"{b22:g}") + (
+        f"condition_c_ii: FAIL (violated: {label}; witness omega {witness} rad/s)\n"
+        f"grid: min determinant margin {det}, min Re h11 margin 0.000569738479, "
+        f"argmin omega {argmin} rad/s\noverall: FAIL\n"
+    )
+
+    def passing(name, branch, margin=None):
+        return dict(name=name, passed=True, margin=margin, branch=branch, violated=None,
+                    witness_omega=None)
+
+    doc = {
+        "criterion": "passivity", "k22": k22, "b22": b22,
+        "conditions": [
+            passing("condition_a", "quartic-margin", 5912620206.04206),
+            passing("condition_b", "no-axis-pole"),
+            passing("condition_c_i", "i1"),
+            dict(name="condition_c_ii", passed=False, margin=None, branch=None,
+                 violated=label, witness_omega=witness_f),
+        ],
+        "grid_min_determinant": det_f,
+        "grid_min_re_h11": 0.0005697384785137527,
+        "grid_argmin_omega": argmin_f,
+        "overall": False,
+    }
+    code, out, _ = run(capsys, "check", "--config", path, "--format", "json")
+    assert code == EXIT_FAIL
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_check_absolute_criterion(capsys):
     code, out, _ = run(capsys, "check", "--config", TABLE, "--criterion", "absolute")
     assert code == EXIT_PASS
@@ -512,6 +576,18 @@ def test_malformed_config_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--config", str(p))
     assert code == EXIT_CONFIG
     assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("digits, message", [
+    (400, "config key Kf must be a finite number, got 1000"),
+    (5000, "is not valid JSON: "),  # beyond the int digit limit of json.loads
+])
+def test_oversized_number_in_the_config_is_a_config_error(capsys, tmp_path, digits, message):
+    p = tmp_path / "big.json"
+    p.write_text(Path(TABLE).read_text().replace('"Kf": 362.0', '"Kf": 1' + "0" * digits))
+    code, out, err = run(capsys, "check", "--config", str(p))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
 
 
 def test_nonexistent_config_file(capsys, tmp_path):

@@ -94,6 +94,21 @@ def test_coupler_validation():
     VirtualCoupler(0.0, 0.1)
 
 
+@pytest.mark.parametrize("field", ["Kf", "Bf", "alpha", "k22", "b22"])
+def test_int_beyond_the_float_range_is_invalid(field):
+    # math.isfinite raises OverflowError on it; the validators reject it instead
+    with pytest.raises(InvalidParams, match=f"^{field} must .*, got 1000"):
+        dataclasses.replace(VC if field in ("k22", "b22") else NOM, **{field: 10**400})
+
+
+def test_load_config_rejects_an_int_beyond_the_float_range():
+    cfg = json.load(open("table1.json"))
+    for key in ("Kf", "k22"):
+        message = f"^config key {key} must be a finite number, got 1000"
+        with pytest.raises(ConfigError, match=message):
+            load_config({**cfg, key: 10**400})
+
+
 def test_load_config_roundtrip(tmp_path):
     params, vc = load_config("table1.json")
     assert params == NOM

@@ -204,6 +204,16 @@ def test_joint_search_prunes_the_sweep(monkeypatch):
     assert len(maximize_k22(NOM).trace) == len(calls) == 62
 
 
+def test_joint_search_runs_the_eigenvalue_route_once(monkeypatch):
+    # the first alpha starts one sweep point below 4*Bf, where the estimate
+    # finds a minimum; every later estimate polishes a stationary point by Newton
+    calls = []
+    roots = passivity._stationary_roots
+    monkeypatch.setattr(passivity, "_stationary_roots", lambda q: calls.append(q) or roots(q))
+    assert maximize_k22_over_alpha(NOM).k22_max == 417.1094177087317
+    assert len(calls) == 1
+
+
 def test_joint_search_builds_no_hybrid_entries(monkeypatch):
     # the exact conditions and the k22 bound need the coefficients alone
     built = []

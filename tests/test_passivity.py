@@ -874,7 +874,7 @@ def test_dual_route_interior_test_never_disagrees(seed):
     rng = np.random.default_rng(seed)
     p = draw_plant(rng)
     coupler = draw_coupler(rng, p.Bf)
-    c = model.coupler_coefficients(model.plant_coefficients(p), coupler)
+    c = derive_coefficients(p, coupler)
     for report, cubic in (
         (check_condition_c_i(p), (c.r0, c.r1, c.r2, c.r3)),
         (check_condition_c_ii(p, coupler), (c.t0, c.t1, c.t2, c.t3)),
@@ -882,6 +882,52 @@ def test_dual_route_interior_test_never_disagrees(seed):
         ok, witness_x = is_nonnegative_on(Polynomial(cubic), (0, math.inf))
         assert report.passed == ok, (p, coupler)
         assert report.witness_omega == (None if ok else math.sqrt(witness_x))
+
+
+def _fraction_reports(params, coupler):
+    """check_condition_c_ii and check_sufficient_conditions rebuilt on the Fraction t."""
+    c = derive_coefficients(params, coupler)
+    passed, witness_x = passivity._decide_cubic(c.t3, c.t2, c.t1, c.t0, "oracle")
+    branch = failing = None
+    if passed:
+        branch = "ii1" if poly.first_clause(c.t3, c.t2, c.t1) else "ii2"
+    elif c.t0 < 0:
+        failing = "t0"
+    elif c.t3 < 0:
+        failing = "t3"
+    elif coupler.b22 == 0 and c.t2 < 0:
+        failing = "t2"
+    else:
+        failing = "interior"
+    c_ii = ConditionReport(
+        name="condition_c_ii", passed=passed, branch=branch, failing=failing,
+        witness_omega=None if witness_x is None else math.sqrt(witness_x),
+    )
+    plant = (check_condition_a(params), check_condition_b(params))
+    failed = [r.name for r in plant if not r.passed]
+    failed += [n for n in ("r0", "r1", "r2", "t0", "t1", "t2", "t3") if getattr(c, n) < 0]
+    sufficient = ConditionReport(
+        name="sufficient_conditions", passed=not failed, failing=",".join(failed) or None
+    )
+    return c_ii, sufficient
+
+
+def test_integer_checkers_match_the_fraction_oracle(corpus):
+    # the checkers decide on the plant's integer vector; each report must be
+    # the one the Fraction coefficients of derive_coefficients give, also at
+    # b22 = 0 and for int couplers, which are read exactly
+    labels = collections.Counter()
+    for inst in corpus:
+        k22 = inst.coupler.k22
+        for coupler in (inst.coupler, vc(k22, 0.0), vc(round(k22), 0), vc(round(k22), 1)):
+            got = (
+                check_condition_c_ii(inst.params, coupler),
+                check_sufficient_conditions(inst.params, coupler),
+            )
+            assert got == _fraction_reports(inst.params, coupler), (inst.params, coupler)
+            labels[got[0].branch or got[0].failing] += 1
+    # 't2' needs t0 = 0 at b22 = 0, i.e. Im = alpha = 0, which no corpus plant has
+    assert set(labels) == {"ii1", "ii2", "t0", "t3", "interior"}, labels
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +940,20 @@ def test_bound_is_the_verdict_frontier(b22):
     bound = k22_upper_bound(NOM, b22)
     assert check_two_port_passivity(NOM, vc(bound - 1e-3, b22)).overall
     assert not check_two_port_passivity(NOM, vc(bound + 1.0, b22)).overall
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("share", [0.3, 0.65, 0.85, 0.98])
+def test_float_bound_is_the_exact_frontier(seed, share):
+    # at tol = 0 the bound is the last float that (c-ii) admits; seed 3's
+    # plant fails (c-i), so no k22 > 0 passes and its bound is 0.0
+    params = NOM if seed is None else draw_plant(np.random.default_rng(seed))
+    b22 = share * 4.0 * params.Bf
+    k = k22_upper_bound(params, b22, tol=0.0)
+    assert (k > 0.0) == (seed != 3)
+    if k > 0.0:
+        assert check_condition_c_ii(params, vc(k, b22)).passed
+    assert not check_condition_c_ii(params, vc(math.nextafter(k, math.inf), b22)).passed
 
 
 def test_absolute_frontier_sits_above_the_passivity_frontier():

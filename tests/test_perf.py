@@ -54,6 +54,21 @@ def test_environment_validation():
         EnvironmentModel("gel", 1.0, 1.0)
 
 
+def test_ints_beyond_the_float_range_are_invalid():
+    with pytest.raises(InvalidParams, match="Ke must be a nonnegative finite number"):
+        EnvironmentModel("spring", 10**400, 0.0)
+    with pytest.raises(InvalidParams, match="Be must be a nonnegative finite number"):
+        EnvironmentModel("damper", 0.0, 10**400)
+    with pytest.raises(InvalidParams, match="k22 must be positive and finite"):
+        spring_reference(10**400, 1.0)
+    with pytest.raises(InvalidParams, match="Kd must be nonnegative and finite"):
+        spring_reference(400.0, 10**400)
+    with pytest.raises(InvalidParams, match="b22 must be positive and finite"):
+        voigt_reference(10**400, 0.05)
+    with pytest.raises(InvalidParams, match="Bd must be nonnegative and finite"):
+        voigt_reference(0.17, 10**400)
+
+
 def test_environment_impedances():
     s = 2.0j
     assert EnvironmentModel("null", 0.0, 0.0).impedance().eval(s) == 0.0

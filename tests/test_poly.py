@@ -14,7 +14,6 @@ from vcoupler import poly, stability
 from vcoupler.errors import InvalidInterval, ZeroPolynomial
 from vcoupler.model import (
     VirtualCoupler,
-    coupler_coefficients,
     derive_coefficients,
     nominal_coupler,
     nominal_params,
@@ -459,11 +458,12 @@ def _fraction_rhp_root_count(p) -> int:
 
 def _plant_polynomials(seed: int):
     """Float-expanded plant polynomials of 300-600-bit coefficients."""
-    pc = plant_coefficients(draw_plant(np.random.default_rng(seed)))
+    params = draw_plant(np.random.default_rng(seed))
+    pc = plant_coefficients(params)
     r = Polynomial([pc.r0, pc.r1, pc.r2, pc.r3])
     out = [r, Polynomial([pc.w0, pc.w1, pc.w2])]
     for k22, b22 in ((50.0, 0.1), (400.0, 0.17), (3000.0, 0.5)):
-        c = coupler_coefficients(pc, VirtualCoupler(k22, b22))
+        c = derive_coefficients(params, VirtualCoupler(k22, b22))
         t = Polynomial([c.t0, c.t1, c.t2, c.t3])
         out += [t, -t]
     return out + [r * t], Polynomial([pc.a0, pc.a1, pc.a2, pc.a3, pc.a4])
