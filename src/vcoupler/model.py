@@ -57,6 +57,14 @@ def _isfinite(v) -> bool:
         return False
 
 
+def _shown(v) -> str:
+    """repr(v) for an error message, or a stand-in where repr raises (ints beyond 4300 digits)."""
+    try:
+        return repr(v)
+    except ValueError:
+        return f"<{type(v).__name__} too long to display>"
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Drive-side parameters.
@@ -83,14 +91,14 @@ class SystemParams:
         for name in ("Kf", "M", "B", "Pm", "Pf"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and _isfinite(v) and v > 0):
-                raise InvalidParams(f"{name} must be a positive finite number, got {v!r}")
+                raise InvalidParams(f"{name} must be a positive finite number, got {_shown(v)}")
         for name in ("Bf", "Im", "If"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and _isfinite(v) and v >= 0):
-                raise InvalidParams(f"{name} must be a nonnegative finite number, got {v!r}")
+                raise InvalidParams(f"{name} must be a nonnegative finite number, got {_shown(v)}")
         a = self.alpha
         if not (isinstance(a, (int, float)) and 0 <= a <= 1):
-            raise InvalidParams(f"alpha must lie in [0, 1], got {a!r}")
+            raise InvalidParams(f"alpha must lie in [0, 1], got {_shown(a)}")
 
     # params.replace(alpha=a): a copy, validated again by __post_init__
     replace = dataclasses.replace
@@ -107,7 +115,7 @@ class VirtualCoupler:
         for name in ("k22", "b22"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and _isfinite(v) and v >= 0):
-                raise InvalidParams(f"{name} must be a nonnegative finite number, got {v!r}")
+                raise InvalidParams(f"{name} must be a nonnegative finite number, got {_shown(v)}")
         if self.k22 == 0 and self.b22 == 0:
             raise InvalidParams("coupler must have k22 > 0 or b22 > 0")
 
@@ -396,9 +404,9 @@ def load_config(
         raise ConfigError(f"missing config keys in {origin}: {missing}")
     for k, v in data.items():
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"config key {k} must be a number, got {v!r}")
+            raise ConfigError(f"config key {k} must be a number, got {_shown(v)}")
         if isinstance(v, int) and not _isfinite(v):
-            raise ConfigError(f"config key {k} must be a finite number, got {v!r}")
+            raise ConfigError(f"config key {k} must be a finite number, got {_shown(v)}")
 
     try:
         params = SystemParams(

@@ -12,7 +12,11 @@ them.  They are computed together once per plant, with the plant
 coefficients, and memoized; only (c-ii) and the Llewellyn margin depend on
 the coupler (k22, b22).
 
-Each condition is decided by one exact route.  Both (c) conditions reduce
+Each condition is decided by one exact route.  (a) and (b) are closed forms
+in the characteristic quartic for every plant: its Hurwitz margin and,
+where that is zero, the residue at the axis pole pair (stability); a zero
+integral gain only zeroes a0 (and a1), whose root s = 0 cancels from h11.
+Both (c) conditions reduce
 to the nonnegativity of a cubic in x = w**2 on [0, inf), decided by the
 closed-form rule (poly.cubic_nonneg_closed_form); only a failing cubic
 builds the exact Sturm chain (poly.is_nonnegative_on), for its witness.
@@ -53,6 +57,7 @@ from .model import (
     VirtualCoupler,
     _cancel_s,
     _coupler_port,
+    _isfinite,
     h11_numerator_cubic,
     plant_coefficients,
     unreduced_entries,
@@ -68,9 +73,6 @@ from .poly import (
 )
 from .stability import (
     RationalFunction,
-    analyze_denominator,
-    axis_residue_fault,
-    imaginary_axis_pole,
     quartic_hurwitz,
     real_part_even_polynomial,
     residues_positive_real,
@@ -251,49 +253,37 @@ class _PlantAnalysis:
 def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
     """(a), (b) and (c-i) of one plant, sharing one derivation of its coefficients.
 
-    The quartic's Hurwitz margin decides (a) and (b) when both integral
-    gains are positive, else one root-location analysis of the s-cancelled
-    h11's denominator serves both; the closed-form rule decides (c-i).
+    The characteristic quartic's exact Hurwitz margin decides (a) and (b)
+    for every pair of integral gains (stability.quartic_hurwitz takes
+    a1 = 0 and a0 = 0, the shapes a zero gain gives); the residue closed
+    form judges an axis pole pair, and the closed-form rule decides (c-i).
     """
     p = plant_coefficients(params)
     rw = _integer_vector((4 * p.r0, 4 * p.r1, 4 * p.r2, 4 * p.r3, p.w0, p.w1, p.w2))
-    if params.Im > 0 and params.If > 0:
-        quartic = (p.a4, p.a3, p.a2, p.a1, p.a0)
-        qh = quartic_hurwitz(quartic)
-        a = ConditionReport(
-            name="condition_a", passed=qh.no_open_rhp, margin=float(qh.margin),
-            branch="quartic-margin", failing=None if qh.no_open_rhp else "margin",
-        )
-        if qh.margin != 0:
-            b = ConditionReport(
-                name="condition_b", passed=True, branch="no-axis-pole",
-                note="vacuous: characteristic quartic has no imaginary-axis pole",
+    quartic = (p.a4, p.a3, p.a2, p.a1, p.a0)
+    qh = quartic_hurwitz(quartic)
+    a = ConditionReport(
+        name="condition_a", passed=qh.no_open_rhp, margin=float(qh.margin),
+        branch="quartic-margin", failing=None if qh.no_open_rhp else "margin",
+    )
+    if qh.margin != 0 or p.a1 == 0:
+        note = "vacuous: characteristic quartic has no imaginary-axis pole"
+        if p.a0 == 0:  # a zero integral gain: the quartic's root s = 0 cancels from h11
+            factor = "s" if p.a1 else "s**2"
+            note = (
+                f"vacuous: h11 has no imaginary-axis pole once its common factor {factor} cancels"
             )
-        else:
-            w = imaginary_axis_pole(quartic)  # exists: the margin is exactly zero
-            cubic = h11_numerator_cubic(params)
-            b3, _, b1, _ = cubic
-            ok = residues_positive_real(cubic, quartic)
-            b = ConditionReport(
-                name="condition_b", passed=ok, margin=float(p.a3 * b1 - p.a1 * b3),
-                branch="residue-closed-form", failing=None if ok else "residue",
-                witness_omega=None if ok else w,
-                note=f"axis pole pair at omega = {w:.6g} rad/s",
-            )
+        b = ConditionReport(name="condition_b", passed=True, branch="no-axis-pole", note=note)
     else:
-        N11, _, D = unreduced_entries(params, p)
-        h11 = _cancel_s(N11, D)
-        analysis = analyze_denominator(h11.den)
-        a = ConditionReport(
-            name="condition_a", passed=analysis.open_rhp_free, branch="generic",
-            failing=None if analysis.open_rhp_free else "rhp-root",
-            note="degenerate integral gain: reduced-degree denominator",
-        )
-        fault = axis_residue_fault(h11.num, h11.den, analysis.imaginary_pairs)
+        w = math.sqrt(float(p.a1 / p.a3))  # the axis pole pair +/-j*w
+        cubic = h11_numerator_cubic(params)
+        b3, _, b1, _ = cubic
+        ok = residues_positive_real(cubic, quartic)
         b = ConditionReport(
-            name="condition_b", passed=fault is None, branch="generic",
-            failing=fault and fault[0], witness_omega=fault and fault[1],
-            note="" if fault else "degenerate integral gain: numeric residue checks",
+            name="condition_b", passed=ok, margin=float(p.a3 * b1 - p.a1 * b3),
+            branch="residue-closed-form", failing=None if ok else "residue",
+            witness_omega=None if ok else w,
+            note=f"axis pole pair at omega = {w:.6g} rad/s",
         )
 
     r0, r1, r2, r3 = rw[:4]
@@ -320,10 +310,10 @@ _c_i_cached = _plant_analysis
 def check_condition_a(params: SystemParams) -> ConditionReport:
     """No open-right-half-plane poles of the drive two-port.
 
-    With both integral gains positive the characteristic quartic has
-    strictly positive coefficients and its closed-form Hurwitz margin
-    decides; a zero integral gain lowers the denominator degree and the
-    generic exact root-location analysis decides.  Tests compare the two.
+    Decided by the exact Hurwitz margin of the characteristic quartic
+    (stability.quartic_hurwitz), the report's margin: (a) holds iff it is
+    >= 0, for positive and zero integral gains alike.  Tests keep the
+    generic exact root-location analysis of h11's denominator as its oracle.
     """
     return _plant_analysis(params).a
 
@@ -332,12 +322,12 @@ def check_condition_b(params: SystemParams) -> ConditionReport:
     """Imaginary-axis poles (if any) are simple with real positive residues.
 
     The quartic has an axis pole pair exactly when its Hurwitz margin, the
-    exact Fraction of condition (a), is zero.  When a pair is present, the
-    residue sign/reality conditions are evaluated in the multiplied-through
-    closed form (see stability.residues_positive_real).  Otherwise the
-    condition is vacuously true.  Degenerate integral gains take the axis
-    pairs from the exact root-location analysis of (a) and check their
-    residues numerically.
+    exact Fraction of condition (a), is zero and a1 > 0; the pair sits at
+    omega = sqrt(a1/a3).  Its residue's reality and sign are decided
+    exactly in the multiplied-through closed form (see
+    stability.residues_positive_real).  Otherwise the condition is vacuously
+    true: with a zero integral gain the quartic's roots at s = 0 cancel
+    against h11's numerator.
     """
     return _plant_analysis(params).b
 
@@ -690,7 +680,7 @@ class _DeterminantBound:
     def bound(self, b22: float, tol: float = 1e-3) -> float:
         if not tol >= 0.0:
             raise ValueError(f"tol must be nonnegative, got {tol!r}")
-        if b22 <= 0 or not math.isfinite(b22):
+        if b22 <= 0 or not _isfinite(b22):
             return 0.0
 
         base, step = _cubics(self._rw, b22)
@@ -901,7 +891,7 @@ class _LlewellynBound:
         return float(np.nanmin(margins)) >= -_LLEWELLYN_TOL
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
-        if not (b22 > 0.0 and math.isfinite(b22)):
+        if not (b22 > 0.0 and _isfinite(b22)):
             return 0.0
         if not self.feasible(0.0, b22):
             return 0.0

@@ -45,7 +45,7 @@ from .errors import (
     InvalidParams,
     PoleAtFrequency,
 )
-from .model import HybridMatrix, _isfinite
+from .model import HybridMatrix, _isfinite, _shown
 from .poly import Polynomial
 from .stability import RationalFunction
 
@@ -79,11 +79,13 @@ class EnvironmentModel:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise InvalidParams(f"environment kind must be one of {_KINDS}, got {self.kind!r}")
+            raise InvalidParams(
+                f"environment kind must be one of {_KINDS}, got {_shown(self.kind)}"
+            )
         for name in ("Ke", "Be"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and _isfinite(v) and v >= 0):
-                raise InvalidParams(f"{name} must be a nonnegative finite number, got {v!r}")
+                raise InvalidParams(f"{name} must be a nonnegative finite number, got {_shown(v)}")
         if self.kind in ("null", "damper") and self.Ke != 0:
             raise InvalidParams(f"{self.kind} environment cannot carry Ke = {self.Ke}")
         if self.kind in ("null", "spring") and self.Be != 0:
@@ -238,9 +240,9 @@ def spring_reference(k22: float, Kd: float) -> float:
     k22 no matter how stiff the environment is made).
     """
     if not (_isfinite(k22) and k22 > 0):
-        raise InvalidParams(f"k22 must be positive and finite, got {k22!r}")
+        raise InvalidParams(f"k22 must be positive and finite, got {_shown(k22)}")
     if not (_isfinite(Kd) and Kd >= 0):
-        raise InvalidParams(f"Kd must be nonnegative and finite, got {Kd!r}")
+        raise InvalidParams(f"Kd must be nonnegative and finite, got {_shown(Kd)}")
     if Kd >= k22:
         raise DesiredExceedsCoupler(
             f"desired stiffness {Kd} is not below the coupler stiffness {k22}"
@@ -255,9 +257,9 @@ def voigt_reference(b22: float, Bd: float) -> float:
     DesiredExceedsCoupler when Bd >= b22.
     """
     if not (_isfinite(b22) and b22 > 0):
-        raise InvalidParams(f"b22 must be positive and finite, got {b22!r}")
+        raise InvalidParams(f"b22 must be positive and finite, got {_shown(b22)}")
     if not (_isfinite(Bd) and Bd >= 0):
-        raise InvalidParams(f"Bd must be nonnegative and finite, got {Bd!r}")
+        raise InvalidParams(f"Bd must be nonnegative and finite, got {_shown(Bd)}")
     if Bd >= b22:
         raise DesiredExceedsCoupler(
             f"desired damping {Bd} is not below the coupler damping {b22}"

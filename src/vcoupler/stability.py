@@ -2,20 +2,23 @@
 
 Three layers:
 
-1. Closed-form tests for quartic denominators with positive coefficients:
-   a single margin expression decides open-right-half-plane root freedom,
-   the boundary case yields one simple conjugate pole pair on the imaginary
-   axis at a closed-form frequency, and the residue at that pair is real
-   and positive iff two closed-form coefficient conditions hold.
+1. Exact closed forms for quartic denominators with a4, a3, a2 > 0 and
+   a1, a0 >= 0, the shapes of the drive's characteristic quartic for every
+   pair of integral gains: the Hurwitz margin decides open-right-half-plane
+   root freedom, it vanishes with a1 > 0 exactly when the quartic has one
+   conjugate pole pair on the imaginary axis, at a closed-form frequency,
+   and two closed-form coefficient conditions decide whether the residue at
+   that pair is real and positive.
 
 2. A generic exact root-location analysis for arbitrary denominators:
    the even/odd-part gcd isolates imaginary-axis root pairs (exactly, via
    Sturm counts on the gcd), and the Routh-Hurwitz count through the Cauchy
    index of the even and odd parts, read off a signed remainder chain,
    counts the right-half-plane roots of the remaining factor.  A numeric
-   root finder only reports the frequencies of the axis pairs counted.
+   root finder only reports the frequencies of the axis pairs counted, and
+   the residues at those pairs are judged in floats.
 
-3. positive_real combines both with an exact nonnegativity test of the
+3. positive_real combines layer 2 with an exact nonnegativity test of the
    real part along the imaginary axis.
 """
 
@@ -45,7 +48,6 @@ __all__ = [
     "RationalFunction",
     "QuarticHurwitz",
     "quartic_hurwitz",
-    "imaginary_axis_pole",
     "residues_positive_real",
     "DenominatorAnalysis",
     "analyze_denominator",
@@ -54,8 +56,7 @@ __all__ = [
     "positive_real",
 ]
 
-# Relative tolerance of the float-input tests: a vanishing Hurwitz margin,
-# a real residue.
+# Relative tolerance of axis_residue_fault's float test of a real residue
 _REL_TOL = 1e-9
 
 
@@ -144,54 +145,27 @@ def _quartic_coeffs(coeffs: Sequence[Number]) -> Tuple[Fraction, ...]:
     if len(coeffs) != 5:
         raise ValueError("expected five coefficients (a4, a3, a2, a1, a0)")
     cs = tuple(_exact(c) for c in coeffs)
-    if any(c <= 0 for c in cs):
+    if any(c <= 0 for c in cs[:3]) or any(c < 0 for c in cs[3:]):
         raise NonPositiveCoefficient(
-            "quartic tests require strictly positive coefficients"
+            "quartic tests require a4, a3, a2 > 0 and a1, a0 >= 0"
         )
     return cs
 
 
 def quartic_hurwitz(coeffs: Sequence[Number]) -> QuarticHurwitz:
-    """Open-RHP root freedom of a4*s^4 + ... + a0 with all a_i > 0.
+    """Open-RHP root freedom of a4*s^4 + ... + a0, with a4, a3, a2 > 0 and a1, a0 >= 0.
 
-    The single margin a1*(a2*a3 - a1*a4) - a0*a3**2 is >= 0 iff the quartic
-    has no root with positive real part; at zero the quartic has exactly one
-    conjugate root pair on the imaginary axis.
+    The margin a1*(a2*a3 - a1*a4) - a0*a3**2 is >= 0 iff the quartic has no
+    root with positive real part (Routh-Hurwitz).  With a0 = 0 it is a1
+    times the Hurwitz margin of the cubic left after the root s = 0; with
+    a1 = a0 = 0 it is 0, and the quadratic a4*s^2 + a3*s + a2 left after s**2
+    has no root off the open left half plane.  A zero margin with a1 > 0
+    means exactly one conjugate root pair on the imaginary axis, at
+    s = +/-j*sqrt(a1/a3).  Exact for exact (int, Fraction, float) inputs.
     """
-    margin = _hurwitz_margin(_quartic_coeffs(coeffs))
+    a4, a3, a2, a1, a0 = _quartic_coeffs(coeffs)
+    margin = a1 * (a2 * a3 - a1 * a4) - a0 * a3 * a3
     return QuarticHurwitz(no_open_rhp=margin >= 0, margin=margin)
-
-
-def _hurwitz_margin(cs: Tuple[Fraction, ...]) -> Fraction:
-    """a1*(a2*a3 - a1*a4) - a0*a3**2 for cs = (a4, a3, a2, a1, a0)."""
-    a4, a3, a2, a1, a0 = cs
-    return a1 * (a2 * a3 - a1 * a4) - a0 * a3 * a3
-
-
-def _margin_vanishes(cs: Tuple[Fraction, ...]) -> bool:
-    """|Hurwitz margin| within _REL_TOL of the sum of its terms' magnitudes."""
-    a4, a3, a2, a1, a0 = cs
-    scale = a1 * a2 * a3 + a1 * a1 * a4 + a0 * a3 * a3
-    return abs(_hurwitz_margin(cs)) <= _exact(_REL_TOL) * scale
-
-
-def imaginary_axis_pole(coeffs: Sequence[Number]) -> Optional[float]:
-    """Frequency of the simple imaginary-axis root pair, if one exists.
-
-    For a positive-coefficient quartic, a root pair +/-j*p exists iff the
-    Hurwitz margin vanishes; the test is relative (margin against the sum of
-    its constituent magnitudes) with tolerance _REL_TOL.  Returns p > 0, or
-    None when the margin is bounded away from zero.
-    """
-    cs = _quartic_coeffs(coeffs)
-    if not _margin_vanishes(cs):
-        return None
-    a4, a3, a2, a1, a0 = cs
-    pivot = a2 * a3 - a1 * a4
-    if pivot <= 0:
-        # impossible when margin ~ 0 with positive coefficients
-        return None
-    return math.sqrt(float(a0 * a3 / pivot))
 
 
 def residues_positive_real(
@@ -201,36 +175,30 @@ def residues_positive_real(
 
     num_cubic = (b3, b2, b1, b0) are the coefficients of the cubic factor N3
     (the full numerator is s*(b3*s^3 + b2*s^2 + b1*s + b0)); den_quartic =
-    (a4, ..., a0) must have positive coefficients and a vanishing Hurwitz
-    margin (otherwise NoImaginaryPole is raised).
+    (a4, ..., a0) takes quartic_hurwitz's shapes and must have a zero margin
+    with a1 > 0, i.e. a simple pole pair at s = +/-j*sqrt(a1/a3) (otherwise
+    NoImaginaryPole is raised).  a0 = 0 is allowed: the root s = 0 that the
+    numerator's factor s cancels leaves the residue at the pair unchanged.
 
     With beta = a3*b1 - a1*b3, the residue at the pole pair is real iff
 
         beta * (a2*a3 - 2*a1*a4) == (a3*b0 - a1*b2) * a3**2
 
-    and positive iff beta > 0.  The multiplied-through form stays valid when
-    a2*a3 == 2*a1*a4 (it reduces to a3*b0 == a1*b2, exactly what a real
-    residue requires there).  Equality is tested relative to the magnitudes
-    of its terms because inputs are generally floats.
+    and positive iff beta > 0: on the zero-margin surface, Im(N(jw)*conj(D'(jw)))
+    is the difference of the two sides times 2*a1**1.5/a3**3.5, and a real
+    residue has real part beta times 2*a1*((2*a1*a4 - a2*a3)**2 + a1*a3**3)/a3**5
+    over |D'(jw)|**2.  Both tests are exact.
     """
     if len(num_cubic) != 4:
         raise ValueError("expected four numerator coefficients (b3, b2, b1, b0)")
-    den = _quartic_coeffs(den_quartic)
-    if not _margin_vanishes(den):
+    den = a4, a3, a2, a1, _ = _quartic_coeffs(den_quartic)
+    if a1 == 0 or quartic_hurwitz(den).margin != 0:
         raise NoImaginaryPole(
-            "denominator has no imaginary-axis pole (Hurwitz margin is nonzero)"
+            "denominator has no imaginary-axis pole pair (a1 = 0 or a nonzero Hurwitz margin)"
         )
-    a4, a3, a2, a1, a0 = den
     b3, b2, b1, b0 = (_exact(c) for c in num_cubic)
     beta = a3 * b1 - a1 * b3
-    lhs = beta * (a2 * a3 - 2 * a1 * a4)
-    rhs = (a3 * b0 - a1 * b2) * a3 * a3
-    scale = (
-        abs(beta) * abs(a2 * a3 - 2 * a1 * a4)
-        + (abs(a3 * b0) + abs(a1 * b2)) * a3 * a3
-    )
-    real_ok = abs(lhs - rhs) <= _exact(_REL_TOL) * scale if scale > 0 else lhs == rhs
-    return bool(real_ok and beta > 0)
+    return beta > 0 and beta * (a2 * a3 - 2 * a1 * a4) == (a3 * b0 - a1 * b2) * a3 * a3
 
 
 # --------------------------------------------------------------------------

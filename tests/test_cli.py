@@ -138,6 +138,97 @@ def test_failing_check_bytes(capsys, config_file, k22, b22):
     assert out == json.dumps(doc, indent=2) + "\n"
 
 
+# A zero integral gain leaves the characteristic quartic without a0: (a) and
+# (b) still take its closed forms, and the note names the factor s that
+# cancels from h11.  table1 with Im = 0 has no axis pole; the two small
+# plants have a pole pair at omega = sqrt(a1/a3) = sqrt(2/3) whose residue is
+# real and positive ("axis-pass") or not real ("axis-fail").
+_ZERO_GAIN_CONFIGS = {
+    "table1-Im0": {**_base_config(), "Im": 0},
+    "axis-pass": dict(Kf=1, Bf=0, J=1.5, B=0.5, Pm=1, Im=0, Pf=1, If=1, alpha=0, k22=1, b22=0.1),
+    "axis-fail": dict(Kf=2, Bf=1, J=6, B=1, Pm=1, Im=1, Pf=1, If=0, alpha=0, k22=1, b22=0.1),
+}
+# config: text lines after the coupler line; then each condition's
+# (passed, margin, branch, violated, witness_omega) and the grid fields
+_ZERO_GAIN_CHECKS = {
+    "table1-Im0": (
+        "condition_a: PASS (branch quartic-margin; margin 33159170.3)\n"
+        "condition_b: PASS (branch no-axis-pole; vacuous: h11 has no imaginary-axis pole"
+        " once its common factor s cancels)\n"
+        "condition_c_i: PASS (branch i1)\n"
+        "condition_c_ii: FAIL (violated: t0; witness omega 0 rad/s)\n"
+        "grid: min determinant margin -1, min Re h11 margin 0.000621023692, argmin omega"
+        " 0.001 rad/s\n",
+        [
+            (True, 33159170.297824714, "quartic-margin", None, None),
+            (True, None, "no-axis-pole", None, None),
+            (True, None, "i1", None, None),
+            (False, None, None, "t0", 0.0),
+        ],
+        (-0.9999999999553492, 0.0006210236922871064, 0.001),
+    ),
+    "axis-pass": (
+        "condition_a: PASS (branch quartic-margin; margin 0)\n"
+        "condition_b: PASS (branch residue-closed-form; margin 2.25; axis pole pair at"
+        " omega = 0.816497 rad/s)\n"
+        "condition_c_i: PASS (branch generic)\n"
+        "condition_c_ii: FAIL (violated: t3; witness omega 10.1488916 rad/s)\n"
+        "grid: min determinant margin -1, min Re h11 margin -1.04333301e-16, argmin omega"
+        " 0.001 rad/s\n",
+        [
+            (True, 0.0, "quartic-margin", None, None),
+            (True, 2.25, "residue-closed-form", None, None),
+            (True, None, "generic", None, None),
+            (False, None, None, "t3", 10.14889156509222),
+        ],
+        (-1.0, -1.0433330064022883e-16, 0.001),
+    ),
+    "axis-fail": (
+        "condition_a: PASS (branch quartic-margin; margin 0)\n"
+        "condition_b: FAIL (branch residue-closed-form; violated: residue; margin 3; witness"
+        " omega 0.816496581 rad/s; axis pole pair at omega = 0.816497 rad/s)\n"
+        "condition_c_i: FAIL (violated: interior; witness omega 0.772801541 rad/s)\n"
+        "condition_c_ii: FAIL (violated: interior; witness omega 1.56529309 rad/s)\n",
+        [
+            (True, 0.0, "quartic-margin", None, None),
+            (False, 3.0, "residue-closed-form", "residue", 0.816496580927726),
+            (False, None, None, "interior", 0.7728015412913086),
+            (False, None, None, "interior", 1.565293087617284),
+        ],
+        (None, None, None),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ZERO_GAIN_CHECKS))
+def test_zero_integral_gain_check_bytes(capsys, tmp_path, name):
+    cfg = _ZERO_GAIN_CONFIGS[name]
+    lines, conditions, grid = _ZERO_GAIN_CHECKS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "check", "--config", str(path))
+    assert code == EXIT_FAIL
+    assert out == (
+        f"criterion: passivity\ncoupler: k22={cfg['k22']:g} b22={cfg['b22']:g}\n"
+        + lines + "overall: FAIL\n"
+    )
+
+    names = ("condition_a", "condition_b", "condition_c_i", "condition_c_ii")
+    doc = {
+        "criterion": "passivity", "k22": float(cfg["k22"]), "b22": float(cfg["b22"]),
+        "conditions": [
+            dict(zip(("name", "passed", "margin", "branch", "violated", "witness_omega"),
+                     (n, *c)))
+            for n, c in zip(names, conditions)
+        ],
+        **dict(zip(("grid_min_determinant", "grid_min_re_h11", "grid_argmin_omega"), grid)),
+        "overall": False,
+    }
+    code, out, _ = run(capsys, "check", "--config", str(path), "--format", "json")
+    assert code == EXIT_FAIL
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_check_absolute_criterion(capsys):
     code, out, _ = run(capsys, "check", "--config", TABLE, "--criterion", "absolute")
     assert code == EXIT_PASS

@@ -109,6 +109,28 @@ def test_load_config_rejects_an_int_beyond_the_float_range():
             load_config({**cfg, key: 10**400})
 
 
+# repr raises ValueError for an int beyond Python's 4300-digit limit, so the
+# messages show a stand-in
+TOO_LONG = "<int too long to display>"
+
+
+@pytest.mark.parametrize("field", ["Kf", "Bf", "alpha", "k22", "b22"])
+def test_int_beyond_the_digit_limit_is_invalid(field):
+    with pytest.raises(InvalidParams, match=f"^{field} must .*, got {TOO_LONG}$"):
+        dataclasses.replace(VC if field in ("k22", "b22") else NOM, **{field: 10**5000})
+
+
+def test_load_config_rejects_an_int_beyond_the_digit_limit():
+    cfg = json.load(open("table1.json"))
+    for key in ("Kf", "k22"):
+        message = f"^config key {key} must be a finite number, got {TOO_LONG}$"
+        with pytest.raises(ConfigError, match=message):
+            load_config({**cfg, key: 10**5000})
+    message = "^config key Kf must be a number, got <list too long to display>$"
+    with pytest.raises(ConfigError, match=message):
+        load_config({**cfg, "Kf": [10**5000]})
+
+
 def test_load_config_roundtrip(tmp_path):
     params, vc = load_config("table1.json")
     assert params == NOM

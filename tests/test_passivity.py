@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PLANT_FIELDS, draw_coupler, draw_plant
-from vcoupler import model, passivity, poly
+from vcoupler import model, passivity, poly, stability
 from vcoupler.model import SystemParams, VirtualCoupler, derive_coefficients, nominal_params
 from vcoupler.optimize import maximize_k22
 from vcoupler.passivity import (
@@ -31,7 +32,7 @@ from vcoupler.passivity import (
     two_port_grid_margins,
 )
 from vcoupler.poly import Polynomial, cubic_nonneg_closed_form, is_nonnegative_on
-from vcoupler.stability import analyze_denominator, real_part_even_polynomial
+from vcoupler.stability import analyze_denominator, axis_residue_fault, real_part_even_polynomial
 
 NOM = nominal_params()
 
@@ -68,6 +69,18 @@ def test_bound_is_zero_outside_the_damping_window():
     assert k22_upper_bound(NOM, 0.0) == 0.0
     assert k22_upper_bound(NOM, 0.21) == 0.0
     assert k22_upper_bound(NOM, 5.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "b22",
+    [1e300, 10**400, 10**5000, -(10**400), math.inf, math.nan],
+    ids=["1e300", "10**400", "10**5000", "-10**400", "inf", "nan"],
+)
+def test_bound_is_zero_for_a_b22_beyond_the_float_range(b22):
+    # an int beyond the float range takes model._isfinite, not math.isfinite,
+    # which raises OverflowError on it
+    assert k22_upper_bound(NOM, b22) == 0.0
+    assert passivity._LlewellynBound(NOM).bound(b22) == 0.0
 
 
 def test_bound_window_boundary_is_four_times_the_elastic_damping():
@@ -652,8 +665,8 @@ def test_conditions_are_individually_addressable():
 
 
 def test_condition_b_reads_the_exact_margin_of_condition_a():
-    # the Hurwitz margin is 7.27e-6, within the relative tolerance of
-    # stability.imaginary_axis_pole, yet not zero: there is no axis pole
+    # the Hurwitz margin is 7.27e-6, within 1e-9 of the magnitudes of its
+    # terms, yet not zero: there is no axis pole
     p = NOM.replace(Im=766.9530028852691)
     a = check_condition_a(p)
     assert a.passed and 0 < a.margin < 1e-5
@@ -685,7 +698,7 @@ def test_plant_work_runs_once_for_the_three_checks(monkeypatch):
         "analyze_denominator", "quartic_hurwitz", "derive_coefficients",
         "plant_coefficients", "real_part_even_polynomial", "is_nonnegative_on",
     )
-    for module in (passivity, model):
+    for module in (passivity, model, stability):
         for name in names:
             if name in vars(module):
                 real = getattr(module, name)
@@ -717,19 +730,79 @@ def test_plant_work_runs_once_for_the_three_checks(monkeypatch):
     assert calls["is_nonnegative_on"] == 1
 
 
+def _generic_verdicts(p: SystemParams):
+    """(a) and (b) by the generic exact root analysis of the s-cancelled h11.
+
+    The oracle of the quartic closed forms: (a) from analyze_denominator,
+    (b) from axis_residue_fault's float residue test at the axis pairs.
+    """
+    h11 = model.hybrid_matrix(p, vc(1.0, 0.1)).h11
+    analysis = analyze_denominator(h11.den)
+    return analysis.open_rhp_free, axis_residue_fault(h11.num, h11.den, analysis.imaginary_pairs)
+
+
 def test_quartic_margin_verdict_matches_the_generic_root_analysis(corpus):
-    # with Im, If > 0 the quartic's Hurwitz margin alone decides (a); the
-    # generic exact root location of h11's denominator must agree
+    # the quartic's Hurwitz margin alone decides (a) and (b), for positive
+    # gains (the corpus) and for zero ones, where the quartic loses a0 or
+    # a0 and a1; the generic exact root location of h11's denominator and
+    # its residue test must agree
+    rng = np.random.default_rng(7)
+    zero_gain = [
+        draw_plant(rng, 1.0, **fixed)
+        for fixed in ({"Im": 0.0}, {"If": 0.0}, {"Im": 0.0, "If": 0.0})
+        for _ in range(100)
+    ]
     verdicts = collections.Counter()
-    for inst in corpus:
-        p = inst.params
-        assert p.Im > 0 and p.If > 0
-        den = model.hybrid_matrix(p, inst.coupler).h11.den
-        a = check_condition_a(p)
-        assert a.branch == "quartic-margin"
-        assert a.passed == analyze_denominator(den).open_rhp_free, p
-        verdicts[a.passed] += 1
-    assert verdicts[True] and verdicts[False]
+    for p in [inst.params for inst in corpus] + zero_gain:
+        a, b = check_condition_a(p), check_condition_b(p)
+        assert a.branch == "quartic-margin" and b.branch == "no-axis-pole"
+        rhp_free, fault = _generic_verdicts(p)
+        assert a.passed == rhp_free, p
+        assert b.passed and fault is None, p
+        verdicts[p.Im > 0 and p.If > 0, a.passed] += 1
+    assert all(verdicts[gains, passed] for gains in (True, False) for passed in (True, False))
+
+
+def _zero_gain_axis_family():
+    """Plants with one zero integral gain and an exact imaginary-axis pole pair.
+
+    A zero gain makes a0 = 0, so the Hurwitz margin is a1*(a2*a3 - a1*M)
+    with a1, a2 and a3 free of M: M = a2*a3/a1 puts a pole pair on the axis
+    whenever that Fraction is a float.
+    """
+    for Kf, Bf, B, Pm, Pf, gain, alpha, zero in itertools.product(
+        (1.0, 2.0), (0.0, 0.5, 1.0), (0.5, 1.0), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0),
+        (0.0, 1.0), ("Im", "If"),
+    ):
+        kw = dict(Kf=Kf, Bf=Bf, M=1.0, B=B, Pm=Pm, Im=gain, Pf=Pf, If=gain, alpha=alpha)
+        kw[zero] = 0.0
+        c = model.plant_coefficients(SystemParams(**kw))
+        M = c.a2 * c.a3 / c.a1
+        if Fraction(float(M)) == M:
+            yield SystemParams(**{**kw, "M": float(M)})
+
+
+def test_zero_gain_axis_pole_pairs_match_the_generic_residue_test():
+    verdicts = collections.Counter()
+    for p in _zero_gain_axis_family():
+        c = model.plant_coefficients(p)
+        a, b = check_condition_a(p), check_condition_b(p)
+        assert a.passed and a.margin == 0 and b.branch == "residue-closed-form", p
+        rhp_free, fault = _generic_verdicts(p)
+        assert rhp_free and b.passed == (fault is None), p
+        if fault is not None:
+            label, omega = fault
+            assert label == b.failing == "residue"
+            assert b.witness_omega == math.sqrt(c.a1 / c.a3)
+            assert omega == pytest.approx(b.witness_omega, rel=1e-12)
+        verdicts[b.passed] += 1
+        # off the axis the margin's sign alone decides, as the root analysis does
+        for scale in (0.5, 2.0):
+            q = dataclasses.replace(p, M=p.M * scale)
+            a, b = check_condition_a(q), check_condition_b(q)
+            assert a.passed == (scale < 1) == _generic_verdicts(q)[0], q
+            assert b.passed and b.branch == "no-axis-pole"
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
 
 
 # ---------------------------------------------------------------------------

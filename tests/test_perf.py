@@ -69,6 +69,23 @@ def test_ints_beyond_the_float_range_are_invalid():
         voigt_reference(0.17, 10**400)
 
 
+def test_ints_beyond_the_digit_limit_are_invalid():
+    # repr raises ValueError for them; the messages show a stand-in
+    big, shown = 10**5000, "got <int too long to display>$"
+    with pytest.raises(InvalidParams, match="^environment kind must be one of .*" + shown):
+        EnvironmentModel(big)
+    with pytest.raises(InvalidParams, match="^Ke must be a nonnegative finite number, " + shown):
+        EnvironmentModel("spring", big, 0.0)
+    with pytest.raises(InvalidParams, match="^k22 must be positive and finite, " + shown):
+        spring_reference(big, 1.0)
+    with pytest.raises(InvalidParams, match="^Kd must be nonnegative and finite, " + shown):
+        spring_reference(400.0, big)
+    with pytest.raises(InvalidParams, match="^b22 must be positive and finite, " + shown):
+        voigt_reference(big, 0.05)
+    with pytest.raises(InvalidParams, match="^Bd must be nonnegative and finite, " + shown):
+        voigt_reference(0.17, big)
+
+
 def test_environment_impedances():
     s = 2.0j
     assert EnvironmentModel("null", 0.0, 0.0).impedance().eval(s) == 0.0

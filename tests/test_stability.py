@@ -1,7 +1,9 @@
 """Rational-function stability and positive-realness checks."""
 from __future__ import annotations
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -9,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcoupler.errors import NoImaginaryPole
 from vcoupler.model import derive_coefficients, nominal_coupler, nominal_params
 from vcoupler.poly import Polynomial
 from vcoupler.stability import (
     RationalFunction,
     analyze_denominator,
     axis_residue_fault,
-    imaginary_axis_pole,
     positive_real,
     quartic_hurwitz,
     real_part_even_polynomial,
@@ -54,27 +56,41 @@ def test_quartic_margin_value_for_bundled_parameters():
 
 
 # ---------------------------------------------------------------------------
-# imaginary-axis pole detection
+# imaginary-axis pole pairs: a zero margin with a1 > 0, at sqrt(a1/a3)
 # ---------------------------------------------------------------------------
 
 
+def _descending(poly: Polynomial, n: int):
+    """The n coefficients of poly, highest degree first, zeros included."""
+    return list(poly.coeffs + (Fraction(0),) * (n - len(poly.coeffs)))[::-1]
+
+
 def test_axis_pole_found_on_constructed_quartics():
+    # exact products (s^2 + w0^2)(s^2 + a s + b), b = 0 giving the a0 = 0
+    # shape of a zero integral gain
     rng = np.random.default_rng(5150)
-    for _ in range(200):
+    for i in range(200):
         w0 = 10.0 ** rng.uniform(-2, 3)
         a, b = 10.0 ** rng.uniform(-1, 1, size=2)
-        # (s^2 + w0^2)(s^2 + a s + b), ascending then reversed to descending
-        asc = npoly.polymul([w0 * w0, 0.0, 1.0], [b, a, 1.0])
-        found = imaginary_axis_pole(list(asc[::-1]))
-        assert found is not None
-        assert found == pytest.approx(w0, rel=1e-6)
-        roots = np.roots(asc[::-1])
-        nearest = roots[np.argmin(np.abs(roots - 1j * found))]
-        assert abs(nearest - 1j * found) <= 1e-6 * max(1.0, abs(found))
+        if i % 4 == 0:
+            b = 0.0
+        quartic = _descending(Polynomial([Fraction(w0) ** 2, 0, 1]) * Polynomial([b, a, 1]), 5)
+        a4, a3, a2, a1, a0 = quartic
+        q = quartic_hurwitz(quartic)
+        assert q.margin == 0 and q.no_open_rhp
+        assert a1 / a3 == Fraction(w0) ** 2
+        assert math.sqrt(float(a1 / a3)) == w0
+        residues_positive_real([0, 0, 1, 0], quartic)  # accepts the pair: no raise
 
 
 def test_no_axis_pole_on_strictly_stable_quartic():
-    assert imaginary_axis_pole([1.0, 3.0, 3.0, 2.0, 1.0]) is None
+    q = quartic_hurwitz([1, 3, 3, 2, 1])
+    assert q.margin == 5 and q.no_open_rhp
+    # s^2 (s^2 + 3s + 2): a zero margin, but a1 = 0 leaves no axis pair
+    assert quartic_hurwitz([1, 3, 2, 0, 0]).margin == 0
+    for den in ([1, 3, 3, 2, 1], [1, 3, 2, 0, 0]):
+        with pytest.raises(NoImaginaryPole):
+            residues_positive_real([0, 0, 1, 0], den)
 
 
 # ---------------------------------------------------------------------------
@@ -83,39 +99,41 @@ def test_no_axis_pole_on_strictly_stable_quartic():
 
 
 def test_residues_on_constructed_axis_poles():
-    # Impedances of the form s*N3/D4 with D4 = (s^2+p^2)(s+a)(s+b).  Writing
+    # Impedances of the form s*N3/D4 with D4 = (s^2+p^2)(s+a)(s+b), built
+    # exactly; b = 0 gives the a0 = 0 shape.  Writing
     # N3 = q(s)(s^2+p^2) + (u s + v), the residue at jp is
     # (u jp + v) / (2 Q(jp)); choosing u = 2 rho (a+b), v = 2 rho (ab - p^2)
     # makes it exactly the real number rho.
     rng = np.random.default_rng(2718)
     decisive = 0
     for i in range(500):
-        p = 10.0 ** rng.uniform(-1, 2)
-        a, b = 10.0 ** rng.uniform(-1, 1, size=2)
-        Q = npoly.polymul([a, 1.0], [b, 1.0])
-        D = npoly.polymul([p * p, 0.0, 1.0], Q)
-        q_lin = rng.uniform(-2.0, 2.0, size=2)
+        p = Fraction(10.0 ** rng.uniform(-1, 2))
+        a, b = (Fraction(x) for x in 10.0 ** rng.uniform(-1, 1, size=2))
+        if i % 6 >= 3:
+            b = Fraction(0)
+        axis = Polynomial([p * p, 0, 1])
+        D = axis * Polynomial([a, 1]) * Polynomial([b, 1])
+        q_lin = Polynomial(rng.uniform(-2.0, 2.0, size=2))
         case = i % 3
         if case == 2:
-            u, v = rng.uniform(0.5, 3.0, size=2)  # generic: complex residue
+            u, v = (Fraction(x) for x in rng.uniform(0.5, 3.0, size=2))  # complex residue
         else:
-            rho = float(rng.uniform(0.1, 10.0)) * (1.0 if case == 0 else -1.0)
-            u = 2.0 * rho * (a + b)
-            v = 2.0 * rho * (a * b - p * p)
-        N3 = npoly.polyadd(npoly.polymul(q_lin, [p * p, 0.0, 1.0]), [v, u])
-        N3 = list(np.pad(N3, (0, 4 - len(N3))))
+            rho = Fraction(rng.uniform(0.1, 10.0)) * (1 if case == 0 else -1)
+            u = 2 * rho * (a + b)
+            v = 2 * rho * (a * b - p * p)
+        N3 = q_lin * axis + Polynomial([v, u])
         # numeric residue oracle on the full numerator s*N3
-        Nfull = npoly.polymul([0.0, 1.0], N3)
-        res = npoly.polyval(1j * p, Nfull) / npoly.polyval(1j * p, npoly.polyder(D))
+        s0 = 1j * float(p)
+        res = s0 * N3.eval(s0) / D.derivative().eval(s0)
         if case == 2:
             if abs(res.imag) < 1e-3 * abs(res):
                 continue  # accidentally near-real: not a decisive rejection case
             expect = False
         else:
-            assert res == pytest.approx(rho, rel=1e-9)
+            assert res == pytest.approx(float(rho), rel=1e-9)
             expect = rho > 0
         decisive += 1
-        assert residues_positive_real(list(N3[::-1]), list(D[::-1])) is expect
+        assert residues_positive_real(_descending(N3, 4), _descending(D, 5)) is expect
     assert decisive >= 450
 
 
