@@ -14,7 +14,9 @@ Everything downstream works on the hybrid two-port
 
 whose entries share a quartic characteristic denominator.  Coefficients are
 derived in exact rational arithmetic so independent reconstructions of the
-same quantity can be compared with zero tolerance.
+same quantity can be compared with zero tolerance.  H is sampled entry by
+entry (RationalFunction.eval and eval_grid); where its poles lie is decided
+exactly in stability and passivity, never by a float tolerance here.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional, Tuple, Union
 
-import numpy as np
-
-from .errors import ConfigError, InvalidParams, PoleAtFrequency
+from .errors import ConfigError, InvalidParams
 from .poly import Polynomial, _exact
 from .stability import RationalFunction
 
@@ -44,9 +44,13 @@ __all__ = [
     "plant_coefficients",
     "derive_coefficients",
     "hybrid_matrix",
-    "eval_h",
     "load_config",
 ]
+
+
+def _is_number(v) -> bool:
+    """An int or float, and not a bool (which the exact arithmetic rejects)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _isfinite(v) -> bool:
@@ -90,14 +94,14 @@ class SystemParams:
     def __post_init__(self) -> None:
         for name in ("Kf", "M", "B", "Pm", "Pf"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and _isfinite(v) and v > 0):
+            if not (_is_number(v) and _isfinite(v) and v > 0):
                 raise InvalidParams(f"{name} must be a positive finite number, got {_shown(v)}")
         for name in ("Bf", "Im", "If"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and _isfinite(v) and v >= 0):
+            if not (_is_number(v) and _isfinite(v) and v >= 0):
                 raise InvalidParams(f"{name} must be a nonnegative finite number, got {_shown(v)}")
         a = self.alpha
-        if not (isinstance(a, (int, float)) and 0 <= a <= 1):
+        if not (_is_number(a) and 0 <= a <= 1):
             raise InvalidParams(f"alpha must lie in [0, 1], got {_shown(a)}")
 
     # params.replace(alpha=a): a copy, validated again by __post_init__
@@ -114,7 +118,7 @@ class VirtualCoupler:
     def __post_init__(self) -> None:
         for name in ("k22", "b22"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and _isfinite(v) and v >= 0):
+            if not (_is_number(v) and _isfinite(v) and v >= 0):
                 raise InvalidParams(f"{name} must be a nonnegative finite number, got {_shown(v)}")
         if self.k22 == 0 and self.b22 == 0:
             raise InvalidParams("coupler must have k22 > 0 or b22 > 0")
@@ -334,36 +338,6 @@ def hybrid_matrix(params: SystemParams, coupler: VirtualCoupler) -> HybridMatrix
     )
 
 
-def _den_magnitude_scale(den: Polynomial, omega: float) -> float:
-    """Sum_i |c_i| * omega**i: the natural magnitude scale of den at |s| = omega."""
-    w = abs(float(omega))
-    acc = 0.0
-    power = 1.0
-    for cf in den.coeffs:
-        acc += abs(float(cf)) * power
-        power *= w
-    return acc
-
-
-def eval_h(h: HybridMatrix, omega: float) -> np.ndarray:
-    """Evaluate H(j*omega) as a 2x2 complex array.
-
-    Raises PoleAtFrequency when any entry's denominator vanishes at j*omega
-    to within 1e-9 of its coefficient magnitude scale.
-    """
-    s = 1j * float(omega)
-    out = np.empty((2, 2), dtype=complex)
-    for (i, j), rf in (((0, 0), h.h11), ((0, 1), h.h12), ((1, 0), h.h21), ((1, 1), h.h22)):
-        dv = rf.den.eval(s)
-        scale = _den_magnitude_scale(rf.den, omega)
-        if abs(dv) <= 1e-9 * scale:
-            raise PoleAtFrequency(
-                f"h{i+1}{j+1} has a pole at omega = {omega!r} rad/s"
-            )
-        out[i, j] = rf.num.eval(s) / dv
-    return out
-
-
 # --------------------------------------------------------------------------
 # configuration
 
@@ -403,7 +377,7 @@ def load_config(
     if missing:
         raise ConfigError(f"missing config keys in {origin}: {missing}")
     for k, v in data.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ConfigError(f"config key {k} must be a number, got {_shown(v)}")
         if isinstance(v, int) and not _isfinite(v):
             raise ConfigError(f"config key {k} must be a finite number, got {_shown(v)}")

@@ -67,6 +67,7 @@ from .poly import (
     Polynomial,
     _homogeneous,
     _integer_vector,
+    _witness_float,
     cubic_nonneg_closed_form,
     first_clause,
     is_nonnegative_on,
@@ -103,6 +104,10 @@ _LLEWELLYN_TOL = 1e-8
 _UNBOUNDED = (
     "the Llewellyn margin holds at every k22 tried up to the 1e15 search"
     " ceiling on this grid, so the grid does not bound k22"
+)
+_UNBOUNDED_C_II = (
+    "condition (c-ii) holds at every k22 tried up to the 1e15 search ceiling,"
+    " so this plant's k22 bound lies beyond the search range"
 )
 # _LlewellynBound's closed form needs Re h11, |h12| and w^2 of every finite sample
 # in [1/_RANGE, _RANGE], and b22 in [1/_B22_RANGE, _B22_RANGE]: every float step
@@ -263,7 +268,7 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
     quartic = (p.a4, p.a3, p.a2, p.a1, p.a0)
     qh = quartic_hurwitz(quartic)
     a = ConditionReport(
-        name="condition_a", passed=qh.no_open_rhp, margin=float(qh.margin),
+        name="condition_a", passed=qh.no_open_rhp, margin=_witness_float(qh.margin),
         branch="quartic-margin", failing=None if qh.no_open_rhp else "margin",
     )
     if qh.margin != 0 or p.a1 == 0:
@@ -280,7 +285,7 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
         b3, _, b1, _ = cubic
         ok = residues_positive_real(cubic, quartic)
         b = ConditionReport(
-            name="condition_b", passed=ok, margin=float(p.a3 * b1 - p.a1 * b3),
+            name="condition_b", passed=ok, margin=_witness_float(p.a3 * b1 - p.a1 * b3),
             branch="residue-closed-form", failing=None if ok else "residue",
             witness_omega=None if ok else w,
             note=f"axis pole pair at omega = {w:.6g} rad/s",
@@ -632,7 +637,8 @@ class _DeterminantBound:
     1. estimate: _frontier_k2 finds the frontier K* = min over x >= 0 of
        (4*b22*r - b22**2*x*w)/w in floats;
     2. band: _sup_feasible runs the search from the static probe
-       sqrt(4*b22*r0)/(Im + alpha*Kf) with every k22 at or below
+       sqrt(4*b22*r0)/(Im + alpha*Kf), or by doubling from 1.0 when that
+       is not a finite float, with every k22 at or below
        sqrt(K*)*(1 - 1e-9) taken to pass and every one at or above
        sqrt(K*)*(1 + 1e-9) taken to fail; only a k22 strictly inside is
        probed exactly, and an estimate that is not finite and positive
@@ -664,8 +670,9 @@ class _DeterminantBound:
     def __init__(self, params: SystemParams, start: Optional[float] = None) -> None:
         plant = _plant_analysis(params)
         self._rw = plant.rw
-        self._ia = float(Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf))
-        self._r0x4 = max(float(4 * plant.coeffs.r0), 0.0)
+        ia = Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf)
+        self._ia = _witness_float(ia)
+        self._r0x4 = max(_witness_float(4 * plant.coeffs.r0), 0.0)
         self.start = start
 
     def admits(self, b22: float, k22: float) -> bool:
@@ -687,6 +694,8 @@ class _DeterminantBound:
         if base[3] < 0:  # t3 < 0 at every k22: b22 > 4*Bf
             return 0.0
         hi = math.sqrt(self._r0x4 * b22) / self._ia if self._ia > 0 else None
+        if hi is not None and not math.isfinite(hi):  # r0 or Im + alpha*Kf beyond float range
+            hi = None
         K, x = _frontier_k2(base, step, self.start)
         if x is not None:
             self.start = x
@@ -707,7 +716,10 @@ class _DeterminantBound:
                 top == math.inf or top < above or not probe(top)
             ):
                 return lo
-        return _sup_feasible(probe, hi, tol)[0]
+        try:
+            return _sup_feasible(probe, hi, tol)[0]
+        except RuntimeError:
+            raise InvalidParams(_UNBOUNDED_C_II) from None
 
 
 def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> float:
@@ -716,7 +728,8 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
     The feasible set is an interval [0, k*], found to absolute tolerance
     tol or, when no float lies strictly inside the bracket, to the float
     (tol = 0).  Returns 0.0 when no positive k22 is feasible (including
-    b22 <= 0 and b22 > 4*Bf).  Raises ValueError for a negative or NaN tol.
+    b22 <= 0 and b22 > 4*Bf).  Raises ValueError for a negative or NaN tol,
+    and InvalidParams when every k22 up to the 1e15 search ceiling passes.
     The search and its exact probes are described at _DeterminantBound; to
     bound many b22 of one plant, keep one _DeterminantBound, as the
     optimizer does.

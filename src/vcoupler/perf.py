@@ -22,7 +22,8 @@ and strips the same power of s from each: for every combination of zero
 and positive integral gains (Im, If), N11 and N12 vanish at s = 0 at least
 to the order D does, so the common s-factor removed is D's.  The result is
 degree 6/6 before its gcd reduction, against up to 16 for the generic
-composition.
+composition (h11 + dh*Ze)/(1 + h22*Ze), which tests/test_perf.py builds
+from the entries' numerators and denominators as the oracle of this form.
 
 The module also maps desired rendering parameters to the reference values
 that compensate the coupler's series compliance: a desired stiffness Kd
@@ -45,7 +46,7 @@ from .errors import (
     InvalidParams,
     PoleAtFrequency,
 )
-from .model import HybridMatrix, _isfinite, _shown
+from .model import HybridMatrix, _is_number, _isfinite, _shown
 from .poly import Polynomial
 from .stability import RationalFunction
 
@@ -84,7 +85,7 @@ class EnvironmentModel:
             )
         for name in ("Ke", "Be"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and _isfinite(v) and v >= 0):
+            if not (_is_number(v) and _isfinite(v) and v >= 0):
                 raise InvalidParams(f"{name} must be a nonnegative finite number, got {_shown(v)}")
         if self.kind in ("null", "damper") and self.Ke != 0:
             raise InvalidParams(f"{self.kind} environment cannot carry Ke = {self.Ke}")

@@ -2,11 +2,11 @@
 
 Coefficients are stored lowest degree first and converted to
 fractions.Fraction on construction.  Floats are expanded to their exact
-binary value rather than rounded, so every computation in this module is
-exact: two algebraically identical expressions evaluate to identical
-rationals regardless of operation order.  That determinism is what lets the
-rest of the package compare independently derived formulas with zero
-tolerance.
+binary value rather than rounded, so every computation in this module
+except the complex sampling Polynomial.eval is exact: two algebraically
+identical expressions evaluate to identical rationals regardless of
+operation order.  That determinism is what lets the rest of the package
+compare independently derived formulas with zero tolerance.
 
 The root-counting machinery is the classical Sturm theory: for a square-free
 polynomial q, the sign-variation count V of its Sturm chain satisfies
@@ -121,24 +121,11 @@ class Polynomial:
             acc = acc * xf + c
         return acc
 
-    def eval(self, x):
-        """Horner evaluation.
-
-        int/Fraction arguments give an exact Fraction; float arguments give
-        a float; complex arguments give a complex (both via double
-        precision).
-        """
-        if isinstance(x, complex):
-            acc = 0j
-            for c in reversed(self.coeffs):
-                acc = acc * x + float(c)
-            return acc
-        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            return self.eval_exact(x)
-        xf = float(x)
-        acc = 0.0
+    def eval(self, s: complex) -> complex:
+        """Horner evaluation at a complex point, in double precision."""
+        acc = 0j
         for c in reversed(self.coeffs):
-            acc = acc * xf + float(c)
+            acc = acc * s + float(c)
         return acc
 
     def float_coeffs(self) -> List[float]:
@@ -172,10 +159,6 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Polynomial(out)
-
-    def scale(self, factor: Number) -> "Polynomial":
-        f = _exact(factor)
-        return Polynomial([c * f for c in self.coeffs])
 
     def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
         if other.is_zero:
@@ -223,15 +206,6 @@ class Polynomial:
         if a.is_zero:
             return a
         return a.monic()
-
-    def square_free_part(self) -> "Polynomial":
-        """self / gcd(self, self'); same distinct roots, all simple."""
-        if self.degree <= 0:
-            return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        return self.exact_div(g)
 
     def squarefree_decomposition(self) -> List[Tuple["Polynomial", int]]:
         """Yun's algorithm: [(factor_i, multiplicity_i)] with factors square-free.
@@ -301,11 +275,6 @@ class Polynomial:
         return 1 + m / lead
 
 
-def eval(p: Polynomial, x):  # noqa: A001 - module-level name fixed by the API
-    """Evaluate p at x (see Polynomial.eval for type dispatch)."""
-    return p.eval(x)
-
-
 def _integer_vector(coeffs: Sequence[Fraction]) -> Tuple[int, ...]:
     """L*coeffs as ints, L the positive lcm of their denominators."""
     scale = math.lcm(*(c.denominator for c in coeffs))
@@ -350,11 +319,6 @@ class SturmChain:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ints", tuple(_integer_vector(q.coeffs) for q in self.polys))
-
-    @property
-    def base(self) -> Polynomial:
-        """The polynomial the chain starts from."""
-        return self.polys[0]
 
     def values_at(self, num: int, den: int) -> List[int]:
         """den**deg_i * q_i(num/den) for each chain polynomial q_i; den > 0."""
@@ -442,10 +406,10 @@ def count_real_roots(p: Polynomial, a=NEG_INF, b=POS_INF) -> int:
 
 
 def _gap_points(chain: SturmChain, lo: Fraction, hi: Fraction) -> List[Fraction]:
-    """Sample points meeting every root-free gap of chain.base in [lo, hi].
+    """Sample points meeting every root-free gap of chain.polys[0] in [lo, hi].
 
     Returns points (including lo and hi) such that each maximal open
-    subinterval of (lo, hi) free of roots of chain.base contains at least
+    subinterval of (lo, hi) free of roots of chain.polys[0] contains at least
     one of them.  A polynomial with the same distinct roots is therefore
     nonnegative on [lo, hi] iff it is nonnegative at all returned points.
 
@@ -460,7 +424,7 @@ def _gap_points(chain: SturmChain, lo: Fraction, hi: Fraction) -> List[Fraction]
     probes = {}
 
     def probe(x: Tuple[int, int]) -> Tuple[int, bool]:
-        """(sign variations at x, whether x is a root of chain.base)."""
+        """(sign variations at x, whether x is a root of chain.polys[0])."""
         if x not in probes:
             values = chain.values_at(x[0], den << x[1])
             probes[x] = (_variations(values), values[0] == 0)

@@ -69,7 +69,9 @@ class RationalFunction:
 
     Construction trims leading zeros only; poles/zeros shared between
     numerator and denominator are cancelled by reduced(), which callers use
-    whenever true pole locations matter.
+    whenever true pole locations matter.  There is no rational arithmetic:
+    each composition (perf.transmitted_impedance, perf.z_width) multiplies
+    the Polynomial numerators and denominators in its own closed form.
     """
 
     __slots__ = ("num", "den")
@@ -111,22 +113,6 @@ class RationalFunction:
             num = np.polyval(self.num.float_coeffs()[::-1] or [0.0], s)
             den = np.polyval(self.den.float_coeffs()[::-1], s)
             return np.where(np.isfinite(num) & np.isfinite(den), num / den, np.nan)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + RationalFunction(-other.num, other.den)
 
 
 # --------------------------------------------------------------------------

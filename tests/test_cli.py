@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, formats, error handling."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -679,6 +680,35 @@ def test_oversized_number_in_the_config_is_a_config_error(capsys, tmp_path, digi
     code, out, err = run(capsys, "check", "--config", str(p))
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+
+
+def _benchmark_cli_commands():
+    """CLI_COMMANDS of perfbench/workloads.py, the README commands the cli workload runs."""
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.CLI_COMMANDS
+
+
+_BIG_PLANT_RUNS = [(cmd, EXIT_PASS) for cmd in _benchmark_cli_commands()] + [
+    (("optimize", "--over", "b22+alpha"), EXIT_CONFIG)
+]
+
+
+@pytest.mark.parametrize(
+    "argv, want", _BIG_PLANT_RUNS, ids=[" ".join(argv) for argv, _ in _BIG_PLANT_RUNS]
+)
+def test_plant_with_coefficients_beyond_the_float_range(capsys, config_file, argv, want):
+    # r0 and the quartic margin of Kf = 1e200 overflow a float, and the reports
+    # clamp them to inf; at alpha = 0 the (c-ii) bound lies beyond the 1e15
+    # search ceiling, which is a config error
+    code, out, err = run(capsys, *argv[:1], "--config", config_file(Kf=1e200), *argv[1:])
+    assert code == want, err
+    if want == EXIT_CONFIG:
+        assert err == (
+            "config error: condition (c-ii) holds at every k22 tried up to the 1e15 search"
+            " ceiling, so this plant's k22 bound lies beyond the search range\n"
+        )
 
 
 def test_nonexistent_config_file(capsys, tmp_path):

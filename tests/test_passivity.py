@@ -536,7 +536,7 @@ def _determinant_polynomial(params, coupler):
     f11 = real_part_even_polynomial(N11, D)
     W = real_part_even_polynomial(N12 - D, N12 - D)
     k22, b22 = Fraction(coupler.k22), Fraction(coupler.b22)
-    return (Polynomial([0, 1]) * f11).scale(4 * b22) - Polynomial([k22 * k22, b22 * b22]) * W
+    return Polynomial([0, 4 * b22]) * f11 - Polynomial([k22 * k22, b22 * b22]) * W
 
 
 @pytest.mark.parametrize(

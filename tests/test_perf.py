@@ -254,12 +254,22 @@ _TERMINATIONS = (
 )
 
 
+def _mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
+    return RationalFunction(a.num * b.num, a.den * b.den)
+
+
+def _add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
+    return RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
 def _generic_transmitted_impedance(h, env) -> RationalFunction:
     """(h11 + dh*Ze) / (1 + h22*Ze), dh = h11*h22 - h12*h21, composed generically."""
     ze = env.impedance()
-    one = RationalFunction([1], [1])
-    dh = h.h11 * h.h22 - h.h12 * h.h21
-    return ((h.h11 + dh * ze) / (one + h.h22 * ze)).reduced()
+    minus_h21 = RationalFunction(-h.h21.num, h.h21.den)
+    dh = _add(_mul(h.h11, h.h22), _mul(h.h12, minus_h21))
+    top = _add(h.h11, _mul(dh, ze))
+    bottom = _add(RationalFunction([1], [1]), _mul(h.h22, ze))
+    return RationalFunction(top.num * bottom.den, top.den * bottom.num).reduced()
 
 
 def _monic(rf: RationalFunction):

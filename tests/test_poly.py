@@ -23,7 +23,6 @@ from vcoupler.poly import (
     Polynomial,
     count_real_roots,
     cubic_nonneg_closed_form,
-    eval as poly_eval,
     is_nonnegative_on,
     remainder_chain,
     sign_variations,
@@ -73,7 +72,7 @@ def test_coefficients_are_trimmed_and_degree_reported():
 
 def test_eval_is_exact_on_rational_input():
     p = Polynomial([Fraction(1, 3), 1])
-    out = poly_eval(p, Fraction(1, 2))
+    out = p.eval_exact(Fraction(1, 2))
     assert out == Fraction(5, 6)
     assert isinstance(out, Fraction)
 
@@ -166,9 +165,17 @@ def test_chain_satisfies_euclidean_recurrence_exactly():
             assert rem == list(neg)
 
 
+def _square_free_part(p: Polynomial) -> Polynomial:
+    """Oracle: p / gcd(p, p'), with the same distinct roots, all simple."""
+    if p.degree <= 0:
+        return p
+    g = p.gcd(p.derivative())
+    return p if g.degree <= 0 else p.exact_div(g)
+
+
 def _two_pass_sturm_sequence(p: Polynomial):
     """Oracle: the square-free part by its own Euclid pass, then its chain."""
-    q = p.square_free_part()
+    q = _square_free_part(p)
     if q.degree < 1:
         return (q,)
     return remainder_chain(q, q.derivative()).polys
@@ -194,7 +201,7 @@ def test_one_pass_chain_matches_the_two_pass_route():
         got = sturm_sequence(p).polys
         assert [q.coeffs for q in got] == [q.coeffs for q in expected]
         if p.degree >= 1:
-            if p.square_free_part().degree < p.degree:
+            if _square_free_part(p).degree < p.degree:
                 repeated += 1
             else:
                 square_free += 1
@@ -273,7 +280,7 @@ def test_nonnegativity_witness_is_a_real_violation():
             seen_witness += 1
             scale = max(1.0, float(max(abs(c) for c in coeffs)))
             assert witness >= 0.0
-            assert float(poly_eval(p, witness)) < 1e-6 * scale * max(1.0, witness) ** 3
+            assert float(p.eval_exact(witness)) < 1e-6 * scale * max(1.0, witness) ** 3
     assert seen_witness > 50
 
 
@@ -378,7 +385,7 @@ def _fraction_gap_points(chain, lo, hi):
         return cache[x]
 
     def is_root(x):
-        return chain.base.eval_exact(x) == 0
+        return chain.polys[0].eval_exact(x) == 0
 
     pts = [lo, hi]
     if V(lo) - V(hi) <= 0:
@@ -414,7 +421,7 @@ def _fraction_count_real_roots(p, a, b) -> int:
         return 0
     chain = sturm_sequence(p)
     n = _fraction_sign_variations(chain, a) - _fraction_sign_variations(chain, b)
-    if not (isinstance(b, float) and math.isinf(b)) and chain.base.eval_exact(b) == 0:
+    if not (isinstance(b, float) and math.isinf(b)) and chain.polys[0].eval_exact(b) == 0:
         n -= 1
     return n
 
@@ -542,7 +549,7 @@ def test_integer_sign_route_matches_the_fraction_route_bit_for_bit():
                 assert poly._gap_points(chain, lo, hi) == _fraction_gap_points(chain, lo, hi)
                 seen["root at lo"] += p.eval_exact(lo) == 0
                 seen["root at a midpoint"] += p.eval_exact((lo + hi) / 2) == 0
-        if p.degree >= 1 and p.eval(0) != 0:
+        if p.degree >= 1 and p.coeffs[0] != 0:
             assert stability._rhp_root_count(p) == _fraction_rhp_root_count(p), p
     assert min(seen.values()) >= 10, seen
 

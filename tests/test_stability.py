@@ -287,7 +287,7 @@ def test_denominator_analysis_matches_integer_root_oracle():
             continue
         parities.add(p.degree % 2)
         if rng.random() < 0.5:
-            p = p.scale(-3)
+            p = Polynomial([-3 * c for c in p.coeffs])
 
         d = analyze_denominator(p)
         rhp = any(r > 0 for r in real_roots) or any(a > 0 for a, _ in pairs)
