@@ -762,12 +762,13 @@ def two_port_grid_margins(
 
 def _two_port_margins(h11: np.ndarray, h12m1: np.ndarray, h22: np.ndarray):
     """(m11, m22, mdet) from samples of h11, h12 - 1 and h22."""
-    m11 = h11.real / (np.abs(h11) + _TINY)
-    m22 = h22.real / (np.abs(h22) + _TINY)
-    cross = 0.25 * np.abs(h12m1) ** 2
-    det = h11.real * h22.real - cross
-    scale = np.abs(h11.real * h22.real) + cross + _TINY
-    return m11, m22, det / scale
+    with np.errstate(all="ignore"):
+        m11 = h11.real / (np.abs(h11) + _TINY)
+        m22 = h22.real / (np.abs(h22) + _TINY)
+        cross = 0.25 * np.abs(h12m1) ** 2
+        det = h11.real * h22.real - cross
+        scale = np.abs(h11.real * h22.real) + cross + _TINY
+        return m11, m22, det / scale
 
 
 def _confirm_sampled_dip(
@@ -799,10 +800,11 @@ def _confirm_sampled_dip(
 
 def _llewellyn_margin(re11, re12, abs12, re22):
     """Normalized Llewellyn margin from samples of Re h11, Re h12, |h12| and Re h22."""
-    prod = re11 * re22
-    L = 2.0 * prod + re12 - abs12
-    scale = 2.0 * np.abs(prod) + 2.0 * abs12 + _TINY
-    return L / scale
+    with np.errstate(all="ignore"):
+        prod = re11 * re22
+        L = 2.0 * prod + re12 - abs12
+        scale = 2.0 * np.abs(prod) + 2.0 * abs12 + _TINY
+        return L / scale
 
 
 def llewellyn_grid_margins(
@@ -901,7 +903,8 @@ class _LlewellynBound:
         with np.errstate(all="ignore"):
             re22 = b22 * self._w2 / (k22 * k22 + b22 * b22 * self._w2)
         margins = _llewellyn_margin(self._re11, self._re12, self._abs12, re22)
-        return float(np.nanmin(margins)) >= -_LLEWELLYN_TOL
+        margins = margins[~np.isnan(margins)]
+        return margins.size > 0 and float(np.min(margins)) >= -_LLEWELLYN_TOL
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
         if not (b22 > 0.0 and _isfinite(b22)):

@@ -21,9 +21,12 @@ because model.hybrid_matrix builds both over the characteristic quartic
 and strips the same power of s from each: for every combination of zero
 and positive integral gains (Im, If), N11 and N12 vanish at s = 0 at least
 to the order D does, so the common s-factor removed is D's.  The result is
-degree 6/6 before its gcd reduction, against up to 16 for the generic
-composition (h11 + dh*Ze)/(1 + h22*Ze), which tests/test_perf.py builds
-from the entries' numerators and denominators as the oracle of this form.
+degree 6/6, against up to 16 for the generic composition
+(h11 + dh*Ze)/(1 + h22*Ze), which tests/test_perf.py builds from the
+entries' numerators and denominators as the oracle of this form.  No
+composition here is gcd-reduced: a factor Ze shares with the coupler port
+(a voigt with Ke*b22 = Be*k22) stays until stability.positive_real
+cancels it.
 
 The module also maps desired rendering parameters to the reference values
 that compensate the coupler's series compliance: a desired stiffness Kd
@@ -115,20 +118,21 @@ def transmitted_impedance(h: HybridMatrix, env: EnvironmentModel) -> RationalFun
     """Operator-side impedance with env on the far port.
 
     Built in closed form as (N11*Td + N12*Tn) / (D*Td) (see the module
-    docstring) and returned gcd-reduced.  A null environment returns h11
-    unchanged.  Raises DegenerateTermination when 1 + h22*Ze vanishes
-    identically.
+    docstring) and returned as built, common factors included;
+    stability.positive_real cancels them.  An identically zero Ze (the null
+    environment, or any kind with zero parameters) returns h11 unchanged.
+    Raises DegenerateTermination when 1 + h22*Ze vanishes identically.
     """
-    if env.kind == "null":
-        return h.h11
     ze, h11, h12, h22 = env.impedance(), h.h11, h.h12, h.h22
+    if ze.num.is_zero:
+        return h11
     tn = ze.num * h22.den
     td = ze.den * h22.den + ze.num * h22.num
     if td.is_zero:
         raise DegenerateTermination(
             "environment impedance cancels the coupler port: 1 + h22*Ze == 0"
         )
-    return RationalFunction(h11.num * td + h12.num * tn, h11.den * td).reduced()
+    return RationalFunction(h11.num * td + h12.num * tn, h11.den * td)
 
 
 def _limit_at_zero(rf: RationalFunction) -> Optional[float]:

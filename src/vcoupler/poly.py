@@ -61,8 +61,9 @@ def _exact(value: Number) -> Fraction:
 
 
 def _witness_float(value: Fraction) -> float:
-    """Lossy conversion for reporting: rationals beyond float range clamp to
-    signed infinity instead of raising (verdicts never depend on this)."""
+    """Lossy conversion for reporting and float sampling: rationals beyond
+    float range clamp to signed infinity instead of raising (no exact
+    verdict depends on this)."""
     try:
         return float(value)
     except OverflowError:
@@ -125,12 +126,13 @@ class Polynomial:
         """Horner evaluation at a complex point, in double precision."""
         acc = 0j
         for c in reversed(self.coeffs):
-            acc = acc * s + float(c)
+            acc = acc * s + _witness_float(c)
         return acc
 
     def float_coeffs(self) -> List[float]:
-        """Coefficients as floats, lowest degree first."""
-        return [float(c) for c in self.coeffs]
+        """Coefficients as floats, lowest degree first; those beyond the
+        float range clamp to signed infinity."""
+        return [_witness_float(c) for c in self.coeffs]
 
     # -- ring operations -------------------------------------------------
 

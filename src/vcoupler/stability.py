@@ -68,10 +68,11 @@ class RationalFunction:
     """Ratio of two exact polynomials in the Laplace variable s.
 
     Construction trims leading zeros only; poles/zeros shared between
-    numerator and denominator are cancelled by reduced(), which callers use
-    whenever true pole locations matter.  There is no rational arithmetic:
-    each composition (perf.transmitted_impedance, perf.z_width) multiplies
-    the Polynomial numerators and denominators in its own closed form.
+    numerator and denominator are cancelled by reduced(), which only
+    positive_real calls, since it needs the true pole locations.  There is
+    no rational arithmetic: each composition (perf.transmitted_impedance,
+    perf.z_width) multiplies the Polynomial numerators and denominators in
+    its own closed form and returns the result unreduced.
     """
 
     __slots__ = ("num", "den")

@@ -711,6 +711,54 @@ def test_plant_with_coefficients_beyond_the_float_range(capsys, config_file, arg
         )
 
 
+_DOUBLE_OVERFLOW_RUNS = [
+    ({"Kf": 1e300}, ("bode", "--target", "zto:spring:386"), EXIT_CONFIG),
+    ({"Kf": 1e300, "Pm": 1e30}, ("check",), EXIT_PASS),
+    ({"Kf": 1e300, "Pm": 1e30}, ("check", "--criterion", "absolute"), EXIT_FAIL),
+    ({"Kf": 1e300, "Pm": 1e30}, ("sweep", "--vary", "b22", "--range", "0.05:0.2:16"), EXIT_PASS),
+    ({"Kf": 1e300, "Pm": 1e30}, ("bode", "--target", "h11"), EXIT_CONFIG),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, argv, want", _DOUBLE_OVERFLOW_RUNS,
+    ids=[" ".join(argv) for _, argv, _ in _DOUBLE_OVERFLOW_RUNS],
+)
+def test_polynomial_coefficients_beyond_the_float_range(capsys, config_file, overrides, argv, want):
+    # hybrid-entry coefficients overflow a float; the float samples clamp to
+    # inf and a bode response beyond double precision is a config error
+    code, out, err = run(capsys, *argv[:1], "--config", config_file(**overrides), *argv[1:])
+    assert code == want, err
+    if want == EXIT_CONFIG:
+        assert err == "config error: response overflows double precision at omega = 0.001 rad/s\n"
+
+
+def test_check_grid_on_a_pole_leaks_no_numpy_warning(capsys, config_file):
+    # the middle grid point is the pole pair of h11 at 1 rad/s; its margins are NaN
+    cfg = config_file(
+        Kf=1.0, Bf=0.0, J=2.0, B=1.0, Pm=1.0, Im=1.0, Pf=1.0, If=1.0, k22=1.0, b22=0.1,
+    )
+    code, out, err = run(capsys, "check", "--config", cfg, "--grid", "0.1:10:3")
+    assert (code, err) == (EXIT_FAIL, "")
+    assert "grid: min determinant margin -1, min Re h11 margin 0, argmin omega 0.1 rad/s" in out
+
+
+def test_absolute_optimum_with_no_finite_margin_leaks_no_numpy_warning(capsys, config_file):
+    # at the tiny b22 of this sweep b22**2 underflows and every margin is NaN
+    cfg = config_file(Bf=1e-300, J=0.5, Pm=1e8)
+    code, out, err = run(capsys, "optimize", "--config", cfg, "--criterion", "absolute")
+    assert (code, err) == (EXIT_PASS, "")
+    assert "k22_max: 0.0" in out
+
+
+@pytest.mark.parametrize("env", ["damper:0", "spring:0", "voigt:0:0"])
+def test_bode_of_a_zero_valued_termination_is_the_null_termination(capsys, env):
+    argv = ("bode", "--config", TABLE, "--grid", "1e-4:1e2:100", "--format", "json")
+    _, null, _ = run(capsys, *argv, "--target", "zto:null")
+    code, out, err = run(capsys, *argv, "--target", f"zto:{env}")
+    assert (code, out, err) == (EXIT_PASS, null, "")
+
+
 def test_nonexistent_config_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--config", str(tmp_path / "nope.json"))
     assert code == EXIT_CONFIG

@@ -883,6 +883,20 @@ def test_grid_margins_expose_the_violation_shape():
     assert float(np.nanmin(m11)) >= -1e-8  # input resistance itself still fine
 
 
+def test_grid_margins_at_a_pole_are_nan_without_a_warning():
+    # the drive quartic is (s**2 + 1)*(2*s**2 + 2*s + 1): h11 has a pole pair at 1 rad/s
+    pole = dataclasses.replace(NOM, Kf=1.0, Bf=0.0, M=2.0, B=1.0, Pm=1.0, Im=1.0, Pf=1.0, If=1.0)
+    m11, m22, mdet = two_port_grid_margins(pole, vc(1.0, 0.1), np.array([0.1, 1.0, 10.0]))
+    assert np.isnan(m11[1]) and np.isnan(mdet[1])
+    assert np.all(np.isfinite(m11[[0, 2]])) and np.all(np.isfinite(m22))
+
+
+def test_llewellyn_probe_with_no_finite_margin_is_infeasible_without_a_warning():
+    # b22**2 underflows, so Re h22 and with it every sampled margin is NaN
+    bound = passivity._LlewellynBound(dataclasses.replace(NOM, Bf=1e-300, M=0.5, Pm=1e8))
+    assert not bound.feasible(0.0, 4e-300)
+
+
 def test_default_grid_shape():
     g = default_grid(2000)
     assert g.shape == (2000,)

@@ -24,6 +24,7 @@ from vcoupler.perf import (
     z_min,
     z_width,
 )
+from vcoupler.poly import Polynomial
 from vcoupler.stability import RationalFunction, positive_real
 
 NOM = nominal_params()
@@ -290,6 +291,47 @@ def test_closed_form_transmitted_impedance_equals_generic_composition(plant, cou
     for env in _TERMINATIONS:
         closed = transmitted_impedance(h, env)
         assert _monic(closed) == _monic(_generic_transmitted_impedance(h, env)), env
+
+
+# the terminations of the render benchmark workload
+_RENDER_TERMINATIONS = (
+    NULL,
+    EnvironmentModel("spring", 50.0, 0.0),
+    EnvironmentModel("spring", 200.0, 0.0),
+    EnvironmentModel("voigt", 200.0, 0.05),
+)
+
+
+def test_transmitted_impedance_runs_no_gcd(monkeypatch):
+    # positive_real is the one place that cancels common factors
+    def no_gcd(*args):
+        raise AssertionError("transmitted_impedance ran Polynomial.gcd")
+
+    monkeypatch.setattr(Polynomial, "gcd", no_gcd)
+    for env in _RENDER_TERMINATIONS:
+        transmitted_impedance(H, env)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        EnvironmentModel("damper", 0.0, 0.0),
+        EnvironmentModel("spring", 0.0, 0.0),
+        EnvironmentModel("voigt", 0.0, 0.0),
+    ],
+    ids=lambda env: env.kind,
+)
+def test_zero_valued_termination_is_the_null_termination(env):
+    assert transmitted_impedance(H, env) is H.h11
+
+
+def test_positive_real_reads_a_common_factor_of_z_to_as_its_reduced_form():
+    # Ke*b22 = Be*k22: Ze = (Ke + Be*s)/s and the coupler port share (k22 + b22*s)
+    h = hybrid_matrix(NOM, VirtualCoupler(k22=400.0, b22=0.25))
+    z = transmitted_impedance(h, EnvironmentModel("voigt", 800.0, 0.5))
+    red = z.reduced()
+    assert red.den.degree < z.den.degree
+    assert positive_real(z) == positive_real(red)
 
 
 def test_transmitted_impedance_is_positive_real_at_passive_points():
