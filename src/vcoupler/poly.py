@@ -23,6 +23,10 @@ sign, verdict, root count and witness equals the one exact Fraction
 evaluation gives (Rouillier and Zimmermann, "Efficient isolation of
 polynomial's real roots", J. Comput. Appl. Math. 2004, use the same
 integer evaluation).
+
+Polynomial.gcd runs on integers too: a primitive remainder sequence on the
+operands' primitive integer vectors, made monic only at the end.  The monic
+gcd is unique, so it is the one Euclid's algorithm on Fractions returns.
 """
 
 from __future__ import annotations
@@ -201,13 +205,25 @@ class Polynomial:
         return Polynomial([c / lead for c in self.coeffs])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor (Euclid, exact)."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
+        """Monic greatest common divisor, by a primitive remainder sequence.
+
+        Both operands become primitive integer vectors (_integer_vector,
+        then the content divided out), and a, b = b, primitive(prem(a, b))
+        runs on Python ints until b is zero (Collins, JACM 1967; Brown,
+        JACM 1971).  Each step keeps the gcd up to a constant factor, and
+        the last nonzero vector, divided by its leading entry, is the monic
+        gcd; that is unique, so the result equals the one Euclid on
+        Fractions gives.  gcd(a, 0) is a.monic() and gcd(0, 0) is zero.
+        """
+        if other.is_zero:
+            return self.monic()
+        a = _primitive(_integer_vector(self.coeffs))
+        b = _primitive(_integer_vector(other.coeffs))
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _primitive(_pseudo_remainder(a, b))
+        return Polynomial([Fraction(c, a[-1]) for c in a])
 
     def squarefree_decomposition(self) -> List[Tuple["Polynomial", int]]:
         """Yun's algorithm: [(factor_i, multiplicity_i)] with factors square-free.
@@ -281,6 +297,36 @@ def _integer_vector(coeffs: Sequence[Fraction]) -> Tuple[int, ...]:
     """L*coeffs as ints, L the positive lcm of their denominators."""
     scale = math.lcm(*(c.denominator for c in coeffs))
     return tuple(c.numerator * (scale // c.denominator) for c in coeffs)
+
+
+def _primitive(ints: Sequence[int]) -> List[int]:
+    """ints divided by their content, the positive gcd of the entries."""
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _pseudo_remainder(a: List[int], b: List[int]) -> List[int]:
+    """A nonzero integer multiple of a mod b; b is nonzero, both int vectors.
+
+    Each step scales the running remainder by lc(b)/g and subtracts
+    lc(r)/g times the shifted b, g = gcd(lc(r), lc(b)), which cancels the
+    leading term on ints.  Highest-degree zeros are trimmed.
+    """
+    r = list(a)
+    lb = b[-1]
+    n = len(b) - 1
+    while len(r) > n:
+        lr = r.pop()
+        if lr:
+            g = math.gcd(lr, lb)
+            u, v = lb // g, lr // g
+            k = len(r) - n
+            r = [u * c for c in r]
+            for j in range(n):
+                r[k + j] -= v * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def _homogeneous(ints: Tuple[int, ...], num: int, den: int) -> int:

@@ -312,6 +312,29 @@ def test_transmitted_impedance_runs_no_gcd(monkeypatch):
         transmitted_impedance(H, env)
 
 
+def test_gcd_runs_no_fraction_long_division(monkeypatch):
+    # the two gcds positive_real takes: numerator with denominator (reduced)
+    # and the even and odd parts of the denominator (analyze_denominator)
+    pairs = []
+    for env in _RENDER_TERMINATIONS:
+        z = transmitted_impedance(H, env)
+        pairs += [(z.num, z.den), z.den.even_odd_parts()]
+    # Ke*b22 = Be*k22: Z_to carries the common factor (k22 + b22*s)
+    h = hybrid_matrix(NOM, VirtualCoupler(k22=400.0, b22=0.25))
+    z = transmitted_impedance(h, EnvironmentModel("voigt", 800.0, 0.5))
+    pairs.append((z.num, z.den))
+    expected = [a.gcd(b) for a, b in pairs]
+    assert expected[-1].degree >= 1
+
+    def refuse(self, other):
+        raise AssertionError("Fraction long division in Polynomial.gcd")
+
+    monkeypatch.setattr(Polynomial, "__divmod__", refuse)
+    with pytest.raises(AssertionError):
+        z.num % z.den
+    assert [a.gcd(b) for a, b in pairs] == expected
+
+
 @pytest.mark.parametrize(
     "env",
     [

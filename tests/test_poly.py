@@ -58,6 +58,13 @@ def exact_divmod(a, b):
     return q, a
 
 
+def _fraction_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Oracle: the monic gcd by Euclid's algorithm on Fraction coefficients."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a if a.is_zero else a.monic()
+
+
 # ---------------------------------------------------------------------------
 # construction and evaluation basics
 # ---------------------------------------------------------------------------
@@ -169,7 +176,7 @@ def _square_free_part(p: Polynomial) -> Polynomial:
     """Oracle: p / gcd(p, p'), with the same distinct roots, all simple."""
     if p.degree <= 0:
         return p
-    g = p.gcd(p.derivative())
+    g = _fraction_gcd(p, p.derivative())
     return p if g.degree <= 0 else p.exact_div(g)
 
 
@@ -598,3 +605,113 @@ def test_sign_queries_run_no_fraction_horner(monkeypatch):
     with pytest.raises(AssertionError):
         c_i.eval_exact(1)
     assert queries() == expected
+
+
+# ---------------------------------------------------------------------------
+# gcd on primitive integer remainder sequences against the Fraction Euclid
+# ---------------------------------------------------------------------------
+
+
+def _random_polynomial(rng, degree: int) -> Polynomial:
+    """Non-dyadic rational coefficients; the leading one is often negative."""
+    lower = [Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13))) for _ in range(degree)]
+    lead = Fraction(int(rng.choice([-7, -3, -1, 1, 2, 5])), int(rng.integers(1, 10)))
+    return Polynomial(lower + [lead])
+
+
+def _power(p: Polynomial, k: int) -> Polynomial:
+    out = Polynomial([1])
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def test_gcd_matches_the_fraction_euclid_on_planted_factors():
+    rng = np.random.default_rng(1967)
+    seen = {"nontrivial": 0, "repeated factor": 0, "negative lead": 0, "non-dyadic": 0}
+    for _ in range(300):
+        f = _random_polynomial(rng, int(rng.integers(1, 4)))
+        m, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        a = _power(f, m) * _random_polynomial(rng, int(rng.integers(0, 4)))
+        b = _power(f, n) * _random_polynomial(rng, int(rng.integers(0, 4)))
+        got = a.gcd(b)
+        assert got == _fraction_gcd(a, b) == b.gcd(a), (a, b)
+        assert got.leading_coeff == 1 and got.degree >= min(m, n) * f.degree
+        a.exact_div(got), b.exact_div(got)
+        seen["nontrivial"] += got.degree > 0
+        seen["repeated factor"] += min(m, n) >= 2
+        seen["negative lead"] += a.leading_coeff < 0 or b.leading_coeff < 0
+        seen["non-dyadic"] += any(c.denominator & (c.denominator - 1) for c in a.coeffs)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_gcd_matches_the_fraction_euclid_on_random_pairs():
+    # mostly coprime: integer, rational and float coefficients
+    rng = np.random.default_rng(1971)
+    for _ in range(200):
+        a = _random_polynomial(rng, int(rng.integers(0, 7)))
+        b = Polynomial([float(c) for c in rng.uniform(-10, 10, size=int(rng.integers(1, 8)))])
+        c = Polynomial([int(c) for c in rng.integers(-9, 10, size=int(rng.integers(1, 8)))])
+        for x, y in ((a, b), (b, c), (c, a), (a, a), (a, -a), (c, c.derivative())):
+            assert x.gcd(y) == _fraction_gcd(x, y), (x, y)
+
+
+def test_gcd_with_zero_and_constant_operands():
+    zero, one = Polynomial([]), Polynomial([1])
+    p = Polynomial([Fraction(-3, 7), 2, Fraction(-5, 3)])
+    assert zero.gcd(zero) == zero == _fraction_gcd(zero, zero)
+    assert p.gcd(zero) == zero.gcd(p) == p.monic() == _fraction_gcd(p, zero) == _fraction_gcd(zero, p)
+    for c in (Polynomial([Fraction(-2, 9)]), Polynomial([4]), Polynomial([-1.5])):
+        assert c.gcd(zero) == zero.gcd(c) == one == _fraction_gcd(c, zero)
+        assert c.gcd(p) == p.gcd(c) == one == _fraction_gcd(c, p) == _fraction_gcd(p, c)
+        assert c.gcd(c) == one
+
+
+def test_gcd_of_plant_polynomials_matches_the_fraction_euclid():
+    # float-expanded coefficients of 300-600 bits, with planted common factors:
+    # t and -t, and r * t with each of r and t
+    for seed in range(3):
+        plant_polys, quartic = _plant_polynomials(seed)
+        polys = plant_polys + [quartic]
+        assert max(abs(c.numerator).bit_length() for q in polys for c in q.coeffs) >= 300
+        for i, a in enumerate(polys):
+            for b in polys[i + 1:]:
+                assert a.gcd(b) == _fraction_gcd(a, b), (seed, a, b)
+        r, t, rt = plant_polys[0], plant_polys[-3], plant_polys[-1]
+        assert rt.gcd(t) == t.monic() and rt.gcd(r) == r.monic()
+        assert t.gcd(-t) == t.monic()
+
+
+def _fraction_squarefree_decomposition(p: Polynomial):
+    """Oracle: Yun's algorithm on the Fraction Euclid gcd."""
+    if p.degree <= 0:
+        return []
+    p = p.monic()
+    g = _fraction_gcd(p, p.derivative())
+    a, b = p.exact_div(g), p.derivative().exact_div(g)
+    out, i = [], 1
+    while a.degree > 0:
+        c = b - a.derivative()
+        f = _fraction_gcd(a, c)
+        if f.degree > 0:
+            out.append((f, i))
+        a, b = a.exact_div(f), c.exact_div(f)
+        i += 1
+    return out
+
+
+def test_squarefree_decomposition_matches_the_yun_oracle():
+    rng = np.random.default_rng(1976)
+    repeated = 0
+    for _ in range(150):
+        p = _random_polynomial(rng, 0)
+        for _ in range(int(rng.integers(0, 4))):
+            p = p * _power(_random_polynomial(rng, int(rng.integers(1, 3))), int(rng.integers(1, 4)))
+        got = p.squarefree_decomposition()
+        assert got == _fraction_squarefree_decomposition(p), p
+        product = Polynomial([1])
+        for factor, mult in got:
+            product = product * _power(factor, mult)
+        assert p.degree <= 0 or product == p.monic()
+        repeated += any(mult > 1 for _, mult in got)
+    assert repeated >= 50
