@@ -10,12 +10,15 @@ Four subcommands drive the library from a JSON parameter file:
 Exit codes are a stable scripting contract: 0 means the requested verdict
 passed (or data was produced), 1 means a fail verdict or infeasibility,
 2 means a configuration or usage error (among them an --output path that
-cannot be written and a bode grid point on a pole of the response),
+cannot be written, a bode grid point on a pole of the response and an
+absolute-criterion grid on which h11 and h12 overflow at every point),
 reported as one "config error: ..." line on stderr, and 3 means an internal
-error (a failed cross-check or any other unexpected exception), reported as
-one "internal error: ..." line on stderr.  CSV output is deterministic
-byte-for-byte for identical inputs: 9 significant digits, "." decimal
-separator, "\n" line endings, fixed headers.
+error, reported as one "internal error: ..." line on stderr: two exact
+routes that disagree (such as the closed form and the Sturm chain on a (c)
+cubic) or any other unexpected exception.  The passivity criterion's grid
+margins are reported only and never change an exit code.  CSV output is
+deterministic byte-for-byte for identical inputs: 9 significant digits,
+"." decimal separator, "\n" line endings, fixed headers.
 """
 
 from __future__ import annotations

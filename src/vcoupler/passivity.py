@@ -120,8 +120,6 @@ _B22_RANGE = 1e30
 # threshold by _WINDOW of b22*w^2/g.
 _SLACK = 1e-12
 _WINDOW = 1e-9
-# How far a sampled margin may dip below zero under an exact passivity pass
-_PASSIVITY_TOL = 1e-7
 
 # Relative half-width of the certified float bracket of the k22 frontier.
 _BRACKET = 1e-9
@@ -247,8 +245,8 @@ class _PlantAnalysis:
     def entries(self) -> Tuple[RationalFunction, RationalFunction]:
         """The s-cancelled h11 and h12, built on first read.
 
-        Grid margins, the Llewellyn bound and the dip recheck read them; the
-        exact conditions and the k22 bound do not.
+        Grid margins and the Llewellyn bound read them; the exact conditions
+        and the k22 bound do not.
         """
         N11, N12, D = unreduced_entries(self.params, self.coeffs)
         return _cancel_s(N11, D), _cancel_s(N12, D)
@@ -558,11 +556,13 @@ def _determinant_cubic(params: SystemParams, coupler: VirtualCoupler) -> Tuple[i
 
 
 def _round_down(cubic: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
-    """cubic shifted right (floor) so that its largest coefficient keeps _ROUND_BITS bits.
+    """cubic shifted right (floor) by shift = bits - _ROUND_BITS, bits its longest length.
 
-    None when no coefficient is longer.  Each rounded coefficient is at most
-    the exact one over 2**shift and x**i >= 0 on x >= 0, so the rounded
-    cubic is at most the exact one over 2**shift there: when it is
+    None when no coefficient is longer than _ROUND_BITS.  The longest
+    coefficient keeps _ROUND_BITS bits, or _ROUND_BITS + 1 when it is
+    negative and floors to -2**_ROUND_BITS.  Each rounded coefficient is
+    at most the exact one over 2**shift and x**i >= 0 on x >= 0, so the
+    rounded cubic is at most the exact one over 2**shift there: when it is
     nonnegative on x >= 0, so is the exact one.
     """
     c3, c2, c1, c0 = cubic
@@ -655,8 +655,8 @@ class _DeterminantBound:
        negative, and, when t3 = 0 leaves a quadratic, its x**2 coefficient
        as x -> inf; a negative value fails the probe;
     2. the closed form on the coefficients rounded down (floor) to 128
-       bits: on x >= 0 that cubic is at most the exact one over a power of
-       two, so its pass is a pass;
+       bits (129 for a negative longest one): on x >= 0 that cubic is at
+       most the exact one over a power of two, so its pass is a pass;
     3. the closed form on the full integers, several hundred bits long.
     So the verdict is always the closed form's own.
 
@@ -741,9 +741,16 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
 # grid margins (sampling routes)
 
 
-def _entry_grids(params: SystemParams, coupler: VirtualCoupler, omegas: np.ndarray):
-    h11, h12 = _plant_analysis(params).entries
-    return h11.eval_grid(omegas), h12.eval_grid(omegas), _coupler_port(coupler).eval_grid(omegas)
+def _llewellyn_samples(params: SystemParams, omegas: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """h11 and h12 sampled on omegas, for the Llewellyn margin and its bound.
+
+    Raises InvalidParams when no grid point has finite h11 and h12 samples:
+    a Llewellyn verdict would then be drawn from no data.
+    """
+    h11, h12 = (h.eval_grid(omegas) for h in _plant_analysis(params).entries)
+    if not np.any(np.isfinite(h11) & np.isfinite(h12)):
+        raise InvalidParams("h11 and h12 overflow double precision at every grid point")
+    return h11, h12
 
 
 def two_port_grid_margins(
@@ -754,48 +761,19 @@ def two_port_grid_margins(
     Returns (m11, m22, mdet): dimensionless arrays in [-1, 1] whose signs
     match Re h11, Re h22 and the real-part determinant
     Re h11 * Re h22 - |(conj(h12) + h21)/2|**2 with h21 = -1.
-    Non-finite samples (exactly at a pole) come back as NaN.
+    Non-finite samples (exactly at a pole) come back as NaN.  h12 - 1 is
+    taken from sampled h12, so near DC, where h12 -> 1, mdet loses digits
+    to cancellation; the margins report and decide nothing.
     """
-    h11, h12, h22 = _entry_grids(params, coupler, omegas)
-    return _two_port_margins(h11, h12 - 1.0, h22)
-
-
-def _two_port_margins(h11: np.ndarray, h12m1: np.ndarray, h22: np.ndarray):
-    """(m11, m22, mdet) from samples of h11, h12 - 1 and h22."""
+    h11, h12 = (h.eval_grid(omegas) for h in _plant_analysis(params).entries)
+    h22 = _coupler_port(coupler).eval_grid(omegas)
     with np.errstate(all="ignore"):
         m11 = h11.real / (np.abs(h11) + _TINY)
         m22 = h22.real / (np.abs(h22) + _TINY)
-        cross = 0.25 * np.abs(h12m1) ** 2
+        cross = 0.25 * np.abs(h12 - 1.0) ** 2
         det = h11.real * h22.real - cross
         scale = np.abs(h11.real * h22.real) + cross + _TINY
         return m11, m22, det / scale
-
-
-def _confirm_sampled_dip(
-    params: SystemParams,
-    coupler: VirtualCoupler,
-    omegas: np.ndarray,
-    m11: np.ndarray,
-) -> None:
-    """Raise if the sampled margins still dip with h12 - 1 formed exactly.
-
-    Near DC h12 -> 1, so h12 - 1 taken from sampled h12 loses its digits to
-    cancellation and the determinant margin can dip falsely.  Forming
-    h12 - 1 = (N12 - D)/D exactly and sampling it afterwards does not.
-    """
-    h11, _, h22 = _entry_grids(params, coupler, omegas)
-    _, h12 = _plant_analysis(params).entries
-    h12m1 = RationalFunction(h12.num - h12.den, h12.den)
-    _, _, mdet = _two_port_margins(h11, h12m1.eval_grid(omegas), h22)
-    worst = np.minimum(m11, mdet)
-    ok = np.isfinite(worst)
-    idx = int(np.argmin(worst[ok]))
-    dip = float(worst[ok][idx])
-    if dip < -_PASSIVITY_TOL:
-        raise RuntimeError(
-            "internal: exact passivity verdict passes but sampled "
-            f"margins dip to {dip:.3e} near omega = {float(omegas[ok][idx]):.6g} rad/s"
-        )
 
 
 def _llewellyn_margin(re11, re12, abs12, re22):
@@ -814,9 +792,11 @@ def llewellyn_grid_margins(
 
     2*Re h11*Re h22 - Re(h12*h21) - |h12*h21| with h21 = -1, i.e.
     2*Re h11*Re h22 + Re h12 - |h12|, divided by the sum of the magnitudes
-    of its terms.
+    of its terms.  Raises InvalidParams when no grid point has finite h11
+    and h12 samples.
     """
-    h11, h12, h22 = _entry_grids(params, coupler, omegas)
+    h11, h12 = _llewellyn_samples(params, omegas)
+    h22 = _coupler_port(coupler).eval_grid(omegas)
     return _llewellyn_margin(h11.real, h12.real, np.abs(h12), h22.real)
 
 
@@ -857,11 +837,7 @@ class _LlewellynBound:
     def __init__(self, params: SystemParams, grid: Optional[np.ndarray] = None) -> None:
         grid = default_grid(_LLEWELLYN_POINTS) if grid is None else grid
         omegas = np.asarray(grid, dtype=float)
-        h11, h12 = (h.eval_grid(omegas) for h in _plant_analysis(params).entries)
-        if not np.any(np.isfinite(h11) & np.isfinite(h12)):
-            raise InvalidParams(
-                "h11 and h12 overflow double precision at every grid point"
-            )
+        h11, h12 = _llewellyn_samples(params, omegas)
         self._re11 = h11.real
         self._re12 = h12.real
         self._abs12 = np.abs(h12)
@@ -936,15 +912,15 @@ def check_two_port_passivity(
     coupler: VirtualCoupler,
     grid: Optional[np.ndarray] = None,
 ) -> PassivityReport:
-    """Full two-port passivity verdict with a sampled cross-check.
+    """Full two-port passivity verdict: the four exact condition checks.
 
-    The verdict is the conjunction of the four exact condition checks.  When
-    the exact verdict passes and the two-port is stable, the sampled
-    determinant margins over the grid must confirm it (within -1e-7);
-    a decisive sampled violation of an exact pass raises, because one of
-    the routes must then be wrong.  A dip is first rechecked with h12 - 1
-    formed exactly, which removes the cancellation near DC; the reported
-    grid margins stay those of the sampled h12.
+    The verdict is their conjunction, and nothing sampled enters it.  When
+    (a) and (b) pass, the report adds the sampled grid margins of
+    two_port_grid_margins: the least determinant and Re h11 margins over the
+    grid and the omega where the smaller of the two is least.  They report
+    how close the two-port comes to the boundary and decide nothing; near
+    DC the sampled determinant margin can dip slightly below zero under an
+    exact pass (see two_port_grid_margins).
     """
     a = check_condition_a(params)
     b = check_condition_b(params)
@@ -961,7 +937,7 @@ def check_two_port_passivity(
     grid_argmin = None
     if a.passed and b.passed:
         omegas = default_grid() if grid is None else np.asarray(grid, dtype=float)
-        m11, m22, mdet = two_port_grid_margins(params, coupler, omegas)
+        m11, _, mdet = two_port_grid_margins(params, coupler, omegas)
         ok = np.isfinite(mdet) & np.isfinite(m11)
         if np.any(ok):
             worst = np.minimum(m11[ok], mdet[ok])
@@ -969,10 +945,6 @@ def check_two_port_passivity(
             grid_min_det = float(np.min(mdet[ok]))
             grid_min_re11 = float(np.min(m11[ok]))
             grid_argmin = float(omegas[ok][idx])
-            if overall and min(grid_min_det, grid_min_re11) < -_PASSIVITY_TOL:
-                _confirm_sampled_dip(params, coupler, omegas, m11)
-            if np.any(m22[ok] < -_PASSIVITY_TOL):
-                raise RuntimeError("internal: coupler one-port real part negative")
 
     return PassivityReport(
         condition_a=a,
@@ -1020,7 +992,9 @@ def check_absolute_stability(
 
     The Llewellyn condition is evaluated on the grid (default: 4000
     log-spaced points over [1e-3, 1e6] rad/s) and passes when the minimum
-    normalized margin stays at or above -1e-8.
+    normalized margin stays at or above -1e-8.  Raises InvalidParams, as
+    the absolute optimizer does, when no grid point has finite h11 and h12
+    samples.
     """
     a = check_condition_a(params)
     b = check_condition_b(params)

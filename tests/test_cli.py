@@ -460,14 +460,15 @@ def test_bode_targets_each_hybrid_entry(capsys):
         assert len(out.strip().splitlines()) == 6
 
 
-def test_absolute_check_with_no_finite_grid_sample_prints_nan(capsys):
-    code, out, _ = run(
+def test_absolute_check_with_no_finite_grid_sample_is_a_config_error(capsys):
+    # it used to print "llewellyn: FAIL (min margin nan at omega nan rad/s over
+    # 2 points)", a verdict drawn from no data
+    code, out, err = run(
         capsys, "check", "--config", TABLE, "--criterion", "absolute",
         "--grid", "1e200:1e300:2",
     )
-    assert code == EXIT_FAIL
-    assert "llewellyn: FAIL (min margin nan at omega nan rad/s over 2 points)" in out
-    assert "overall: FAIL" in out
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: h11 and h12 overflow double precision at every grid point\n"
 
 
 def test_bode_that_overflows_double_precision_is_a_config_error(capsys):
@@ -711,26 +712,38 @@ def test_plant_with_coefficients_beyond_the_float_range(capsys, config_file, arg
         )
 
 
+_RESPONSE_OVERFLOW = "config error: response overflows double precision at omega = 0.001 rad/s\n"
+_NO_ENTRY_SAMPLE = "config error: h11 and h12 overflow double precision at every grid point\n"
+_HUGE_ENTRIES = {"Kf": 1e300, "Pm": 1e30}
 _DOUBLE_OVERFLOW_RUNS = [
-    ({"Kf": 1e300}, ("bode", "--target", "zto:spring:386"), EXIT_CONFIG),
-    ({"Kf": 1e300, "Pm": 1e30}, ("check",), EXIT_PASS),
-    ({"Kf": 1e300, "Pm": 1e30}, ("check", "--criterion", "absolute"), EXIT_FAIL),
-    ({"Kf": 1e300, "Pm": 1e30}, ("sweep", "--vary", "b22", "--range", "0.05:0.2:16"), EXIT_PASS),
-    ({"Kf": 1e300, "Pm": 1e30}, ("bode", "--target", "h11"), EXIT_CONFIG),
+    ({"Kf": 1e300}, ("bode", "--target", "zto:spring:386"), EXIT_CONFIG, _RESPONSE_OVERFLOW),
+    (_HUGE_ENTRIES, ("check",), EXIT_PASS, ""),
+    (_HUGE_ENTRIES, ("check", "--criterion", "absolute"), EXIT_CONFIG, _NO_ENTRY_SAMPLE),
+    (_HUGE_ENTRIES, ("sweep", "--vary", "b22", "--range", "0.05:0.2:16"), EXIT_PASS, ""),
+    (
+        _HUGE_ENTRIES,
+        ("sweep", "--criterion", "absolute", "--vary", "k22", "--range", "400:410:2"),
+        EXIT_CONFIG,
+        _NO_ENTRY_SAMPLE,
+    ),
+    (_HUGE_ENTRIES, ("optimize", "--criterion", "absolute"), EXIT_CONFIG, _NO_ENTRY_SAMPLE),
+    (_HUGE_ENTRIES, ("bode", "--target", "h11"), EXIT_CONFIG, _RESPONSE_OVERFLOW),
 ]
 
 
 @pytest.mark.parametrize(
-    "overrides, argv, want", _DOUBLE_OVERFLOW_RUNS,
-    ids=[" ".join(argv) for _, argv, _ in _DOUBLE_OVERFLOW_RUNS],
+    "overrides, argv, want, message", _DOUBLE_OVERFLOW_RUNS,
+    ids=[" ".join(argv) for _, argv, _, _ in _DOUBLE_OVERFLOW_RUNS],
 )
-def test_polynomial_coefficients_beyond_the_float_range(capsys, config_file, overrides, argv, want):
+def test_polynomial_coefficients_beyond_the_float_range(
+    capsys, config_file, overrides, argv, want, message
+):
     # hybrid-entry coefficients overflow a float; the float samples clamp to
-    # inf and a bode response beyond double precision is a config error
-    code, out, err = run(capsys, *argv[:1], "--config", config_file(**overrides), *argv[1:])
-    assert code == want, err
-    if want == EXIT_CONFIG:
-        assert err == "config error: response overflows double precision at omega = 0.001 rad/s\n"
+    # inf and a bode response beyond double precision is a config error.  With
+    # no finite h11 and h12 sample the absolute criterion has no data to decide
+    # from: check used to print a nan FAIL and sweep nan rows
+    code, _, err = run(capsys, *argv[:1], "--config", config_file(**overrides), *argv[1:])
+    assert (code, err) == (want, message)
 
 
 def test_check_grid_on_a_pole_leaks_no_numpy_warning(capsys, config_file):

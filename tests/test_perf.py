@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from vcoupler.perf import (
     transmitted_impedance,
     transparency_limits,
     voigt_reference,
-    z_min,
     z_width,
 )
 from vcoupler.poly import Polynomial
@@ -102,16 +102,10 @@ def test_environment_impedances():
 # ---------------------------------------------------------------------------
 
 
-def test_minimum_impedance_is_the_input_impedance():
-    zm = z_min(H)
-    assert zm.num.coeffs == H.h11.num.coeffs
-    assert zm.den.coeffs == H.h11.den.coeffs
-
-
 def test_free_motion_termination_collapses_to_the_minimum():
     zt = transmitted_impedance(H, NULL)
-    assert zt.num.coeffs == z_min(H).num.coeffs
-    assert zt.den.coeffs == z_min(H).den.coeffs
+    assert zt.num.coeffs == H.h11.num.coeffs
+    assert zt.den.coeffs == H.h11.den.coeffs
 
 
 def test_impedance_range_expansion_frozen_coefficients():
@@ -151,26 +145,40 @@ def test_impedance_range_composes_the_output_port():
 
 def test_transparency_limits_nominal():
     t = transparency_limits(H)
-    assert t.low_converged and t.high_converged
-    assert np.allclose(t.low_exact, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
-    assert np.allclose(t.high_exact, [[0.05, 0.0], [-1.0, 1.0 / 0.17]], rtol=1e-12)
-    assert np.allclose(t.low_freq, t.low_exact, atol=1e-3)
-    assert np.allclose(t.high_freq, t.high_exact, atol=1e-3 * (1.0 / 0.17))
-    assert t.stiffness_dc == pytest.approx(VC.k22, rel=1e-3)
-    assert t.min_damping_hf == pytest.approx(NOM.Bf, rel=1e-3)
+    assert t.low_exact.tolist() == [[0.0, 1.0], [-1.0, 0.0]]
+    assert t.high_exact.tolist() == [[NOM.Bf, 0.0], [-1.0, 1.0 / VC.b22]]
+    assert t.stiffness_dc == VC.k22 == 408.0
+    assert t.min_damping_hf == NOM.Bf == 0.05
+    # cross-check: samples of s*z_width and h11 near the two ends
+    w = 1e-4
+    assert abs(1j * w * z_width(H).eval(1j * w)) == pytest.approx(t.stiffness_dc, rel=1e-3)
+    assert abs(H.h11.eval(1j * 1e7)) == pytest.approx(t.min_damping_hf, rel=1e-3)
 
 
 def test_transparency_limits_react_to_the_coupler():
     h2 = hybrid_matrix(NOM, VirtualCoupler(415.0, 0.15))
     t = transparency_limits(h2)
-    assert t.stiffness_dc == pytest.approx(415.0, rel=1e-3)
-    assert t.high_exact[1][1] == pytest.approx(1.0 / 0.15, rel=1e-12)
-    assert t.min_damping_hf == pytest.approx(0.05, rel=1e-3)
+    assert t.stiffness_dc == 415.0
+    assert t.high_exact[1][1] == 1.0 / 0.15
+    assert t.min_damping_hf == 0.05
 
 
-def test_transparency_convergence_flags_detect_a_short_horizon():
-    t = transparency_limits(H, omega_low=1.0, omega_high=1e3, rtol=1e-6)
-    assert not (t.low_converged and t.high_converged)
+@pytest.mark.parametrize("gains", [{"Im": 0.0}, {"If": 0.0}], ids=["Im0", "If0"])
+def test_dc_stiffness_is_k22_with_one_integral_gain(gains):
+    t = transparency_limits(hybrid_matrix(dataclasses.replace(NOM, **gains), VC))
+    assert t.low_exact[0][1] == 1.0
+    assert t.stiffness_dc == VC.k22
+
+
+def test_dc_stiffness_without_integral_gains_is_h12_at_dc_times_k22():
+    # with Im = If = 0 the s**2 cancelled from h12 leaves h12(0) = Pm*Pf/(alpha + Pm*Pf)
+    p = dataclasses.replace(NOM, Im=0.0, If=0.0)
+    t = transparency_limits(hybrid_matrix(p, VC))
+    pp = Fraction(p.Pm) * Fraction(p.Pf)
+    h12_dc = pp / (Fraction(p.alpha) + pp)
+    assert t.low_exact[0][1] == float(h12_dc)
+    assert t.stiffness_dc == float(h12_dc * Fraction(VC.k22))
+    assert t.stiffness_dc == pytest.approx(374.557377049180, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
