@@ -102,6 +102,18 @@ def test_environment_impedances():
 # ---------------------------------------------------------------------------
 
 
+def test_minimum_impedance_is_the_input_impedance():
+    # free motion renders h11 itself, and the high-frequency damping floor
+    # that transparency_limits reports is the limit of that impedance
+    zm = transmitted_impedance(H, NULL)
+    assert zm is H.h11
+    num, den = zm.num, zm.den
+    assert num.degree == den.degree
+    t = transparency_limits(H)
+    assert t.min_damping_hf == float(num.coeffs[num.degree] / den.coeffs[den.degree])
+    assert t.min_damping_hf == t.high_exact[0][0]
+
+
 def test_free_motion_termination_collapses_to_the_minimum():
     zt = transmitted_impedance(H, NULL)
     assert zt.num.coeffs == H.h11.num.coeffs
