@@ -12,11 +12,10 @@ search inside a golden-section scan of the feedforward blend alpha.
 Two criteria are supported: "passivity" maximizes the exact two-port bound
 k22_upper_bound (passivity._DeterminantBound); "absolute" maximizes the
 largest k22 at which check_absolute_stability's sampled Llewellyn margin
-holds on the same grid (passivity._LlewellynBound).  At the search's 1e-3
-tolerance the returned optimum agrees with that checker's verdicts; the
-two round Re h22 differently, so at tol = 0 they may flip a few floats
-apart.  Each inner search builds one bound object for its plant and keeps
-it for the whole search.
+holds on the same grid (passivity._LlewellynBound).  Both read one margin,
+so the returned optimum agrees with that checker's verdicts, and at tol = 0
+the bound is the last float the check passes.  Each inner search builds
+one bound object for its plant and keeps it for the whole search.
 
 Under the passivity criterion the joint search prunes its inner sweeps:
 before evaluating a sweep point it runs one exact probe at the largest

@@ -109,10 +109,7 @@ _UNBOUNDED_C_II = (
     "condition (c-ii) holds at every k22 tried up to the 1e15 search ceiling,"
     " so this plant's k22 bound lies beyond the search range"
 )
-# _LlewellynBound's closed form needs Re h11, |h12| and w^2 of every finite sample
-# in [1/_RANGE, _RANGE], and b22 in [1/_B22_RANGE, _B22_RANGE]: every float step
-# of the sampled margin is then a normal double at each k22 the search can probe
-# (k22 <= 2**49), so its verdict is the exact one up to rounding.
+# The sample and b22 ranges of _LlewellynBound's closed form (see its docstring)
 _RANGE = 1e60
 _B22_RANGE = 1e30
 # Rounding allowances: g's numerator is widened by _SLACK*(|Re h12| + |h12|),
@@ -741,18 +738,6 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
 # grid margins (sampling routes)
 
 
-def _llewellyn_samples(params: SystemParams, omegas: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """h11 and h12 sampled on omegas, for the Llewellyn margin and its bound.
-
-    Raises InvalidParams when no grid point has finite h11 and h12 samples:
-    a Llewellyn verdict would then be drawn from no data.
-    """
-    h11, h12 = (h.eval_grid(omegas) for h in _plant_analysis(params).entries)
-    if not np.any(np.isfinite(h11) & np.isfinite(h12)):
-        raise InvalidParams("h11 and h12 overflow double precision at every grid point")
-    return h11, h12
-
-
 def two_port_grid_margins(
     params: SystemParams, coupler: VirtualCoupler, omegas: np.ndarray
 ):
@@ -776,15 +761,6 @@ def two_port_grid_margins(
         return m11, m22, det / scale
 
 
-def _llewellyn_margin(re11, re12, abs12, re22):
-    """Normalized Llewellyn margin from samples of Re h11, Re h12, |h12| and Re h22."""
-    with np.errstate(all="ignore"):
-        prod = re11 * re22
-        L = 2.0 * prod + re12 - abs12
-        scale = 2.0 * np.abs(prod) + 2.0 * abs12 + _TINY
-        return L / scale
-
-
 def llewellyn_grid_margins(
     params: SystemParams, coupler: VirtualCoupler, omegas: np.ndarray
 ):
@@ -792,23 +768,28 @@ def llewellyn_grid_margins(
 
     2*Re h11*Re h22 - Re(h12*h21) - |h12*h21| with h21 = -1, i.e.
     2*Re h11*Re h22 + Re h12 - |h12|, divided by the sum of the magnitudes
-    of its terms.  Raises InvalidParams when no grid point has finite h11
-    and h12 samples.
+    of its terms; see _LlewellynBound.margins.  Raises InvalidParams when
+    no grid point has finite h11 and h12 samples.
     """
-    h11, h12 = _llewellyn_samples(params, omegas)
-    h22 = _coupler_port(coupler).eval_grid(omegas)
-    return _llewellyn_margin(h11.real, h12.real, np.abs(h12), h22.real)
+    return _LlewellynBound(params, omegas).margins(coupler.k22, coupler.b22)
+
+
+def _least_margin(margins: np.ndarray) -> Tuple[float, bool]:
+    """The least non-NaN margin (NaN when all are NaN), and whether it is >= -_LLEWELLYN_TOL."""
+    least = float(np.fmin.reduce(margins))
+    return least, least >= -_LLEWELLYN_TOL
 
 
 class _LlewellynBound:
     """Largest k22 at which the sampled Llewellyn margin holds, per b22.
 
     h11 and h12 do not depend on the coupler, so their grid samples are
-    computed once.  The grid (by default 4000 points), the margin and its
-    tolerance are check_absolute_stability's.  feasible(k22, b22) evaluates
-    the margin on the whole grid with Re h22 in closed form, so it is that
-    check's llewellyn_ok, except that the two roundings of Re h22 may place
-    the k22 where the verdict flips a few floats apart.
+    computed once.  margins(k22, b22) is the one sampled margin, and
+    check_absolute_stability reads it through llewellyn_grid_margins on
+    the same default grid (4000 points) with the same tolerance, so
+    feasible(k22, b22) is that check's llewellyn_ok.  Re h22 is the
+    coupler port's 1/(b22 + k22*(k22/(b22*w^2))): 1/b22 at k22 = 0 and 0
+    at b22 = 0, with no b22**2 to underflow.
 
     bound(b22) returns exactly what bisecting feasible(., b22) returns, but
     decides the probes in closed form.  At a sample with Re h11 > 0,
@@ -820,7 +801,14 @@ class _LlewellynBound:
     decides each probe: one vector op per b22 instead of about 30 grid
     evaluations.  _sup_feasible takes k22 at or below the square root of
     the lower threshold to pass and at or above that of the upper one to
-    fail.  The grid margin still decides
+    fail.  The closed form needs Re h11, |h12| and w^2 of every finite
+    sample in [1/_RANGE, _RANGE] and b22 in [1/_B22_RANGE, _B22_RANGE].
+    Then, at each k22 the search can probe (k22 <= 2**49), b22*w^2 lies in
+    [1e-90, 1e90], k22*(k22/(b22*w^2)) is at most about 1e120 (or too small
+    to change the sum), Re h22 lies in [1e-120, 1e30] and its product with
+    Re h11 in [1e-180, 1e90]: every float step of the margin is a normal
+    double, so its verdict is the exact one up to rounding.  The grid
+    margin still decides
     - feasible(0, b22);
     - a probe inside the rounding band around k* (the _WINDOW and _SLACK
       allowances, at least 1e-9 of k*^2);
@@ -837,15 +825,27 @@ class _LlewellynBound:
     def __init__(self, params: SystemParams, grid: Optional[np.ndarray] = None) -> None:
         grid = default_grid(_LLEWELLYN_POINTS) if grid is None else grid
         omegas = np.asarray(grid, dtype=float)
-        h11, h12 = _llewellyn_samples(params, omegas)
+        h11, h12 = (h.eval_grid(omegas) for h in _plant_analysis(params).entries)
+        if not np.any(np.isfinite(h11) & np.isfinite(h12)):
+            # a Llewellyn verdict would be drawn from no data
+            raise InvalidParams("h11 and h12 overflow double precision at every grid point")
         self._re11 = h11.real
         self._re12 = h12.real
         self._abs12 = np.abs(h12)
         with np.errstate(all="ignore"):
             self._w2 = omegas ** 2
-        self._edges = self._closed_form_edges()
 
-    def _closed_form_edges(self) -> Optional[Tuple[np.ndarray, ...]]:
+    def margins(self, k22: float, b22: float) -> np.ndarray:
+        """Normalized Llewellyn margins of the coupler (k22, b22) on the grid; NaN at a pole."""
+        with np.errstate(all="ignore"):
+            re22 = 1.0 / (b22 + k22 * (k22 / (b22 * self._w2)))
+            prod = self._re11 * re22
+            L = 2.0 * prod + self._re12 - self._abs12
+            scale = 2.0 * np.abs(prod) + 2.0 * self._abs12 + _TINY
+            return L / scale
+
+    @functools.cached_property
+    def _edges(self) -> Optional[Tuple[np.ndarray, ...]]:
         """(w2_h, c_h, w2_f, c_f) for the closed form, or None for grid-only.
 
         A probe surely holds when k22^2 < b22*min(c_h - b22*w2_h) and surely
@@ -876,11 +876,7 @@ class _LlewellynBound:
         )
 
     def feasible(self, k22: float, b22: float) -> bool:
-        with np.errstate(all="ignore"):
-            re22 = b22 * self._w2 / (k22 * k22 + b22 * b22 * self._w2)
-        margins = _llewellyn_margin(self._re11, self._re12, self._abs12, re22)
-        margins = margins[~np.isnan(margins)]
-        return margins.size > 0 and float(np.min(margins)) >= -_LLEWELLYN_TOL
+        return _least_margin(self.margins(k22, b22))[1]
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
         if not (b22 > 0.0 and _isfinite(b22)):
@@ -1002,15 +998,11 @@ def check_absolute_stability(
 
     omegas = default_grid(_LLEWELLYN_POINTS) if grid is None else np.asarray(grid, dtype=float)
     margins = llewellyn_grid_margins(params, coupler, omegas)
-    ok = np.isfinite(margins)
-    if np.any(ok):
-        idx = int(np.argmin(margins[ok]))
-        min_margin = float(margins[ok][idx])
-        argmin_omega = float(omegas[ok][idx])
-    else:
-        min_margin, argmin_omega = None, None
-
-    llewellyn_ok = min_margin is not None and min_margin >= -_LLEWELLYN_TOL
+    least, llewellyn_ok = _least_margin(margins)
+    min_margin, argmin_omega = None, None
+    if not math.isnan(least):
+        idx = int(np.argmax(margins == least))  # the first least margin
+        min_margin, argmin_omega = float(margins[idx]), float(omegas[idx])
     overall = a.passed and b.passed and ci.passed and llewellyn_ok
     return AbsoluteStabilityReport(
         condition_a=a,

@@ -202,9 +202,9 @@ def spring_reference(k22: float, Kd: float) -> float:
     DesiredExceedsCoupler when Kd >= k22 (the series pair saturates at
     k22 no matter how stiff the environment is made).
     """
-    if not (_isfinite(k22) and k22 > 0):
+    if not (_is_number(k22) and _isfinite(k22) and k22 > 0):
         raise InvalidParams(f"k22 must be positive and finite, got {_shown(k22)}")
-    if not (_isfinite(Kd) and Kd >= 0):
+    if not (_is_number(Kd) and _isfinite(Kd) and Kd >= 0):
         raise InvalidParams(f"Kd must be nonnegative and finite, got {_shown(Kd)}")
     if Kd >= k22:
         raise DesiredExceedsCoupler(
@@ -219,9 +219,9 @@ def voigt_reference(b22: float, Bd: float) -> float:
     Series counterpart of spring_reference: Be = b22*Bd/(b22 - Bd), with
     DesiredExceedsCoupler when Bd >= b22.
     """
-    if not (_isfinite(b22) and b22 > 0):
+    if not (_is_number(b22) and _isfinite(b22) and b22 > 0):
         raise InvalidParams(f"b22 must be positive and finite, got {_shown(b22)}")
-    if not (_isfinite(Bd) and Bd >= 0):
+    if not (_is_number(Bd) and _isfinite(Bd) and Bd >= 0):
         raise InvalidParams(f"Bd must be nonnegative and finite, got {_shown(Bd)}")
     if Bd >= b22:
         raise DesiredExceedsCoupler(

@@ -83,7 +83,10 @@ def test_c1_design_no_force_feedback_damping():
     strict=True,
     reason="the computed stiffness ceiling without force feedback is 360.5; "
     "the stated band [366, 368] is not attainable with this model "
-    "(the companion pin below freezes the computed value)",
+    "(the companion pin below freezes the computed value); within table 1's "
+    "printed precision, Kf 362.5, Bf 0.0501, B 0.1695, Pm 0.285, Im 99.5, "
+    "Pf 39.5 gives 366.08 here and 408.22 at alpha = 1, inside both bands "
+    "(test_c1_rounding_box_witness_meets_both_single_alpha_bands)",
 )
 def test_c1_design_no_force_feedback_stiffness():
     r = maximize_k22(dataclasses.replace(NOM, alpha=0.0))
@@ -103,6 +106,30 @@ def test_c1_design_no_force_feedback_stiffness_companion_pin():
     _report(
         "c1 design, no force feedback: stiffness (computed pin)", ok,
         f"k22_max={r.k22_max:.3f} == 360.535 +/- 0.05, {dt:.2f}s",
+    )
+
+
+def test_c1_rounding_box_witness_meets_both_single_alpha_bands():
+    # table 1 fixes each value to half a unit in its last digit; this plant
+    # has Kf, B, Pm, Im and Pf at their rounding limits, Bf inside its
+    # interval, and J and If as printed
+    witness = dataclasses.replace(NOM, Kf=362.5, Bf=0.0501, B=0.1695, Pm=0.285, Im=99.5, Pf=39.5)
+    none = maximize_k22(dataclasses.replace(witness, alpha=0.0))
+    full = maximize_k22(dataclasses.replace(witness, alpha=1.0))
+    ok = (
+        none.k22_max == pytest.approx(366.0835, abs=1e-3)
+        and none.b22_opt == pytest.approx(0.13677, abs=1e-3)
+        and 366.0 <= none.k22_max <= 368.0
+        and 0.13 <= none.b22_opt <= 0.15
+        and full.k22_max == pytest.approx(408.2195, abs=1e-3)
+        and full.b22_opt == pytest.approx(0.17357, abs=1e-3)
+        and 407.5 <= full.k22_max <= 409.5
+        and 0.16 <= full.b22_opt <= 0.18
+    )
+    _report(
+        "c1 design, rounding-box witness", ok,
+        f"alpha=0: ({none.k22_max:.4f}, {none.b22_opt:.5f}) in [366, 368] x [0.13, 0.15]; "
+        f"alpha=1: ({full.k22_max:.4f}, {full.b22_opt:.5f}) in [407.5, 409.5] x [0.16, 0.18]",
     )
 
 

@@ -375,9 +375,8 @@ def test_negative_re_h11_sends_every_probe_to_the_grid():
 
 
 def test_llewellyn_feasibility_is_the_checker_verdict():
-    # the absolute optimum is only consistent with check_absolute_stability
-    # while feasible() gives its llewellyn_ok; the two round Re h22
-    # differently, so where the verdict flips they may differ by a few floats
+    # feasible() and check_absolute_stability read one sampled margin, so the
+    # bound at tol = 0 is the last float the check passes
     rng = np.random.default_rng(1952)
     drawn = (draw_plant(rng, 0.3) for _ in range(12))
     plants = [NOM] + [p for p in drawn if _baseline_passes(p)][:3]
@@ -392,8 +391,9 @@ def test_llewellyn_feasibility_is_the_checker_verdict():
             bound = search.bound(b22)
             for k22 in (bound, math.nextafter(bound, math.inf), bound + 1e-3, (1 - 1e-9) * bound):
                 assert search.feasible(k22, b22) is checker(k22, b22), (params, b22, k22)
-            flip = search.bound(b22, 0.0)  # feasible() passes here and fails one float up
-            assert checker((1 - 1e-12) * flip, b22) and not checker((1 + 1e-12) * flip, b22)
+            flip = search.bound(b22, 0.0)
+            assert checker(flip, b22), (params, b22, flip)
+            assert not checker(math.nextafter(flip, math.inf), b22), (params, b22, flip)
 
 
 @pytest.mark.parametrize("hi", [1.0, 1e-1])

@@ -941,9 +941,20 @@ def test_grid_margins_at_a_pole_are_nan_without_a_warning():
 
 
 def test_llewellyn_probe_with_no_finite_margin_is_infeasible_without_a_warning():
-    # b22**2 underflows, so Re h22 and with it every sampled margin is NaN
-    bound = passivity._LlewellynBound(dataclasses.replace(NOM, Bf=1e-300, M=0.5, Pm=1e8))
-    assert not bound.feasible(0.0, 4e-300)
+    # at the least subnormal b22, b22*w**2 underflows to 0 at low omega (0/0 in
+    # Re h22) and Re h22 = 1/b22 overflows at high omega, so every margin is NaN
+    plant = dataclasses.replace(NOM, Bf=1e-300, M=0.5, Pm=1e8)
+    assert not passivity._LlewellynBound(plant).feasible(0.0, 5e-324)
+    rep = check_absolute_stability(plant, vc(0.0, 5e-324))
+    assert not rep.llewellyn_ok and rep.min_margin is None
+
+
+@pytest.mark.parametrize("k22", [0.0, 1e-200])
+def test_llewellyn_margin_at_a_tiny_b22_passes_the_check_and_the_bound(k22):
+    # b22**2 = 1e-400 underflows, but Re h22 never squares b22
+    rep = check_absolute_stability(NOM, vc(k22, 1e-200))
+    assert rep.llewellyn_ok and rep.min_margin == pytest.approx(1.0)
+    assert passivity._LlewellynBound(NOM).feasible(k22, 1e-200)
 
 
 def test_default_grid_shape():

@@ -70,6 +70,19 @@ def test_ints_beyond_the_float_range_are_invalid():
         voigt_reference(0.17, 10**400)
 
 
+@pytest.mark.parametrize("bad", [True, "408", None], ids=["bool", "str", "none"])
+def test_reference_arguments_must_be_numbers(bad):
+    # a bool is no number here, and a str or None must not reach math.isfinite
+    with pytest.raises(InvalidParams, match="k22 must be positive and finite"):
+        spring_reference(bad, 0.5)
+    with pytest.raises(InvalidParams, match="Kd must be nonnegative and finite"):
+        spring_reference(400.0, bad)
+    with pytest.raises(InvalidParams, match="b22 must be positive and finite"):
+        voigt_reference(bad, 0.05)
+    with pytest.raises(InvalidParams, match="Bd must be nonnegative and finite"):
+        voigt_reference(0.17, bad)
+
+
 def test_ints_beyond_the_digit_limit_are_invalid():
     # repr raises ValueError for them; the messages show a stand-in
     big, shown = 10**5000, "got <int too long to display>$"
