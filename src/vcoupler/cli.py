@@ -446,9 +446,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_triples(argv: Sequence[str]) -> List[str]:
+    """argv with "--range V" and "--grid V" joined as "--range=V" when V is a
+    lo:hi:points that starts with "-", which argparse would read as an option."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        value = out[i + 1]
+        if out[i] in ("--range", "--grid") and value.startswith("-") and ":" in value:
+            out[i:i + 2] = [f"{out[i]}={value}"]
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_triples(sys.argv[1:] if argv is None else argv))
     try:
         params, vc = load_config(args.config)
         cfg = RunConfig(

@@ -189,8 +189,85 @@ class DerivedCoefficients(PlantCoefficients):
     t0: Fraction
 
 
+@dataclass(frozen=True)
+class _PlantKernel:
+    """One plant's coefficients as Python ints, formed with no Fraction.
+
+    shift     E: every input is an int over 2**E (see _plant_kernel)
+    quartic   (a4, a3, a2, a1, a0) times 2**(3*E)
+    ia        Im + alpha*Kf, times 2**(2*E)
+    rw        L*(4*r0, 4*r1, 4*r2, 4*r3, w0, w1, w2) for the positive lcm L
+              of their denominators: _integer_vector of plant_coefficients'
+              Fractions, bit for bit
+    rw_shift  log2(L)
+    """
+
+    shift: int
+    quartic: Tuple[int, int, int, int, int]
+    ia: int
+    rw: Tuple[int, ...]
+    rw_shift: int
+
+
+def _plant_kernel(params: SystemParams) -> _PlantKernel:
+    """The plant's quartic, rw and Im + alpha*Kf on ints, without plant_coefficients.
+
+    Every input is a binary float or an int, so it is an int over 2**E,
+    with E the largest denominator exponent of the nine inputs.  With
+    s = Im*Pf + If*Pm (that is, Pm*Pf*(mu + nu)) every coefficient is a
+    polynomial in the inputs with no division.  A product of two values of
+    degrees i and j is an int over 2**((i + j)*E), and a sum first shifts
+    each term left by E per degree it lacks, so a degree-d coefficient is
+    an int over 2**(d*E).  rw is aligned at degree 5 and shifted right by
+    the fewest trailing zeros among its entries (at most 5*E), which leaves
+    exactly the lcm scale that _integer_vector finds.
+    """
+    ratios = [
+        v.as_integer_ratio()
+        for v in (params.Kf, params.Bf, params.M, params.B, params.Pm,
+                  params.Im, params.Pf, params.If, params.alpha)
+    ]
+    E = max(d.bit_length() for _, d in ratios) - 1
+    Kf, Bf, M, B, Pm, Im, Pf, If, al = (n << (E + 1 - d.bit_length()) for n, d in ratios)
+
+    # each value's degree, the power of 2**E below it, follows its name
+    BP = B + Pm  # 1
+    PP = Pm * Pf  # 2
+    ap = (al << E) + PP  # 2: alpha + Pm*Pf
+    s = Im * Pf + If * Pm  # 2
+    ia = (Im << E) + al * Kf  # 2
+    kappa1 = Pf * Im - B * If  # 2
+    kappa3 = ap * BP - M * s  # 3
+    c = (BP << E) + al * Bf  # 2: B + Pm + alpha*Bf
+    tau2 = ((M * ia) << (E + 1)) - c * c  # 4
+    quartic = (  # 3 each
+        M << 2 * E,
+        (BP << 2 * E) + Bf * ap,
+        (Im << 2 * E) + Kf * ap + Bf * s,
+        Bf * Im * If + Kf * s,
+        Kf * Im * If,
+    )
+    r3 = Bf * M * M  # 3
+    r2 = Bf * (((BP * BP - 2 * Im * M) << 2 * E) + Bf * kappa3)  # 5
+    r1 = Kf * Kf * kappa3 + ((Bf * Im * Im) << 2 * E) + Bf * Bf * Im * kappa1  # 5
+    r0 = Im * Kf * Kf * kappa1  # 5
+
+    v = (4 * r0, 4 * r1, 4 * r2, (4 * r3) << 2 * E, (ia * ia) << E, -tau2 << E, (M * M) << 3 * E)
+    low = v[0] | v[1] | v[2] | v[3] | v[4] | v[5] | v[6]  # nonzero: M*M > 0
+    trim = min((low & -low).bit_length() - 1, 5 * E)
+    return _PlantKernel(
+        shift=E, quartic=quartic, ia=ia,
+        rw=tuple(x >> trim for x in v), rw_shift=5 * E - trim,
+    )
+
+
 def plant_coefficients(params: SystemParams) -> PlantCoefficients:
-    """The coupler-independent part of derive_coefficients."""
+    """The coupler-independent part of derive_coefficients, as Fractions.
+
+    The checkers read _plant_kernel's ints instead and build this record
+    only on demand (hybrid entries, grid margins and an axis pole pair);
+    tests keep it as the kernel's oracle.
+    """
     Kf, Bf, M = _exact(params.Kf), _exact(params.Bf), _exact(params.M)
     B, Pm, Im = _exact(params.B), _exact(params.Pm), _exact(params.Im)
     Pf, If, al = _exact(params.Pf), _exact(params.If), _exact(params.alpha)

@@ -8,9 +8,12 @@ The hybrid two-port built by model.hybrid_matrix is passive iff
   (c-ii) Re h11 * Re h22 >= |(conj(h12) + h21)/2|**2 for all w.
 
 (a), (b) and (c-i) are properties of the drive alone: no coupler can repair
-them.  They are computed together once per plant, with the plant
-coefficients, and memoized; only (c-ii) and the Llewellyn margin depend on
-the coupler (k22, b22).
+them.  They are computed together once per plant, from the plant's integer
+kernel (model._plant_kernel), and memoized; only (c-ii) and the Llewellyn
+margin depend on the coupler (k22, b22).  The kernel's ints are the only
+per-plant route of the exact conditions and the k22 bound; the Fraction
+record of model.plant_coefficients is built on demand, for the sampled
+entries, an axis pole pair and the tests.
 
 Each condition is decided by one exact route.  (a) and (b) are closed forms
 in the characteristic quartic for every plant: its Hurwitz margin and,
@@ -27,7 +30,7 @@ the Schwartz-Zippel lemma, so the (c-ii) cubic
 t = 4*b22*r - (k22**2 + b22**2*x)*w needs no check per plant or coupler.
 
 Both cubics are read from one integer vector per plant, L*(4*r, w) with L
-the positive lcm of the denominators (_PlantAnalysis.rw): (c-i) decides on
+the positive lcm of the denominators (the kernel's rw): (c-i) decides on
 its first four entries, and (c-ii), the sufficient test and the k22 bound
 all decide on the integer multiple of t that _cubics and _at_k22 form from
 it.  A positive multiple leaves every coefficient sign, the homogeneous
@@ -45,7 +48,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -58,6 +60,8 @@ from .model import (
     _cancel_s,
     _coupler_port,
     _isfinite,
+    _plant_kernel,
+    _PlantKernel,
     h11_numerator_cubic,
     plant_coefficients,
     unreduced_entries,
@@ -65,8 +69,8 @@ from .model import (
 from .poly import (
     POS_INF,
     Polynomial,
+    _dyadic_float,
     _homogeneous,
-    _integer_vector,
     _witness_float,
     cubic_nonneg_closed_form,
     first_clause,
@@ -223,20 +227,26 @@ def _verify_c_ii_identity(N12: Polynomial, D: Polynomial, p: PlantCoefficients) 
 
 @dataclass(frozen=True)
 class _PlantAnalysis:
-    """One plant's coefficients and (a), (b), (c-i), with its entries on demand.
+    """One plant's integer kernel and (a), (b), (c-i); Fractions and entries on demand.
 
-    rw is L*(4*r0, 4*r1, 4*r2, 4*r3, w0, w1, w2) as Python ints, for the
-    one positive L that clears the denominators.  Both (c) cubics are read
-    from it: (c-i) from its first four entries, and the (c-ii) cubic t of
-    every coupler from _cubics.
+    kernel is model._plant_kernel's record, the one per-plant route of the
+    exact conditions and the k22 bound.  Its rw is
+    L*(4*r0, 4*r1, 4*r2, 4*r3, w0, w1, w2) as Python ints, for the one
+    positive L that clears the denominators.  Both (c) cubics are read from
+    it: (c-i) from its first four entries, and the (c-ii) cubic t of every
+    coupler from _cubics.
     """
 
     params: SystemParams
-    coeffs: PlantCoefficients
-    rw: Tuple[int, ...]
+    kernel: _PlantKernel
     a: ConditionReport
     b: ConditionReport
     c_i: ConditionReport
+
+    @functools.cached_property
+    def coeffs(self) -> PlantCoefficients:
+        """plant_coefficients' Fraction record, built on first read (by entries)."""
+        return plant_coefficients(self.params)
 
     @functools.cached_property
     def entries(self) -> Tuple[RationalFunction, RationalFunction]:
@@ -251,30 +261,34 @@ class _PlantAnalysis:
 
 @functools.lru_cache(maxsize=512)
 def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
-    """(a), (b) and (c-i) of one plant, sharing one derivation of its coefficients.
+    """(a), (b) and (c-i) of one plant, sharing one integer kernel.
 
     The characteristic quartic's exact Hurwitz margin decides (a) and (b)
     for every pair of integral gains (stability.quartic_hurwitz takes
-    a1 = 0 and a0 = 0, the shapes a zero gain gives); the residue closed
-    form judges an axis pole pair, and the closed-form rule decides (c-i).
+    a1 = 0 and a0 = 0, the shapes a zero gain gives).  It is formed on the
+    kernel's ints, each 2**(3*E) times its coefficient, so it is 2**(9*E)
+    times the margin, and is divided by that power of two once, for the
+    report.  The closed-form rule decides (c-i) on rw.  Only an axis pole
+    pair, whose residue closed form judges (b), reads the Fraction record.
     """
-    p = plant_coefficients(params)
-    rw = _integer_vector((4 * p.r0, 4 * p.r1, 4 * p.r2, 4 * p.r3, p.w0, p.w1, p.w2))
-    quartic = (p.a4, p.a3, p.a2, p.a1, p.a0)
-    qh = quartic_hurwitz(quartic)
+    k = _plant_kernel(params)
+    qh = quartic_hurwitz(k.quartic)
     a = ConditionReport(
-        name="condition_a", passed=qh.no_open_rhp, margin=_witness_float(qh.margin),
+        name="condition_a", passed=qh.no_open_rhp, margin=_dyadic_float(qh.margin, 9 * k.shift),
         branch="quartic-margin", failing=None if qh.no_open_rhp else "margin",
     )
-    if qh.margin != 0 or p.a1 == 0:
+    _, _, _, a1, a0 = k.quartic
+    if qh.margin != 0 or a1 == 0:
         note = "vacuous: characteristic quartic has no imaginary-axis pole"
-        if p.a0 == 0:  # a zero integral gain: the quartic's root s = 0 cancels from h11
-            factor = "s" if p.a1 else "s**2"
+        if a0 == 0:  # a zero integral gain: the quartic's root s = 0 cancels from h11
+            factor = "s" if a1 else "s**2"
             note = (
                 f"vacuous: h11 has no imaginary-axis pole once its common factor {factor} cancels"
             )
         b = ConditionReport(name="condition_b", passed=True, branch="no-axis-pole", note=note)
     else:
+        p = plant_coefficients(params)
+        quartic = (p.a4, p.a3, p.a2, p.a1, p.a0)
         w = math.sqrt(float(p.a1 / p.a3))  # the axis pole pair +/-j*w
         cubic = h11_numerator_cubic(params)
         b3, _, b1, _ = cubic
@@ -286,7 +300,7 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
             note=f"axis pole pair at omega = {w:.6g} rad/s",
         )
 
-    r0, r1, r2, r3 = rw[:4]
+    r0, r1, r2, r3 = k.rw[:4]
     passed, witness_x = _decide_cubic(r3, r2, r1, r0, "condition (c-i)")
     branch: Optional[str] = None
     failing: Optional[str] = None
@@ -300,7 +314,7 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
         name="condition_c_i", passed=passed, branch=branch, failing=failing,
         witness_omega=math.sqrt(witness_x) if witness_x is not None else None,
     )
-    return _PlantAnalysis(params, p, rw, a, b, c_i)
+    return _PlantAnalysis(params, k, a, b, c_i)
 
 
 # perfbench clears the plant memo under this name; ROADMAP item 1 drops the alias
@@ -322,7 +336,7 @@ def check_condition_b(params: SystemParams) -> ConditionReport:
     """Imaginary-axis poles (if any) are simple with real positive residues.
 
     The quartic has an axis pole pair exactly when its Hurwitz margin, the
-    exact Fraction of condition (a), is zero and a1 > 0; the pair sits at
+    exact margin of condition (a), is zero and a1 > 0; the pair sits at
     omega = sqrt(a1/a3).  Its residue's reality and sign are decided
     exactly in the multiplied-through closed form (see
     stability.residues_positive_real).  Otherwise the condition is vacuously
@@ -547,7 +561,7 @@ def _at_k22(base: Tuple[int, ...], step: Tuple[int, ...], n2: int, d2: int) -> T
 
 def _determinant_cubic(params: SystemParams, coupler: VirtualCoupler) -> Tuple[int, int, int, int]:
     """(t3, t2, t1, t0) of condition (c-ii), times one positive integer."""
-    base, step = _cubics(_plant_analysis(params).rw, coupler.b22)
+    base, step = _cubics(_plant_analysis(params).kernel.rw, coupler.b22)
     kn, kd = coupler.k22.as_integer_ratio()
     return _at_k22(base, step, kn * kn, kd * kd)
 
@@ -665,11 +679,10 @@ class _DeterminantBound:
     """
 
     def __init__(self, params: SystemParams, start: Optional[float] = None) -> None:
-        plant = _plant_analysis(params)
-        self._rw = plant.rw
-        ia = Fraction(params.Im) + Fraction(params.alpha) * Fraction(params.Kf)
-        self._ia = _witness_float(ia)
-        self._r0x4 = max(_witness_float(4 * plant.coeffs.r0), 0.0)
+        k = _plant_analysis(params).kernel
+        self._rw = k.rw
+        self._ia = _dyadic_float(k.ia, 2 * k.shift)  # Im + alpha*Kf
+        self._r0x4 = max(_dyadic_float(k.rw[0], k.rw_shift), 0.0)  # 4*r0
         self.start = start
 
     def admits(self, b22: float, k22: float) -> bool:
@@ -788,8 +801,9 @@ class _LlewellynBound:
     check_absolute_stability reads it through llewellyn_grid_margins on
     the same default grid (4000 points) with the same tolerance, so
     feasible(k22, b22) is that check's llewellyn_ok.  Re h22 is the
-    coupler port's 1/(b22 + k22*(k22/(b22*w^2))): 1/b22 at k22 = 0 and 0
-    at b22 = 0, with no b22**2 to underflow.
+    coupler port's 1/(b22 + k22*(k22/(b22*w^2))): exactly 1/b22 at k22 = 0,
+    at every sample (w = 0 too), and 0 at b22 = 0, with no b22**2 to
+    underflow.
 
     bound(b22) returns exactly what bisecting feasible(., b22) returns, but
     decides the probes in closed form.  At a sample with Re h11 > 0,
@@ -838,7 +852,8 @@ class _LlewellynBound:
     def margins(self, k22: float, b22: float) -> np.ndarray:
         """Normalized Llewellyn margins of the coupler (k22, b22) on the grid; NaN at a pole."""
         with np.errstate(all="ignore"):
-            re22 = 1.0 / (b22 + k22 * (k22 / (b22 * self._w2)))
+            # at k22 = 0 the k22 term is 0 at every sample, w = 0 included (not 0*(0/0))
+            re22 = 1.0 / (b22 + (k22 * (k22 / (b22 * self._w2)) if k22 else 0.0))
             prod = self._re11 * re22
             L = 2.0 * prod + self._re12 - self._abs12
             scale = 2.0 * np.abs(prod) + 2.0 * self._abs12 + _TINY
@@ -969,7 +984,8 @@ def check_sufficient_conditions(
     a = check_condition_a(params)
     b = check_condition_b(params)
     # the coefficients in the report's order, each times a positive integer
-    values = (*_plant_analysis(params).rw[:3], *reversed(_determinant_cubic(params, coupler)))
+    rw = _plant_analysis(params).kernel.rw
+    values = (*rw[:3], *reversed(_determinant_cubic(params, coupler)))
     failed = [r.name for r in (a, b) if not r.passed]
     failed += [n for n, v in zip(("r0", "r1", "r2", "t0", "t1", "t2", "t3"), values) if v < 0]
     return ConditionReport(

@@ -74,6 +74,15 @@ def _witness_float(value: Fraction) -> float:
         return POS_INF if value > 0 else NEG_INF
 
 
+def _dyadic_float(n: int, shift: int) -> float:
+    """_witness_float(Fraction(n, 2**shift)) with no Fraction: int true division
+    rounds correctly too, and raises OverflowError where float(Fraction) does."""
+    try:
+        return n / (1 << shift)
+    except OverflowError:
+        return POS_INF if n > 0 else NEG_INF
+
+
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 

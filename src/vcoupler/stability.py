@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -125,13 +125,14 @@ class QuarticHurwitz:
     """Verdict and margin of the quartic open-RHP root test."""
 
     no_open_rhp: bool
-    margin: Fraction
+    margin: Union[int, Fraction]
 
 
-def _quartic_coeffs(coeffs: Sequence[Number]) -> Tuple[Fraction, ...]:
+def _quartic_coeffs(coeffs: Sequence[Number]) -> Tuple[Union[int, Fraction], ...]:
+    """The five coefficients, exact: ints stay ints, and the rest become Fractions."""
     if len(coeffs) != 5:
         raise ValueError("expected five coefficients (a4, a3, a2, a1, a0)")
-    cs = tuple(_exact(c) for c in coeffs)
+    cs = tuple(c if type(c) is int else _exact(c) for c in coeffs)
     if any(c <= 0 for c in cs[:3]) or any(c < 0 for c in cs[3:]):
         raise NonPositiveCoefficient(
             "quartic tests require a4, a3, a2 > 0 and a1, a0 >= 0"
@@ -148,7 +149,8 @@ def quartic_hurwitz(coeffs: Sequence[Number]) -> QuarticHurwitz:
     a1 = a0 = 0 it is 0, and the quadratic a4*s^2 + a3*s + a2 left after s**2
     has no root off the open left half plane.  A zero margin with a1 > 0
     means exactly one conjugate root pair on the imaginary axis, at
-    s = +/-j*sqrt(a1/a3).  Exact for exact (int, Fraction, float) inputs.
+    s = +/-j*sqrt(a1/a3).  Exact for exact (int, Fraction, float) inputs;
+    on five ints the margin is an int, formed with no Fraction.
     """
     a4, a3, a2, a1, a0 = _quartic_coeffs(coeffs)
     margin = a1 * (a2 * a3 - a1 * a4) - a0 * a3 * a3

@@ -42,6 +42,19 @@ def draw_plant(rng: np.random.Generator, spread: float = 0.3, **fixed) -> System
     return SystemParams(**kw)
 
 
+# plants that stress the integer kernel (model._plant_kernel), as fields
+# replaced in the nominal plant: zero integral gains, no elastic damping,
+# both alpha ends, magnitudes from 1e-300 to 1e300, subnormal inputs (the
+# largest shift E) and int inputs
+KERNEL_EDGES = [
+    {"Im": 0.0}, {"If": 0.0}, {"Im": 0.0, "If": 0.0}, {"Bf": 0.0},
+    {"alpha": 0.0}, {"alpha": 1.0}, {"Bf": 5e-324}, {"alpha": 5e-324},
+    {"Kf": 1e300, "Pm": 1e30}, {"Pm": 1e-300, "Pf": 3e-310}, {"M": 1e-300, "B": 1e300},
+    {"Kf": 1e200}, {"Im": 0.0, "If": 0.0, "alpha": 0.0, "Bf": 0.0},
+    {"Kf": 362, "Im": 100, "If": 70, "Pf": 40, "alpha": 1},
+]
+
+
 def draw_coupler(rng: np.random.Generator, Bf: float) -> VirtualCoupler:
     """One random coupler; b22 is drawn around the 4*Bf feasibility edge so the
     corpus contains a healthy mix of passing and failing instances."""

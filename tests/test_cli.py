@@ -801,6 +801,7 @@ GRID_ERRORS = [
     ("0:1:1", "--grid requires 0 < min < max, got '0:1:1'"),
     ("1:2:3:4", "--grid must look like min:max:points, got '1:2:3:4'"),
     ("1:2:x", "--grid '1:2:x': invalid literal for int() with base 10: 'x'"),
+    ("-1:2:3", "--grid requires 0 < min < max, got '-1:2:3'"),
 ]
 
 RANGE_ERRORS = [
@@ -809,6 +810,7 @@ RANGE_ERRORS = [
     ("1:2:1", "--range requires at least 2 points, got 1"),
     ("a:b", "--range must look like lo:hi:points, got 'a:b'"),
     ("1:2:2.5", "--range '1:2:2.5': invalid literal for int() with base 10: '2.5'"),
+    ("-1:-2:3", "--range requires finite lo <= hi, got '-1:-2:3'"),
 ]
 
 
@@ -844,21 +846,25 @@ def test_bad_sweep_range(capsys):
     ],
 )
 def test_sweep_range_outside_the_parameter_domain(capsys, vary, rng, message):
-    # a negative lower end must be attached with "=", or argparse reads it as a flag
-    code, out, err = run(capsys, "sweep", "--config", TABLE, "--vary", vary, f"--range={rng}")
-    assert code == EXIT_CONFIG
-    assert out == ""
-    assert err == f"config error: {message}\n"
+    # a negative lower end may follow "=" or a space
+    for form in ([f"--range={rng}"], ["--range", rng]):
+        code, out, err = run(capsys, "sweep", "--config", TABLE, "--vary", vary, *form)
+        assert code == EXIT_CONFIG, form
+        assert out == ""
+        assert err == f"config error: {message}\n"
 
 
-def test_negative_sweep_range_after_a_space_is_an_argparse_error(capsys):
-    # argparse takes "-1:2:3" for an option, so the value is missing
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", TABLE, "--vary", "k22", "--range", "-1:2:3"])
-    assert exc.value.code == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --range: expected one argument" in captured.err
+def test_negative_sweep_range_after_a_space_reaches_the_domain_check(capsys, monkeypatch):
+    # "-1:2:3" starts like an option; main joins it to --range, whether the
+    # arguments come as a list or from sys.argv
+    argv = ["sweep", "--config", TABLE, "--vary", "k22", "--range", "-1:2:3"]
+    monkeypatch.setattr(sys, "argv", ["vcoupler", *argv])
+    for given in (argv, None):
+        code = main(given)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == "config error: k22 sweep range must be nonnegative\n"
 
 
 def test_check_needs_a_coupler_in_the_config(capsys, tmp_path):

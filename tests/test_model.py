@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import KERNEL_EDGES
+from vcoupler import model
 from vcoupler.errors import ConfigError, InvalidParams
 from vcoupler.model import (
     SystemParams,
@@ -25,6 +27,8 @@ from vcoupler.model import (
     plant_coefficients,
 )
 from vcoupler.perf import EnvironmentModel
+from vcoupler.poly import _integer_vector
+from vcoupler.stability import quartic_hurwitz
 
 NOM = nominal_params()
 VC = nominal_coupler()
@@ -249,6 +253,52 @@ def test_coupler_records_extend_the_plant_record(p, vc):
     for field in dataclasses.fields(plant):
         assert getattr(c, field.name) == getattr(plant, field.name), field.name
     assert hybrid_matrix(p, vc).coeffs == plant
+
+
+# ---------------------------------------------------------------------------
+# the integer plant kernel against the Fraction record
+# ---------------------------------------------------------------------------
+
+def _assert_kernel_is_the_fraction_record(p: SystemParams) -> None:
+    k = model._plant_kernel(p)
+    c = plant_coefficients(p)
+    assert k.rw == _integer_vector((4 * c.r0, 4 * c.r1, 4 * c.r2, 4 * c.r3, c.w0, c.w1, c.w2))
+    assert Fraction(k.rw[0], 2 ** k.rw_shift) == 4 * c.r0
+    quartic = (c.a4, c.a3, c.a2, c.a1, c.a0)
+    assert tuple(Fraction(a, 2 ** (3 * k.shift)) for a in k.quartic) == quartic
+    assert Fraction(k.ia, 2 ** (2 * k.shift)) == (
+        Fraction(p.Im) + Fraction(p.alpha) * Fraction(p.Kf)
+    )
+    margin = quartic_hurwitz(k.quartic).margin
+    assert type(margin) is int
+    assert Fraction(margin, 2 ** (9 * k.shift)) == quartic_hurwitz(quartic).margin
+
+
+def test_kernel_is_the_fraction_record_on_the_corpus(corpus):
+    for inst in corpus:
+        _assert_kernel_is_the_fraction_record(inst.params)
+
+
+@pytest.mark.parametrize("fields", KERNEL_EDGES, ids=[repr(f) for f in KERNEL_EDGES])
+def test_kernel_is_the_fraction_record_on_edge_plants(fields):
+    _assert_kernel_is_the_fraction_record(dataclasses.replace(NOM, **fields))
+
+
+def test_kernel_shift_is_the_largest_input_denominator():
+    assert model._plant_kernel(NOM.replace(Bf=5e-324)).shift == 1074
+    ints = dict(Kf=362, Bf=1, M=2, B=1, Pm=3, Im=100, Pf=40, If=70, alpha=1)
+    k = model._plant_kernel(SystemParams(**ints))
+    assert k.shift == 0 and k.rw_shift == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fixed_dictionaries({
+    f: st.floats(5e-324, 1e300) if f in ("Kf", "M", "B", "Pm", "Pf")
+    else st.one_of(st.just(0.0), st.floats(5e-324, 1e300))
+    for f in ("Kf", "Bf", "M", "B", "Pm", "Im", "Pf", "If")
+}), st.floats(0.0, 1.0))
+def test_kernel_is_the_fraction_record_at_any_magnitude(fields, alpha):
+    _assert_kernel_is_the_fraction_record(SystemParams(**fields, alpha=alpha))
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PLANT_FIELDS, draw_coupler, draw_plant
+from conftest import KERNEL_EDGES, PLANT_FIELDS, draw_coupler, draw_plant
 from vcoupler import model, passivity, poly, stability
 from vcoupler.model import SystemParams, VirtualCoupler, derive_coefficients, nominal_params
-from vcoupler.optimize import maximize_k22
+from vcoupler.optimize import maximize_k22, maximize_k22_over_alpha
 from vcoupler.passivity import (
     ConditionReport,
     check_absolute_stability,
@@ -779,6 +779,53 @@ def test_plant_work_runs_once_for_the_three_checks(monkeypatch):
     assert calls["is_nonnegative_on"] == 1
 
 
+def test_design_search_and_exact_checks_build_no_fraction_record(monkeypatch):
+    # the integer kernel is their only per-plant route: plant_coefficients
+    # serves the sampled entries, an axis pole pair and the tests
+    def refuse(params):
+        raise AssertionError("plant_coefficients called")
+
+    monkeypatch.setattr(model, "plant_coefficients", refuse)
+    monkeypatch.setattr(passivity, "plant_coefficients", refuse)
+    passivity._plant_analysis.cache_clear()
+    res = maximize_k22_over_alpha(NOM)
+    assert (res.k22_max, res.b22_opt, res.alpha_opt) == (
+        417.1094177087317, 0.14845824720006734, 0.8904631987238172
+    )
+    for rep in (
+        check_condition_a(NOM), check_condition_b(NOM), check_condition_c_i(NOM),
+        check_condition_c_ii(NOM, vc(408.0, 0.17)),
+    ):
+        assert rep.passed, rep.name
+    passivity._plant_analysis.cache_clear()
+
+
+def _kernel_reads(p: SystemParams):
+    """What the plant analysis reads from the kernel, and the same from the Fraction record."""
+    c = model.plant_coefficients(p)
+    margin = stability.quartic_hurwitz((c.a4, c.a3, c.a2, c.a1, c.a0)).margin
+    ia = Fraction(p.Im) + Fraction(p.alpha) * Fraction(p.Kf)
+    bound = passivity._DeterminantBound(p)
+    kernel = (check_condition_a(p).margin, bound._ia, bound._r0x4)
+    fractions = (
+        poly._witness_float(margin), poly._witness_float(ia),
+        max(poly._witness_float(4 * c.r0), 0.0),
+    )
+    return kernel, fractions
+
+
+def test_kernel_reads_equal_the_fraction_record_on_the_corpus(corpus):
+    for inst in corpus:
+        kernel, fractions = _kernel_reads(inst.params)
+        assert kernel == fractions, inst.params
+
+
+@pytest.mark.parametrize("fields", KERNEL_EDGES, ids=[repr(f) for f in KERNEL_EDGES])
+def test_kernel_reads_equal_the_fraction_record_on_edge_plants(fields):
+    kernel, fractions = _kernel_reads(dataclasses.replace(NOM, **fields))
+    assert kernel == fractions
+
+
 def _generic_verdicts(p: SystemParams):
     """(a) and (b) by the generic exact root analysis of the s-cancelled h11.
 
@@ -941,12 +988,29 @@ def test_grid_margins_at_a_pole_are_nan_without_a_warning():
 
 
 def test_llewellyn_probe_with_no_finite_margin_is_infeasible_without_a_warning():
-    # at the least subnormal b22, b22*w**2 underflows to 0 at low omega (0/0 in
-    # Re h22) and Re h22 = 1/b22 overflows at high omega, so every margin is NaN
+    # at the least subnormal b22, Re h22 = 1/b22 overflows at k22 = 0, so
+    # every margin is NaN (inf/inf, or 0*inf where Re h11 = 0)
     plant = dataclasses.replace(NOM, Bf=1e-300, M=0.5, Pm=1e8)
     assert not passivity._LlewellynBound(plant).feasible(0.0, 5e-324)
     rep = check_absolute_stability(plant, vc(0.0, 5e-324))
     assert not rep.llewellyn_ok and rep.min_margin is None
+
+
+@pytest.mark.parametrize("b22", [0.17, 1e-3, 2.0])
+def test_llewellyn_margin_at_k22_zero_reads_re_h22_as_one_over_b22_at_every_sample(b22):
+    # at omega = 0 the k22 term of Re h22 is 0, not 0*(0/0): h11(0) = 0 and
+    # h12(0) = 1 give a margin of 0.0 there, and no sample is NaN
+    grid = np.array([0.0, 1e-3, 1.0, 10.0, 1e6])
+    h11, h12 = (h.eval_grid(grid) for h in passivity._plant_analysis(NOM).entries)
+    prod = h11.real * (1.0 / b22)
+    expected = (2.0 * prod + h12.real - np.abs(h12)) / (
+        2.0 * np.abs(prod) + 2.0 * np.abs(h12) + passivity._TINY
+    )
+    margins = llewellyn_grid_margins(NOM, vc(0.0, b22), grid)
+    assert margins.tolist() == expected.tolist()
+    assert margins[0] == 0.0
+    rep = check_absolute_stability(NOM, vc(0.0, b22), grid=grid)
+    assert rep.min_margin is not None and not math.isnan(rep.min_margin)
 
 
 @pytest.mark.parametrize("k22", [0.0, 1e-200])
