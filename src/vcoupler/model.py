@@ -12,11 +12,14 @@ Everything downstream works on the hybrid two-port
 
     [F_h, v_e]^T = H(s) [v_h, F_e]^T,
 
-whose entries share a quartic characteristic denominator.  Coefficients are
-derived in exact rational arithmetic so independent reconstructions of the
-same quantity can be compared with zero tolerance.  H is sampled entry by
-entry (RationalFunction.eval and eval_grid); where its poles lie is decided
-exactly in stability and passivity, never by a float tolerance here.
+whose entries share a quartic characteristic denominator.  Each plant
+quantity has one formula, in the integer kernel _plant_kernel: the quartic,
+the numerators of h11 and h12, and the real-part vector (4*r, w), as ints
+over powers of two.  The Fraction coefficients of hybrid_matrix and
+derive_coefficients are those ints over their powers of two, so they are
+exact.  H is sampled entry by entry (RationalFunction.eval and eval_grid);
+where its poles lie is decided exactly in stability and passivity, never
+by a float tolerance here.
 """
 
 from __future__ import annotations
@@ -36,12 +39,10 @@ from .stability import RationalFunction
 __all__ = [
     "SystemParams",
     "VirtualCoupler",
-    "PlantCoefficients",
     "DerivedCoefficients",
     "HybridMatrix",
     "nominal_params",
     "nominal_coupler",
-    "plant_coefficients",
     "derive_coefficients",
     "hybrid_matrix",
     "load_config",
@@ -138,22 +139,14 @@ def nominal_coupler() -> VirtualCoupler:
 
 
 @dataclass(frozen=True)
-class PlantCoefficients:
-    """Exact coefficients of the drive, independent of the virtual coupler.
+class DerivedCoefficients:
+    """A plant/coupler pair's coefficients as Fractions: a view of _plant_kernel.
 
     a4..a0  characteristic quartic of the drive (denominator of h11, h12)
-    mu, nu  integral-to-proportional gain ratios Im/Pm and If/Pf
-    kappa1  Pf*Im - B*If        (force/velocity integral balance)
-    kappa2  B + Pm - M*(mu+nu)
-    kappa3  alpha*(B+Pm) + Pm*Pf*kappa2
-    tau2    2*M*(Im + alpha*Kf) - (B + Pm + alpha*Bf)**2
     r3..r0  cubic deciding Re h11 >= 0 (driving-point real part, x = omega**2)
-    w2..w0  quadratic w(x) = M**2 x^2 - tau2 x + (Im + alpha*Kf)**2 with
-            |N12 - D|**2 (j*omega) = x**2 * w(x)
-
-    The coupler enters the determinant cubic only through
-    t = 4*b22*r - (k22**2 + b22**2*x)*w.  All values are Fractions derived
-    exactly from the (binary) float inputs.
+    w2..w0  quadratic with |N12 - D|**2 (j*omega) = x**2 * w(x)
+    t3..t0  cubic deciding the two-port real-part determinant condition,
+            t = 4*b22*r - (k22**2 + b22**2*x)*w
     """
 
     a4: Fraction
@@ -161,12 +154,6 @@ class PlantCoefficients:
     a2: Fraction
     a1: Fraction
     a0: Fraction
-    mu: Fraction
-    nu: Fraction
-    kappa1: Fraction
-    kappa2: Fraction
-    kappa3: Fraction
-    tau2: Fraction
     r3: Fraction
     r2: Fraction
     r1: Fraction
@@ -174,15 +161,6 @@ class PlantCoefficients:
     w2: Fraction
     w1: Fraction
     w0: Fraction
-
-
-@dataclass(frozen=True)
-class DerivedCoefficients(PlantCoefficients):
-    """A plant's coefficients plus those of one coupler (k22, b22).
-
-    t3..t0  cubic deciding the two-port real-part determinant condition
-    """
-
     t3: Fraction
     t2: Fraction
     t1: Fraction
@@ -194,33 +172,37 @@ class _PlantKernel:
     """One plant's coefficients as Python ints, formed with no Fraction.
 
     shift     E: every input is an int over 2**E (see _plant_kernel)
-    quartic   (a4, a3, a2, a1, a0) times 2**(3*E)
+    quartic   (a4, a3, a2, a1, a0) times 2**(3*E): the common denominator D
+    n11       (b0, b1, b2, b3) times 2**(2*E): h11's numerator over s
+    n12       h12's numerator, lowest first, times 2**(3*E); its two low
+              coefficients are the quartic's a0 and a1
     ia        Im + alpha*Kf, times 2**(2*E)
     rw        L*(4*r0, 4*r1, 4*r2, 4*r3, w0, w1, w2) for the positive lcm L
-              of their denominators: _integer_vector of plant_coefficients'
-              Fractions, bit for bit
+              of their denominators, a power of two
     rw_shift  log2(L)
     """
 
     shift: int
     quartic: Tuple[int, int, int, int, int]
+    n11: Tuple[int, int, int, int]
+    n12: Tuple[int, int, int, int]
     ia: int
     rw: Tuple[int, ...]
     rw_shift: int
 
 
 def _plant_kernel(params: SystemParams) -> _PlantKernel:
-    """The plant's quartic, rw and Im + alpha*Kf on ints, without plant_coefficients.
+    """The plant's polynomials, rw and Im + alpha*Kf on ints.
 
     Every input is a binary float or an int, so it is an int over 2**E,
     with E the largest denominator exponent of the nine inputs.  With
-    s = Im*Pf + If*Pm (that is, Pm*Pf*(mu + nu)) every coefficient is a
-    polynomial in the inputs with no division.  A product of two values of
-    degrees i and j is an int over 2**((i + j)*E), and a sum first shifts
+    s = Im*Pf + If*Pm (that is, Pm*Pf*(Im/Pm + If/Pf)) every coefficient is
+    a polynomial in the inputs with no division.  A product of two values
+    of degrees i and j is an int over 2**((i + j)*E), and a sum first shifts
     each term left by E per degree it lacks, so a degree-d coefficient is
     an int over 2**(d*E).  rw is aligned at degree 5 and shifted right by
     the fewest trailing zeros among its entries (at most 5*E), which leaves
-    exactly the lcm scale that _integer_vector finds.
+    the lcm scale of its Fractions' denominators.
     """
     ratios = [
         v.as_integer_ratio()
@@ -240,13 +222,17 @@ def _plant_kernel(params: SystemParams) -> _PlantKernel:
     kappa3 = ap * BP - M * s  # 3
     c = (BP << E) + al * Bf  # 2: B + Pm + alpha*Bf
     tau2 = ((M * ia) << (E + 1)) - c * c  # 4
+    a1 = Bf * Im * If + Kf * s  # 3
+    a0 = Kf * Im * If  # 3
     quartic = (  # 3 each
         M << 2 * E,
         (BP << 2 * E) + Bf * ap,
         (Im << 2 * E) + Kf * ap + Bf * s,
-        Bf * Im * If + Kf * s,
-        Kf * Im * If,
+        a1,
+        a0,
     )
+    n11 = (Kf * Im, Bf * Im + Kf * BP, Bf * BP + Kf * M, Bf * M)  # 2 each
+    n12 = (a0, a1, PP * Kf + Bf * s, Bf * PP)  # 3 each
     r3 = Bf * M * M  # 3
     r2 = Bf * (((BP * BP - 2 * Im * M) << 2 * E) + Bf * kappa3)  # 5
     r1 = Kf * Kf * kappa3 + ((Bf * Im * Im) << 2 * E) + Bf * Bf * Im * kappa1  # 5
@@ -256,72 +242,35 @@ def _plant_kernel(params: SystemParams) -> _PlantKernel:
     low = v[0] | v[1] | v[2] | v[3] | v[4] | v[5] | v[6]  # nonzero: M*M > 0
     trim = min((low & -low).bit_length() - 1, 5 * E)
     return _PlantKernel(
-        shift=E, quartic=quartic, ia=ia,
+        shift=E, quartic=quartic, n11=n11, n12=n12, ia=ia,
         rw=tuple(x >> trim for x in v), rw_shift=5 * E - trim,
-    )
-
-
-def plant_coefficients(params: SystemParams) -> PlantCoefficients:
-    """The coupler-independent part of derive_coefficients, as Fractions.
-
-    The checkers read _plant_kernel's ints instead and build this record
-    only on demand (hybrid entries, grid margins and an axis pole pair);
-    tests keep it as the kernel's oracle.
-    """
-    Kf, Bf, M = _exact(params.Kf), _exact(params.Bf), _exact(params.M)
-    B, Pm, Im = _exact(params.B), _exact(params.Pm), _exact(params.Im)
-    Pf, If, al = _exact(params.Pf), _exact(params.If), _exact(params.alpha)
-
-    mu = Im / Pm
-    nu = If / Pf
-    ap = al + Pm * Pf  # effective feedthrough of the force loop
-
-    a4 = M
-    a3 = B + Pm + Bf * ap
-    a2 = Im + Kf * ap + Bf * Pm * Pf * (mu + nu)
-    a1 = Bf * Im * If + Kf * Pm * Pf * (mu + nu)
-    a0 = Kf * Im * If
-
-    kappa1 = Pf * Im - B * If
-    kappa2 = B + Pm - M * (mu + nu)
-    kappa3 = al * (B + Pm) + Pm * Pf * kappa2
-    ia = Im + al * Kf
-    tau2 = 2 * M * ia - (B + Pm + al * Bf) ** 2
-
-    r3 = Bf * M * M
-    r2 = Bf * ((B + Pm) ** 2 + Bf * kappa3 - 2 * Im * M)
-    r1 = Kf * Kf * kappa3 + Bf * Im * Im + Bf * Bf * Im * kappa1
-    r0 = Im * Kf * Kf * kappa1
-
-    return PlantCoefficients(
-        a4=a4, a3=a3, a2=a2, a1=a1, a0=a0,
-        mu=mu, nu=nu,
-        kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
-        tau2=tau2,
-        r3=r3, r2=r2, r1=r1, r0=r0,
-        w2=M * M, w1=-tau2, w0=ia * ia,
     )
 
 
 def derive_coefficients(
     params: SystemParams, coupler: VirtualCoupler
 ) -> DerivedCoefficients:
-    """Exact derived coefficients for a plant/coupler pair, as Fractions.
+    """The kernel's quartic, r and w over their powers of two, and t, as Fractions.
 
     The checkers in passivity decide the (c-ii) cubic on the plant's integer
-    vector instead; this record is their test oracle.
+    vector instead; tests read this record as their Fraction oracle.
     """
-    p = plant_coefficients(params)
+    k = _plant_kernel(params)
+    a4, a3, a2, a1, a0 = (Fraction(a, 1 << 3 * k.shift) for a in k.quartic)
+    r0, r1, r2, r3 = (Fraction(x, 4 << k.rw_shift) for x in k.rw[:4])
+    w0, w1, w2 = (Fraction(x, 1 << k.rw_shift) for x in k.rw[4:])
     k22, b22 = _exact(coupler.k22), _exact(coupler.b22)
     K, b4, bb = k22 * k22, 4 * b22, b22 * b22
 
     # t = 4*b22*r - (k22**2 + b22**2*x)*w, coefficient by coefficient
     return DerivedCoefficients(
-        **vars(p),
-        t3=b4 * p.r3 - bb * p.w2,
-        t2=b4 * p.r2 - K * p.w2 - bb * p.w1,
-        t1=b4 * p.r1 - K * p.w1 - bb * p.w0,
-        t0=b4 * p.r0 - K * p.w0,
+        a4=a4, a3=a3, a2=a2, a1=a1, a0=a0,
+        r3=r3, r2=r2, r1=r1, r0=r0,
+        w2=w2, w1=w1, w0=w0,
+        t3=b4 * r3 - bb * w2,
+        t2=b4 * r2 - K * w2 - bb * w1,
+        t1=b4 * r1 - K * w1 - bb * w0,
+        t0=b4 * r0 - K * w0,
     )
 
 
@@ -332,7 +281,7 @@ class HybridMatrix:
     h11 and h12 share the characteristic quartic denominator (after any
     common s-factor cancellation for degenerate integral gains); h21 is
     identically -1 (unilateral velocity command); h22 is the coupler
-    one-port s/(b22*s + k22).  coeffs is the plant's coefficient record.
+    one-port s/(b22*s + k22).
     """
 
     h11: RationalFunction
@@ -341,7 +290,6 @@ class HybridMatrix:
     h22: RationalFunction
     params: SystemParams
     coupler: VirtualCoupler
-    coeffs: PlantCoefficients
 
     def entries(self) -> Tuple[Tuple[RationalFunction, ...], ...]:
         return ((self.h11, self.h12), (self.h21, self.h22))
@@ -355,38 +303,18 @@ def _cancel_s(num: Polynomial, den: Polynomial) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def characteristic_polynomial(c: PlantCoefficients) -> Polynomial:
-    """The quartic a4*s^4 + a3*s^3 + a2*s^2 + a1*s + a0 (lowest first)."""
-    return Polynomial([c.a0, c.a1, c.a2, c.a3, c.a4])
+def _plant_entries(k: _PlantKernel) -> Tuple[RationalFunction, RationalFunction]:
+    """The s-cancelled h11 and h12 over the quartic, each kernel int over its power of two.
 
-
-def h11_numerator_cubic(params: SystemParams) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(b3, b2, b1, b0) of the cubic factor: numerator of h11 = s * cubic."""
-    Kf, Bf, M = _exact(params.Kf), _exact(params.Bf), _exact(params.M)
-    B, Pm, Im = _exact(params.B), _exact(params.Pm), _exact(params.Im)
-    b3 = Bf * M
-    b2 = Bf * (B + Pm) + Kf * M
-    b1 = Bf * Im + Kf * (B + Pm)
-    b0 = Kf * Im
-    return b3, b2, b1, b0
-
-
-def unreduced_entries(
-    params: SystemParams, c: PlantCoefficients
-) -> Tuple[Polynomial, Polynomial, Polynomial]:
-    """(N11, N12, D): numerators of h11, h12 and their common quartic, uncancelled."""
-    Kf, Bf = _exact(params.Kf), _exact(params.Bf)
-    Im, If = _exact(params.Im), _exact(params.If)
-    pp = _exact(params.Pm) * _exact(params.Pf)
-    b3, b2, b1, b0 = h11_numerator_cubic(params)
-    n11 = Polynomial([0, b0, b1, b2, b3])  # s * cubic
-    n12 = Polynomial([
-        Kf * Im * If,
-        Bf * Im * If + Kf * pp * (c.mu + c.nu),
-        pp * (Kf + Bf * (c.mu + c.nu)),
-        Bf * pp,
-    ])
-    return n11, n12, characteristic_polynomial(c)
+    Degenerate integral gains (Im == 0 or If == 0) put common s-factors into
+    numerator and denominator; those are cancelled exactly so the entries
+    have no removable singularity at s = 0.
+    """
+    d2, d3 = 1 << 2 * k.shift, 1 << 3 * k.shift
+    den = Polynomial([Fraction(a, d3) for a in reversed(k.quartic)])
+    n11 = Polynomial([0] + [Fraction(b, d2) for b in k.n11])
+    n12 = Polynomial([Fraction(n, d3) for n in k.n12])
+    return _cancel_s(n11, den), _cancel_s(n12, den)
 
 
 def _coupler_port(coupler: VirtualCoupler) -> RationalFunction:
@@ -396,22 +324,15 @@ def _coupler_port(coupler: VirtualCoupler) -> RationalFunction:
 
 
 def hybrid_matrix(params: SystemParams, coupler: VirtualCoupler) -> HybridMatrix:
-    """Build the hybrid two-port for a plant/coupler pair.
-
-    Degenerate integral gains (Im == 0 or If == 0) put common s-factors into
-    numerator and denominator of h11/h12; those are cancelled exactly so the
-    returned entries have no removable singularity at s = 0.
-    """
-    plant = plant_coefficients(params)
-    n11, n12, den = unreduced_entries(params, plant)
+    """Build the hybrid two-port for a plant/coupler pair (h11, h12 by _plant_entries)."""
+    h11, h12 = _plant_entries(_plant_kernel(params))
     return HybridMatrix(
-        h11=_cancel_s(n11, den),
-        h12=_cancel_s(n12, den),
+        h11=h11,
+        h12=h12,
         h21=RationalFunction([-1], [1]),
         h22=_coupler_port(coupler),
         params=params,
         coupler=coupler,
-        coeffs=plant,
     )
 
 

@@ -11,9 +11,9 @@ The hybrid two-port built by model.hybrid_matrix is passive iff
 them.  They are computed together once per plant, from the plant's integer
 kernel (model._plant_kernel), and memoized; only (c-ii) and the Llewellyn
 margin depend on the coupler (k22, b22).  The kernel's ints are the only
-per-plant route of the exact conditions and the k22 bound; the Fraction
-record of model.plant_coefficients is built on demand, for the sampled
-entries, an axis pole pair and the tests.
+per-plant route: of the exact conditions and the k22 bound, and of the
+sampled h11 and h12 (model._plant_entries), built on a grid margin's first
+read.
 
 Each condition is decided by one exact route.  (a) and (b) are closed forms
 in the characteristic quartic for every plant: its Hurwitz margin and,
@@ -54,24 +54,20 @@ import numpy as np
 
 from .errors import InvalidParams
 from .model import (
-    PlantCoefficients,
+    DerivedCoefficients,
     SystemParams,
     VirtualCoupler,
-    _cancel_s,
     _coupler_port,
     _isfinite,
+    _plant_entries,
     _plant_kernel,
     _PlantKernel,
-    h11_numerator_cubic,
-    plant_coefficients,
-    unreduced_entries,
 )
 from .poly import (
     POS_INF,
     Polynomial,
     _dyadic_float,
     _homogeneous,
-    _witness_float,
     cubic_nonneg_closed_form,
     first_clause,
     is_nonnegative_on,
@@ -205,7 +201,7 @@ def _decide_cubic(
     return False, witness_x
 
 
-def _verify_c_ii_identity(N12: Polynomial, D: Polynomial, p: PlantCoefficients) -> None:
+def _verify_c_ii_identity(N12: Polynomial, D: Polynomial, p: DerivedCoefficients) -> None:
     """|N12 - D|**2 (j*w) must equal x**2 * (w2 x^2 + w1 x + w0) exactly.
 
     With Re h11 * |D|**2 == x * r(x), this proves for every coupler that
@@ -227,10 +223,10 @@ def _verify_c_ii_identity(N12: Polynomial, D: Polynomial, p: PlantCoefficients) 
 
 @dataclass(frozen=True)
 class _PlantAnalysis:
-    """One plant's integer kernel and (a), (b), (c-i); Fractions and entries on demand.
+    """One plant's integer kernel and (a), (b), (c-i); the hybrid entries on demand.
 
     kernel is model._plant_kernel's record, the one per-plant route of the
-    exact conditions and the k22 bound.  Its rw is
+    exact conditions, the k22 bound and the sampled entries.  Its rw is
     L*(4*r0, 4*r1, 4*r2, 4*r3, w0, w1, w2) as Python ints, for the one
     positive L that clears the denominators.  Both (c) cubics are read from
     it: (c-i) from its first four entries, and the (c-ii) cubic t of every
@@ -244,32 +240,28 @@ class _PlantAnalysis:
     c_i: ConditionReport
 
     @functools.cached_property
-    def coeffs(self) -> PlantCoefficients:
-        """plant_coefficients' Fraction record, built on first read (by entries)."""
-        return plant_coefficients(self.params)
-
-    @functools.cached_property
     def entries(self) -> Tuple[RationalFunction, RationalFunction]:
-        """The s-cancelled h11 and h12, built on first read.
+        """The s-cancelled h11 and h12 (model._plant_entries), built on first read.
 
         Grid margins and the Llewellyn bound read them; the exact conditions
         and the k22 bound do not.
         """
-        N11, N12, D = unreduced_entries(self.params, self.coeffs)
-        return _cancel_s(N11, D), _cancel_s(N12, D)
+        return _plant_entries(self.kernel)
 
 
 @functools.lru_cache(maxsize=512)
 def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
-    """(a), (b) and (c-i) of one plant, sharing one integer kernel.
+    """(a), (b) and (c-i) of one plant, all read from one integer kernel.
 
     The characteristic quartic's exact Hurwitz margin decides (a) and (b)
     for every pair of integral gains (stability.quartic_hurwitz takes
     a1 = 0 and a0 = 0, the shapes a zero gain gives).  It is formed on the
     kernel's ints, each 2**(3*E) times its coefficient, so it is 2**(9*E)
     times the margin, and is divided by that power of two once, for the
-    report.  The closed-form rule decides (c-i) on rw.  Only an axis pole
-    pair, whose residue closed form judges (b), reads the Fraction record.
+    report.  An axis pole pair's residue closed form judges (b) on the int
+    quartic and h11's int cubic, 2**(2*E) times its coefficients, so its
+    margin a3*b1 - a1*b3 is divided by 2**(5*E).  The closed-form rule
+    decides (c-i) on rw.
     """
     k = _plant_kernel(params)
     qh = quartic_hurwitz(k.quartic)
@@ -277,7 +269,7 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
         name="condition_a", passed=qh.no_open_rhp, margin=_dyadic_float(qh.margin, 9 * k.shift),
         branch="quartic-margin", failing=None if qh.no_open_rhp else "margin",
     )
-    _, _, _, a1, a0 = k.quartic
+    _, a3, _, a1, a0 = k.quartic
     if qh.margin != 0 or a1 == 0:
         note = "vacuous: characteristic quartic has no imaginary-axis pole"
         if a0 == 0:  # a zero integral gain: the quartic's root s = 0 cancels from h11
@@ -287,14 +279,11 @@ def _plant_analysis(params: SystemParams) -> _PlantAnalysis:
             )
         b = ConditionReport(name="condition_b", passed=True, branch="no-axis-pole", note=note)
     else:
-        p = plant_coefficients(params)
-        quartic = (p.a4, p.a3, p.a2, p.a1, p.a0)
-        w = math.sqrt(float(p.a1 / p.a3))  # the axis pole pair +/-j*w
-        cubic = h11_numerator_cubic(params)
-        b3, _, b1, _ = cubic
-        ok = residues_positive_real(cubic, quartic)
+        w = math.sqrt(a1 / a3)  # the axis pole pair +/-j*w; int division rounds correctly
+        b3, _, b1, _ = cubic = k.n11[::-1]
+        ok = residues_positive_real(cubic, k.quartic)
         b = ConditionReport(
-            name="condition_b", passed=ok, margin=_witness_float(p.a3 * b1 - p.a1 * b3),
+            name="condition_b", passed=ok, margin=_dyadic_float(a3 * b1 - a1 * b3, 5 * k.shift),
             branch="residue-closed-form", failing=None if ok else "residue",
             witness_omega=None if ok else w,
             note=f"axis pole pair at omega = {w:.6g} rad/s",

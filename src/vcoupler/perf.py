@@ -50,7 +50,7 @@ from .errors import (
     PoleAtFrequency,
 )
 from .model import HybridMatrix, _is_number, _isfinite, _shown
-from .poly import Polynomial
+from .poly import Polynomial, _witness_float
 from .stability import RationalFunction
 
 __all__ = [
@@ -130,7 +130,8 @@ def transmitted_impedance(h: HybridMatrix, env: EnvironmentModel) -> RationalFun
 
 
 def _limit_at_zero(rf: RationalFunction) -> Optional[float]:
-    """lim_{s->0} rf(s): None when the limit is infinite."""
+    """lim_{s->0} rf(s): None when the limit is infinite; a finite one beyond the
+    float range clamps to signed infinity."""
     if rf.num.is_zero:
         return 0.0
     vn, vd = rf.num.valuation(), rf.den.valuation()
@@ -138,11 +139,12 @@ def _limit_at_zero(rf: RationalFunction) -> Optional[float]:
         return 0.0
     if vn < vd:
         return None
-    return float(rf.num.coeffs[vn] / rf.den.coeffs[vd])
+    return _witness_float(rf.num.coeffs[vn] / rf.den.coeffs[vd])
 
 
 def _limit_at_infinity(rf: RationalFunction) -> Optional[float]:
-    """lim_{s->inf} rf(s): None when the limit is infinite."""
+    """lim_{s->inf} rf(s): None when the limit is infinite; a finite one beyond the
+    float range clamps to signed infinity."""
     if rf.num.is_zero:
         return 0.0
     dn, dd = rf.num.degree, rf.den.degree
@@ -150,7 +152,7 @@ def _limit_at_infinity(rf: RationalFunction) -> Optional[float]:
         return 0.0
     if dn > dd:
         return None
-    return float(rf.num.coeffs[dn] / rf.den.coeffs[dd])
+    return _witness_float(rf.num.coeffs[dn] / rf.den.coeffs[dd])
 
 
 @dataclass(frozen=True)

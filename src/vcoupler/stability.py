@@ -176,7 +176,8 @@ def residues_positive_real(
     and positive iff beta > 0: on the zero-margin surface, Im(N(jw)*conj(D'(jw)))
     is the difference of the two sides times 2*a1**1.5/a3**3.5, and a real
     residue has real part beta times 2*a1*((2*a1*a4 - a2*a3)**2 + a1*a3**3)/a3**5
-    over |D'(jw)|**2.  Both tests are exact.
+    over |D'(jw)|**2.  Both tests are exact, ints are read as ints, and both
+    are unchanged when the quartic or the cubic is scaled by a positive number.
     """
     if len(num_cubic) != 4:
         raise ValueError("expected four numerator coefficients (b3, b2, b1, b0)")
@@ -185,7 +186,7 @@ def residues_positive_real(
         raise NoImaginaryPole(
             "denominator has no imaginary-axis pole pair (a1 = 0 or a nonzero Hurwitz margin)"
         )
-    b3, b2, b1, b0 = (_exact(c) for c in num_cubic)
+    b3, b2, b1, b0 = (c if type(c) is int else _exact(c) for c in num_cubic)
     beta = a3 * b1 - a1 * b3
     return beta > 0 and beta * (a2 * a3 - 2 * a1 * a4) == (a3 * b0 - a1 * b2) * a3 * a3
 

@@ -6,11 +6,14 @@ and one-port-consequence suites so the expensive exact checks run only once.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 import pytest
 
+from oracle import plant_coefficients
 from vcoupler.model import (
     SystemParams,
     VirtualCoupler,
@@ -53,6 +56,25 @@ KERNEL_EDGES = [
     {"Kf": 1e200}, {"Im": 0.0, "If": 0.0, "alpha": 0.0, "Bf": 0.0},
     {"Kf": 362, "Im": 100, "If": 70, "Pf": 40, "alpha": 1},
 ]
+
+
+def zero_gain_axis_family():
+    """Plants with one zero integral gain and an exact imaginary-axis pole pair.
+
+    A zero gain makes a0 = 0, so the Hurwitz margin is a1*(a2*a3 - a1*M)
+    with a1, a2 and a3 free of M: M = a2*a3/a1 puts a pole pair on the axis
+    whenever that Fraction is a float.
+    """
+    for Kf, Bf, B, Pm, Pf, gain, alpha, zero in itertools.product(
+        (1.0, 2.0), (0.0, 0.5, 1.0), (0.5, 1.0), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0),
+        (0.0, 1.0), ("Im", "If"),
+    ):
+        kw = dict(Kf=Kf, Bf=Bf, M=1.0, B=B, Pm=Pm, Im=gain, Pf=Pf, If=gain, alpha=alpha)
+        kw[zero] = 0.0
+        c = plant_coefficients(SystemParams(**kw))
+        M = c.a2 * c.a3 / c.a1
+        if Fraction(float(M)) == M:
+            yield SystemParams(**{**kw, "M": float(M)})
 
 
 def draw_coupler(rng: np.random.Generator, Bf: float) -> VirtualCoupler:

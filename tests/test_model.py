@@ -11,23 +11,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KERNEL_EDGES
+from conftest import KERNEL_EDGES, zero_gain_axis_family
+from oracle import (
+    characteristic_polynomial,
+    h11_numerator_cubic,
+    loop_entries,
+    plant_coefficients,
+    unreduced_entries,
+)
 from vcoupler import model
 from vcoupler.errors import ConfigError, InvalidParams
 from vcoupler.model import (
     SystemParams,
     VirtualCoupler,
-    characteristic_polynomial,
     derive_coefficients,
-    h11_numerator_cubic,
     hybrid_matrix,
     load_config,
     nominal_coupler,
     nominal_params,
-    plant_coefficients,
 )
 from vcoupler.perf import EnvironmentModel
-from vcoupler.poly import _integer_vector
+from vcoupler.poly import Polynomial, _integer_vector
 from vcoupler.stability import quartic_hurwitz
 
 NOM = nominal_params()
@@ -211,36 +215,13 @@ def test_inertia_key_is_mapped_on_ingestion():
 # ---------------------------------------------------------------------------
 
 
-def test_denominator_coefficients_match_direct_arithmetic():
-    c = derive_coefficients(NOM, VC)
-    Kf, Bf, M, B = 362.0, 0.05, 6.399e-4, 0.169
-    Pm, Im, Pf, If, al = 0.28, 100.0, 40.0, 70.0, 1.0
-    mu, nu = Im / Pm, If / Pf
-    pp = Pm * Pf
-    assert float(c.mu) == pytest.approx(mu, rel=1e-12)
-    assert float(c.nu) == pytest.approx(nu, rel=1e-12)
-    assert float(c.a4) == pytest.approx(M, rel=1e-12)
-    assert float(c.a3) == pytest.approx(B + Pm + Bf * (al + pp), rel=1e-12)
-    assert float(c.a2) == pytest.approx(Im + Kf * (al + pp) + Bf * pp * (mu + nu), rel=1e-12)
-    assert float(c.a1) == pytest.approx(Bf * Im * If + Kf * pp * (mu + nu), rel=1e-12)
-    assert float(c.a0) == pytest.approx(Kf * Im * If, rel=1e-12)
-    assert float(c.a1) == pytest.approx(1455445.2, rel=1e-9)
-    assert float(c.a0) == pytest.approx(2534000.0, rel=1e-12)
-
-
 def test_aggregate_coefficients_frozen_values():
     c = derive_coefficients(NOM, VC)
-    assert float(c.kappa1) == pytest.approx(3988.17, abs=0.01)
+    assert float(plant_coefficients(NOM).kappa1) == pytest.approx(3988.17, abs=0.01)
+    assert float(c.a1) == pytest.approx(1455445.2, rel=1e-9)
+    assert float(c.a0) == pytest.approx(2534000.0, rel=1e-12)
     assert float(c.r1) == pytest.approx(382266.0842, abs=0.001)
     assert float(c.r0) == pytest.approx(52262574948.0, rel=1e-9)
-
-
-def test_characteristic_polynomial_lists_coefficients_ascending():
-    c = derive_coefficients(NOM, VC)
-    cp = characteristic_polynomial(c)
-    assert [float(x) for x in cp.coeffs] == [
-        float(c.a0), float(c.a1), float(c.a2), float(c.a3), float(c.a4)
-    ]
 
 
 @pytest.mark.parametrize(
@@ -248,11 +229,17 @@ def test_characteristic_polynomial_lists_coefficients_ascending():
     [(NOM, VC), (dataclasses.replace(NOM, Im=0.0, alpha=0.3), VirtualCoupler(0.0, 0.2))],
 )
 def test_coupler_records_extend_the_plant_record(p, vc):
+    # derive_coefficients reads the kernel; its plant fields are the Fraction
+    # formulas' record, and t is formed from that record's r and w
     plant = plant_coefficients(p)
     c = derive_coefficients(p, vc)
-    for field in dataclasses.fields(plant):
-        assert getattr(c, field.name) == getattr(plant, field.name), field.name
-    assert hybrid_matrix(p, vc).coeffs == plant
+    for name in ("a4", "a3", "a2", "a1", "a0", "r3", "r2", "r1", "r0", "w2", "w1", "w0"):
+        assert getattr(c, name) == getattr(plant, name), name
+    k22, b22 = Fraction(vc.k22), Fraction(vc.b22)
+    r = (plant.r0, plant.r1, plant.r2, plant.r3)
+    w = Polynomial([plant.w0, plant.w1, plant.w2])
+    t = Polynomial([4 * b22 * x for x in r]) - Polynomial([k22 * k22, b22 * b22]) * w
+    assert Polynomial([c.t0, c.t1, c.t2, c.t3]) == t
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +249,15 @@ def test_coupler_records_extend_the_plant_record(p, vc):
 def _assert_kernel_is_the_fraction_record(p: SystemParams) -> None:
     k = model._plant_kernel(p)
     c = plant_coefficients(p)
+    # the hybrid entries, coefficient for coefficient: what grid margins,
+    # render digests and every CLI byte read
+    N11, N12, D = unreduced_entries(p, c)
+    got = hybrid_matrix(p, VC)
+    for entry, want in ((got.h11, model._cancel_s(N11, D)), (got.h12, model._cancel_s(N12, D))):
+        assert entry.num.coeffs == want.num.coeffs and entry.den.coeffs == want.den.coeffs
+    assert tuple(Fraction(b, 2 ** (2 * k.shift)) for b in k.n11) == h11_numerator_cubic(p)[::-1]
+    assert Polynomial([Fraction(n, 2 ** (3 * k.shift)) for n in k.n12]) == N12
+    assert k.n12[:2] == k.quartic[:2:-1]
     assert k.rw == _integer_vector((4 * c.r0, 4 * c.r1, 4 * c.r2, 4 * c.r3, c.w0, c.w1, c.w2))
     assert Fraction(k.rw[0], 2 ** k.rw_shift) == 4 * c.r0
     quartic = (c.a4, c.a3, c.a2, c.a1, c.a0)
@@ -314,26 +310,32 @@ def test_denominator_coefficients_positive_for_positive_inertias(p, vc):
 # ---------------------------------------------------------------------------
 
 
-def test_input_impedance_numerator_matches_direct_arithmetic():
-    cub = h11_numerator_cubic(NOM)
-    # floats expand to their exact binary values, matching the library
-    Kf, Bf, M, B, Pm, Im = (
-        Fraction(362.0), Fraction(0.05), Fraction(6.399e-4),
-        Fraction(0.169), Fraction(0.28), Fraction(100.0),
-    )
-    expected = (
-        Bf * M,
-        Bf * (B + Pm) + Kf * M,
-        Bf * Im + Kf * (B + Pm),
-        Kf * Im,
-    )
-    # exact equality is intentional: both sides are exact rational arithmetic
-    assert cub == expected
+# three rational points per plant, one of them negative, off the plants' poles
+LOOP_POINTS = (Fraction(1, 3), Fraction(17, 5), Fraction(-5, 7))
 
-    h = hybrid_matrix(NOM, VC)
-    assert [float(x) for x in h.h11.num.coeffs] == [
-        0.0, float(expected[3]), float(expected[2]), float(expected[1]), float(expected[0])
-    ]
+
+def _assert_entries_solve_the_loop_equations(p: SystemParams) -> None:
+    h = hybrid_matrix(p, VC)
+    for s in LOOP_POINTS:
+        got = tuple(rf.num.eval_exact(s) / rf.den.eval_exact(s) for rf in (h.h11, h.h12))
+        assert got == loop_entries(p, s), (p, s)
+
+
+def test_entries_solve_the_loop_equations_on_the_corpus(corpus):
+    for inst in corpus:
+        _assert_entries_solve_the_loop_equations(inst.params)
+
+
+@pytest.mark.parametrize("fields", KERNEL_EDGES, ids=[repr(f) for f in KERNEL_EDGES])
+def test_entries_solve_the_loop_equations_on_edge_plants(fields):
+    _assert_entries_solve_the_loop_equations(dataclasses.replace(NOM, **fields))
+
+
+def test_entries_solve_the_loop_equations_on_zero_gain_axis_plants():
+    plants = list(zero_gain_axis_family())
+    assert plants
+    for p in plants:
+        _assert_entries_solve_the_loop_equations(p)
 
 
 def test_output_admittance_is_the_coupler_inverse():
@@ -383,7 +385,7 @@ def test_limit_patterns_hold_across_parameter_draws(p, vc):
 
 def test_entries_share_the_characteristic_denominator():
     h = hybrid_matrix(NOM, VC)
-    cp = characteristic_polynomial(h.coeffs)
+    cp = characteristic_polynomial(plant_coefficients(NOM))
     assert h.h11.den.coeffs == cp.coeffs
     assert h.h12.den.coeffs == cp.coeffs
 

@@ -217,9 +217,9 @@ def test_joint_search_runs_the_eigenvalue_route_once(monkeypatch):
 def test_joint_search_builds_no_hybrid_entries(monkeypatch):
     # the exact conditions and the k22 bound need the coefficients alone
     built = []
-    entries = passivity.unreduced_entries
+    entries = passivity._plant_entries
     monkeypatch.setattr(
-        passivity, "unreduced_entries", lambda *a: built.append(a) or entries(*a)
+        passivity, "_plant_entries", lambda *a: built.append(a) or entries(*a)
     )
     passivity._plant_analysis.cache_clear()
     maximize_k22_over_alpha(NOM)

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import itertools
 import math
 import threading
 from fractions import Fraction
@@ -13,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import KERNEL_EDGES, PLANT_FIELDS, draw_coupler, draw_plant
+from conftest import KERNEL_EDGES, PLANT_FIELDS, draw_coupler, draw_plant, zero_gain_axis_family
+from oracle import h11_numerator_cubic, plant_coefficients, unreduced_entries
 from vcoupler import model, passivity, poly, stability
 from vcoupler.model import SystemParams, VirtualCoupler, derive_coefficients, nominal_params
 from vcoupler.optimize import maximize_k22, maximize_k22_over_alpha
@@ -488,11 +488,13 @@ def _integer_plant(rng, **fixed):
 def test_plant_identities_hold_for_all_parameters():
     """Re h11*|D|**2 == x*r(x) and |N12 - D|**2 == x**2*w(x), as identities.
 
-    Both sides are computed by the library: plant_coefficients and
-    unreduced_entries, real_part_even_polynomial for the first identity and
-    _verify_c_ii_identity (which raises on a mismatch) for the second.  Each
-    coefficient of either side is a rational function of the nine
-    parameters whose denominator divides Pm**2*Pf**2.  Times that, and with
+    Both sides are computed from the Fraction formulas of tests/oracle.py,
+    which the kernel tests tie to the library coefficient for coefficient:
+    plant_coefficients and unreduced_entries, real_part_even_polynomial for
+    the first identity and _verify_c_ii_identity (which raises on a
+    mismatch) for the second.  Each coefficient of either side is a
+    rational function of the nine parameters whose denominator divides
+    Pm**2*Pf**2.  Times that, and with
     alpha = k/2**50 times 2**(50*9), each coefficient of the difference is
     a polynomial of total degree at most d = 9 in the eight plant fields
     and k.  By the Schwartz-Zippel lemma (Schwartz, JACM 1980) a nonzero
@@ -510,13 +512,13 @@ def test_plant_identities_hold_for_all_parameters():
         for fixed in ({"Im": 0.0}, {"If": 0.0}, {"Bf": 0.0}, {"alpha": 0.0}, {"alpha": 1.0})
     ]
     for params in plants:
-        p = model.plant_coefficients(params)
-        N11, N12, D = model.unreduced_entries(params, p)
+        p = plant_coefficients(params)
+        N11, N12, D = unreduced_entries(params, p)
         assert real_part_even_polynomial(N11, D) == Polynomial([0, p.r0, p.r1, p.r2, p.r3]), params
         passivity._verify_c_ii_identity(N12, D, p)
     # the oracle rejects a w quadratic off the two-port entries
-    p = model.plant_coefficients(NOM)
-    _, N12, D = model.unreduced_entries(NOM, p)
+    p = plant_coefficients(NOM)
+    _, N12, D = unreduced_entries(NOM, p)
     with pytest.raises(RuntimeError, match="^internal: "):
         passivity._verify_c_ii_identity(N12, D, dataclasses.replace(p, w1=p.w1 + 1))
 
@@ -535,7 +537,7 @@ def test_a_closed_form_failure_that_the_sturm_chain_passes_raises(monkeypatch):
 
 def _determinant_polynomial(params, coupler):
     """Oracle: 4*b22*x*f11 - (k22**2 + b22**2*x)*|N12 - D|**2, built generically."""
-    N11, N12, D = model.unreduced_entries(params, model.plant_coefficients(params))
+    N11, N12, D = unreduced_entries(params, plant_coefficients(params))
     f11 = real_part_even_polynomial(N11, D)
     W = real_part_even_polynomial(N12 - D, N12 - D)
     k22, b22 = Fraction(coupler.k22), Fraction(coupler.b22)
@@ -745,7 +747,7 @@ def test_plant_work_runs_once_for_the_three_checks(monkeypatch):
     calls = collections.Counter()
     names = (
         "analyze_denominator", "quartic_hurwitz", "derive_coefficients",
-        "plant_coefficients", "real_part_even_polynomial", "is_nonnegative_on",
+        "_plant_kernel", "_plant_entries", "real_part_even_polynomial", "is_nonnegative_on",
     )
     for module in (passivity, model, stability):
         for name in names:
@@ -765,7 +767,9 @@ def test_plant_work_runs_once_for_the_three_checks(monkeypatch):
     check_sufficient_conditions(NOM, coupler)
     assert calls["analyze_denominator"] == 0
     assert calls["quartic_hurwitz"] == 1
-    assert calls["plant_coefficients"] == 1
+    # one integer kernel per plant, and its hybrid entries built once, for the grid
+    assert calls["_plant_kernel"] == 1
+    assert calls["_plant_entries"] == 1
     assert calls["derive_coefficients"] == 0
     # the (c-i) and (c-ii) identities are proved by tests, not per plant
     assert calls["real_part_even_polynomial"] == 0
@@ -780,13 +784,14 @@ def test_plant_work_runs_once_for_the_three_checks(monkeypatch):
 
 
 def test_design_search_and_exact_checks_build_no_fraction_record(monkeypatch):
-    # the integer kernel is their only per-plant route: plant_coefficients
-    # serves the sampled entries, an axis pole pair and the tests
-    def refuse(params):
-        raise AssertionError("plant_coefficients called")
+    # they read the integer kernel alone: neither the Fraction view of
+    # derive_coefficients nor the Fraction hybrid entries of the grid margins
+    def refuse(*args):
+        raise AssertionError("a Fraction record was built")
 
-    monkeypatch.setattr(model, "plant_coefficients", refuse)
-    monkeypatch.setattr(passivity, "plant_coefficients", refuse)
+    for module, name in ((model, "derive_coefficients"), (model, "_plant_entries"),
+                         (passivity, "_plant_entries")):
+        monkeypatch.setattr(module, name, refuse)
     passivity._plant_analysis.cache_clear()
     res = maximize_k22_over_alpha(NOM)
     assert (res.k22_max, res.b22_opt, res.alpha_opt) == (
@@ -802,7 +807,7 @@ def test_design_search_and_exact_checks_build_no_fraction_record(monkeypatch):
 
 def _kernel_reads(p: SystemParams):
     """What the plant analysis reads from the kernel, and the same from the Fraction record."""
-    c = model.plant_coefficients(p)
+    c = plant_coefficients(p)
     margin = stability.quartic_hurwitz((c.a4, c.a3, c.a2, c.a1, c.a0)).margin
     ia = Fraction(p.Im) + Fraction(p.alpha) * Fraction(p.Kf)
     bound = passivity._DeterminantBound(p)
@@ -859,31 +864,14 @@ def test_quartic_margin_verdict_matches_the_generic_root_analysis(corpus):
     assert all(verdicts[gains, passed] for gains in (True, False) for passed in (True, False))
 
 
-def _zero_gain_axis_family():
-    """Plants with one zero integral gain and an exact imaginary-axis pole pair.
-
-    A zero gain makes a0 = 0, so the Hurwitz margin is a1*(a2*a3 - a1*M)
-    with a1, a2 and a3 free of M: M = a2*a3/a1 puts a pole pair on the axis
-    whenever that Fraction is a float.
-    """
-    for Kf, Bf, B, Pm, Pf, gain, alpha, zero in itertools.product(
-        (1.0, 2.0), (0.0, 0.5, 1.0), (0.5, 1.0), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0),
-        (0.0, 1.0), ("Im", "If"),
-    ):
-        kw = dict(Kf=Kf, Bf=Bf, M=1.0, B=B, Pm=Pm, Im=gain, Pf=Pf, If=gain, alpha=alpha)
-        kw[zero] = 0.0
-        c = model.plant_coefficients(SystemParams(**kw))
-        M = c.a2 * c.a3 / c.a1
-        if Fraction(float(M)) == M:
-            yield SystemParams(**{**kw, "M": float(M)})
-
-
 def test_zero_gain_axis_pole_pairs_match_the_generic_residue_test():
     verdicts = collections.Counter()
-    for p in _zero_gain_axis_family():
-        c = model.plant_coefficients(p)
+    for p in zero_gain_axis_family():
+        c = plant_coefficients(p)
         a, b = check_condition_a(p), check_condition_b(p)
         assert a.passed and a.margin == 0 and b.branch == "residue-closed-form", p
+        b3, _, b1, _ = h11_numerator_cubic(p)
+        assert b.margin == float(c.a3 * b1 - c.a1 * b3), p
         rhp_free, fault = _generic_verdicts(p)
         assert rhp_free and b.passed == (fault is None), p
         if fault is not None:
@@ -899,6 +887,18 @@ def test_zero_gain_axis_pole_pairs_match_the_generic_residue_test():
             assert a.passed == (scale < 1) == _generic_verdicts(q)[0], q
             assert b.passed and b.branch == "no-axis-pole"
     assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+
+
+def test_axis_pole_config_reports_its_residue_margin_and_witness():
+    # the axis-pole plant that CI checks from a merged config: an exact pole
+    # pair at sqrt(a1/a3) whose residue is not real
+    p = dataclasses.replace(
+        NOM, Kf=2.0, Bf=1.0, M=6.0, B=1.0, Pm=1.0, Im=1.0, Pf=1.0, If=0.0, alpha=0.0
+    )
+    b = check_condition_b(p)
+    assert (b.passed, b.branch, b.failing) == (False, "residue-closed-form", "residue")
+    assert b.margin == 3.0
+    assert b.witness_omega == 0.816496580927726
 
 
 # ---------------------------------------------------------------------------

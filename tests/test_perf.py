@@ -188,6 +188,13 @@ def test_transparency_limits_react_to_the_coupler():
     assert t.min_damping_hf == 0.05
 
 
+def test_limits_beyond_the_float_range_clamp_to_infinity():
+    # at b22 = 5e-324, h22's limit 1/b22 is finite but beyond the float range
+    t = transparency_limits(hybrid_matrix(NOM, VirtualCoupler(408.0, 5e-324)))
+    assert t.high_exact[1][1] == math.inf
+    assert t.low_exact[1][1] == 0.0 and t.stiffness_dc == 408.0
+
+
 @pytest.mark.parametrize("gains", [{"Im": 0.0}, {"If": 0.0}], ids=["Im0", "If0"])
 def test_dc_stiffness_is_k22_with_one_integral_gain(gains):
     t = transparency_limits(hybrid_matrix(dataclasses.replace(NOM, **gains), VC))

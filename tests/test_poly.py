@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_plant
+from oracle import plant_coefficients
 from vcoupler import poly, stability
 from vcoupler.errors import InvalidInterval, ZeroPolynomial
 from vcoupler.model import (
@@ -17,7 +18,6 @@ from vcoupler.model import (
     derive_coefficients,
     nominal_coupler,
     nominal_params,
-    plant_coefficients,
 )
 from vcoupler.poly import (
     Polynomial,
