@@ -7,6 +7,15 @@ Four subcommands drive the library from a JSON parameter file:
   optimize  maximize coupler stiffness over b22 (optionally also alpha)
   bode      frequency response of a hybrid entry or a terminated port
 
+Each subcommand is one entry of the command table _COMMANDS: its help, its
+own options and a function that takes the parsed arguments, the loaded
+plant and coupler and the parsed --grid, and returns (exit code, JSON
+payload, text lines).  main is the one output path: it writes either the
+payload as indented JSON, with every float that is not finite written as
+null (JSON has no NaN or Infinity), or the lines, each ended by "\n", to
+stdout or to the --output file.  The text format writes such floats as
+"nan" and "inf".
+
 Exit codes are a stable scripting contract: 0 means the requested verdict
 passed (or data was produced), 1 means a fail verdict or infeasibility,
 2 means a configuration or usage error (among them an --output path that
@@ -24,11 +33,11 @@ deterministic byte-for-byte for identical inputs: 9 significant digits,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,41 +48,39 @@ from .errors import (
     PoleAtFrequency,
 )
 from .model import SystemParams, VirtualCoupler, hybrid_matrix, load_config
-from .optimize import OptimizationResult, maximize_k22, maximize_k22_over_alpha
+from .optimize import maximize_k22, maximize_k22_over_alpha
 from .passivity import check_absolute_stability, check_two_port_passivity, default_grid
 from .perf import EnvironmentModel, frequency_response, transmitted_impedance
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
-_SWEEPABLE = ("k22", "b22", "alpha")
-
-_BODE_HEADER = "omega_rad_s,magnitude_db,phase_deg"
-_SWEEP_HEADER = "param,criterion,pass"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation's resolved inputs.
-
-    grid is None when the user did not pass --grid, letting each command
-    fall back to the library defaults.
-    """
-
-    params: SystemParams
-    vc: Optional[VirtualCoupler]
-    grid: Optional[Tuple[float, float, int]]
-    output: Optional[str]
-    fmt: str
+Grid = Optional[Tuple[float, float, int]]
+Report = Tuple[int, Any, Iterable[str]]
 
 
 def _f(x: Optional[float]) -> str:
     """Deterministic 9-significant-digit decimal rendering; None is "nan"."""
     return "nan" if x is None else f"{float(x):.9g}"
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+def _finite(x: Any) -> Any:
+    """x with every float that is not finite, at any depth, replaced by None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_finite(v) for v in x]
+    return x
 
 
 def _parse_triple(
@@ -94,22 +101,11 @@ def _parse_triple(
     return lo, hi, n
 
 
-def _parse_grid(text: str) -> Tuple[float, float, int]:
-    return _parse_triple(
-        text, "--grid", "min:max:points", lambda lo, hi: 0 < lo < hi, "0 < min < max"
-    )
-
-
-def _parse_range(text: str) -> Tuple[float, float, int]:
-    return _parse_triple(
-        text, "--range", "lo:hi:points", lambda lo, hi: lo <= hi, "finite lo <= hi"
-    )
-
-
-def _grid_array(cfg: RunConfig) -> Optional[np.ndarray]:
-    if cfg.grid is None:
+def _grid_array(grid: Grid) -> Optional[np.ndarray]:
+    """The --grid samples, or None to leave each command its library default."""
+    if grid is None:
         return None
-    lo, hi, n = cfg.grid
+    lo, hi, n = grid
     # an upper end near the largest double can round the last points to inf
     with np.errstate(over="ignore"):
         omegas = np.logspace(math.log10(lo), math.log10(hi), n)
@@ -118,10 +114,10 @@ def _grid_array(cfg: RunConfig) -> Optional[np.ndarray]:
     return omegas
 
 
-def _require_vc(cfg: RunConfig) -> VirtualCoupler:
-    if cfg.vc is None:
+def _require_vc(vc: Optional[VirtualCoupler]) -> VirtualCoupler:
+    if vc is None:
         raise ConfigError("this command needs k22 and b22 in the config file")
-    return cfg.vc
+    return vc
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -157,100 +153,82 @@ def _parse_environment(spec: str) -> EnvironmentModel:
 
 
 # --------------------------------------------------------------------------
-# check
+# commands
 
 
-def _condition_lines(reports) -> List[str]:
-    lines = []
-    for rep in reports:
-        verdict = "PASS" if rep.passed else "FAIL"
-        detail = []
-        if rep.branch:
-            detail.append(f"branch {rep.branch}")
-        if rep.failing:
-            detail.append(f"violated: {rep.failing}")
-        if rep.margin is not None:
-            detail.append(f"margin {_f(rep.margin)}")
-        if rep.witness_omega is not None:
-            detail.append(f"witness omega {_f(rep.witness_omega)} rad/s")
-        if rep.note:
-            detail.append(rep.note)
-        suffix = f" ({'; '.join(detail)})" if detail else ""
-        lines.append(f"{rep.name}: {verdict}{suffix}")
-    return lines
+def _condition_line(rep) -> str:
+    detail = []
+    if rep.branch:
+        detail.append(f"branch {rep.branch}")
+    if rep.failing:
+        detail.append(f"violated: {rep.failing}")
+    if rep.margin is not None:
+        detail.append(f"margin {_f(rep.margin)}")
+    if rep.witness_omega is not None:
+        detail.append(f"witness omega {_f(rep.witness_omega)} rad/s")
+    if rep.note:
+        detail.append(rep.note)
+    suffix = f" ({'; '.join(detail)})" if detail else ""
+    return f"{rep.name}: {_verdict(rep.passed)}{suffix}"
 
 
-def _condition_dict(rep) -> dict:
-    return {
-        "name": rep.name,
-        "passed": rep.passed,
-        "margin": rep.margin,
-        "branch": rep.branch,
-        "violated": rep.failing,
-        "witness_omega": rep.witness_omega,
-    }
-
-
-def cmd_check(cfg: RunConfig, criterion: str) -> int:
-    vc = _require_vc(cfg)
-    grid = _grid_array(cfg)
-    if criterion == "passivity":
-        rep = check_two_port_passivity(cfg.params, vc, grid=grid)
-        conditions = (
-            rep.condition_a,
-            rep.condition_b,
-            rep.condition_c_i,
-            rep.condition_c_ii,
-        )
-        extras_text = []
-        if rep.grid_min_determinant is not None:
-            extras_text.append(
-                f"grid: min determinant margin {_f(rep.grid_min_determinant)}, "
-                f"min Re h11 margin {_f(rep.grid_min_re_h11)}, "
-                f"argmin omega {_f(rep.grid_argmin_omega)} rad/s"
-            )
-        extras_json = {
+def _check(
+    args: argparse.Namespace, params: SystemParams, vc: Optional[VirtualCoupler], grid: Grid
+) -> Report:
+    vc = _require_vc(vc)
+    omegas = _grid_array(grid)
+    if args.criterion == "passivity":
+        rep = check_two_port_passivity(params, vc, grid=omegas)
+        conditions = (rep.condition_a, rep.condition_b, rep.condition_c_i, rep.condition_c_ii)
+        extras = {
             "grid_min_determinant": rep.grid_min_determinant,
             "grid_min_re_h11": rep.grid_min_re_h11,
             "grid_argmin_omega": rep.grid_argmin_omega,
         }
-    else:
-        rep = check_absolute_stability(cfg.params, vc, grid=grid)
-        conditions = (rep.condition_a, rep.condition_b, rep.condition_c_i)
-        ll = "PASS" if rep.llewellyn_ok else "FAIL"
-        extras_text = [
-            f"llewellyn: {ll} (min margin {_f(rep.min_margin)} at omega "
-            f"{_f(rep.argmin_omega)} rad/s over {rep.grid_points} points)"
+        summary = [] if rep.grid_min_determinant is None else [
+            f"grid: min determinant margin {_f(rep.grid_min_determinant)}, "
+            f"min Re h11 margin {_f(rep.grid_min_re_h11)}, "
+            f"argmin omega {_f(rep.grid_argmin_omega)} rad/s"
         ]
-        extras_json = {
+    else:
+        rep = check_absolute_stability(params, vc, grid=omegas)
+        conditions = (rep.condition_a, rep.condition_b, rep.condition_c_i)
+        extras = {
             "llewellyn_ok": rep.llewellyn_ok,
             "min_margin": rep.min_margin,
             "argmin_omega": rep.argmin_omega,
             "grid_points": rep.grid_points,
         }
-
-    overall = "PASS" if rep.overall else "FAIL"
-    if cfg.fmt == "json":
-        payload = {
-            "criterion": criterion,
-            "k22": vc.k22,
-            "b22": vc.b22,
-            "conditions": [_condition_dict(r) for r in conditions],
-            **extras_json,
-            "overall": rep.overall,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
-    else:
-        lines = [f"criterion: {criterion}", f"coupler: k22={_f(vc.k22)} b22={_f(vc.b22)}"]
-        lines += _condition_lines(conditions)
-        lines += extras_text
-        lines.append(f"overall: {overall}")
-        _emit("\n".join(lines) + "\n", cfg.output)
-    return EXIT_PASS if rep.overall else EXIT_FAIL
-
-
-# --------------------------------------------------------------------------
-# sweep
+        summary = [
+            f"llewellyn: {_verdict(rep.llewellyn_ok)} (min margin {_f(rep.min_margin)} at "
+            f"omega {_f(rep.argmin_omega)} rad/s over {rep.grid_points} points)"
+        ]
+    payload = {
+        "criterion": args.criterion,
+        "k22": vc.k22,
+        "b22": vc.b22,
+        "conditions": [
+            {
+                "name": r.name,
+                "passed": r.passed,
+                "margin": r.margin,
+                "branch": r.branch,
+                "violated": r.failing,
+                "witness_omega": r.witness_omega,
+            }
+            for r in conditions
+        ],
+        **extras,
+        "overall": rep.overall,
+    }
+    lines = [
+        f"criterion: {args.criterion}",
+        f"coupler: k22={_f(vc.k22)} b22={_f(vc.b22)}",
+        *map(_condition_line, conditions),
+        *summary,
+        f"overall: {_verdict(rep.overall)}",
+    ]
+    return (EXIT_PASS if rep.overall else EXIT_FAIL), payload, lines
 
 
 def _sweep_point(
@@ -277,46 +255,47 @@ def _sweep_point(
     return math.nan if margin is None else margin, rep.overall
 
 
-def cmd_sweep(cfg: RunConfig, criterion: str, vary: str, rng: Tuple[float, float, int]) -> int:
-    vc = _require_vc(cfg)
-    lo, hi, n = rng
-    if vary == "alpha" and not (0.0 <= lo and hi <= 1.0):
+def _sweep(
+    args: argparse.Namespace, params: SystemParams, vc: Optional[VirtualCoupler], grid: Grid
+) -> Report:
+    lo, hi, n = _parse_triple(
+        args.rng, "--range", "lo:hi:points", lambda lo, hi: lo <= hi, "finite lo <= hi"
+    )
+    vc = _require_vc(vc)
+    if args.vary == "alpha" and not (0.0 <= lo and hi <= 1.0):
         raise ConfigError("alpha sweep range must stay inside [0, 1]")
-    if vary in ("k22", "b22") and lo < 0:
-        raise ConfigError(f"{vary} sweep range must be nonnegative")
+    if args.vary in ("k22", "b22") and lo < 0:
+        raise ConfigError(f"{args.vary} sweep range must be nonnegative")
 
-    omegas = _grid_array(cfg)
-    values = np.linspace(lo, hi, n)
+    omegas = _grid_array(grid)
     rows = []
-    for v in values:
-        params, coupler = cfg.params, vc
-        if vary == "alpha":
-            params = params.replace(alpha=float(v))
-        elif vary == "k22":
-            coupler = VirtualCoupler(k22=float(v), b22=vc.b22)
+    for v in np.linspace(lo, hi, n):
+        v = float(v)
+        if args.vary == "alpha":
+            point = params.replace(alpha=v), vc
+        elif args.vary == "k22":
+            point = params, VirtualCoupler(k22=v, b22=vc.b22)
         else:
-            coupler = VirtualCoupler(k22=vc.k22, b22=float(v))
-        margin, verdict = _sweep_point(params, coupler, criterion, omegas)
-        rows.append((float(v), margin, verdict))
-
-    if cfg.fmt == "json":
-        payload = [
-            {"param": v, "criterion": m, "pass": ok} for v, m, ok in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
-    else:
-        lines = [_SWEEP_HEADER]
-        lines += [f"{_f(v)},{_f(m)},{'true' if ok else 'false'}" for v, m, ok in rows]
-        _emit("\n".join(lines) + "\n", cfg.output)
-    return EXIT_PASS
+            point = params, VirtualCoupler(k22=vc.k22, b22=v)
+        rows.append((v, *_sweep_point(*point, args.criterion, omegas)))
+    payload = [{"param": v, "criterion": m, "pass": ok} for v, m, ok in rows]
+    lines = itertools.chain(
+        ["param,criterion,pass"],
+        (f"{_f(v)},{_f(m)},{'true' if ok else 'false'}" for v, m, ok in rows),
+    )
+    return EXIT_PASS, payload, lines
 
 
-# --------------------------------------------------------------------------
-# optimize
-
-
-def _optimize_payload(res: OptimizationResult) -> dict:
-    return {
+def _optimize(
+    args: argparse.Namespace, params: SystemParams, vc: Optional[VirtualCoupler], grid: Grid
+) -> Report:
+    omegas = _grid_array(grid)
+    search = maximize_k22 if args.over == "b22" else maximize_k22_over_alpha
+    try:
+        res = search(params, args.criterion, grid=omegas)
+    except BaselineNotPassive as exc:
+        return EXIT_FAIL, {"infeasible": True, "reason": str(exc)}, [f"infeasible: {exc}"]
+    payload = {
         "criterion": res.criterion,
         "k22_max": res.k22_max,
         "b22_opt": res.b22_opt,
@@ -324,45 +303,22 @@ def _optimize_payload(res: OptimizationResult) -> dict:
         "evaluations": len(res.trace),
         "notes": res.notes,
     }
+    lines = [
+        f"criterion: {res.criterion}",
+        f"k22_max: {res.k22_max:.1f}",
+        f"b22_opt: {res.b22_opt:.2f}",
+        f"alpha_opt: {res.alpha_opt:.2f}",
+        f"evaluations: {len(res.trace)}",
+        f"notes: {res.notes}",
+    ]
+    return EXIT_PASS, payload, lines
 
 
-def cmd_optimize(cfg: RunConfig, criterion: str, over: str) -> int:
-    grid = _grid_array(cfg)
-    try:
-        if over == "b22":
-            res = maximize_k22(cfg.params, criterion, grid=grid)
-        else:
-            res = maximize_k22_over_alpha(cfg.params, criterion, grid=grid)
-    except BaselineNotPassive as exc:
-        if cfg.fmt == "json":
-            payload = {"infeasible": True, "reason": str(exc)}
-            _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
-        else:
-            _emit(f"infeasible: {exc}\n", cfg.output)
-        return EXIT_FAIL
-
-    if cfg.fmt == "json":
-        _emit(json.dumps(_optimize_payload(res), indent=2) + "\n", cfg.output)
-    else:
-        lines = [
-            f"criterion: {res.criterion}",
-            f"k22_max: {res.k22_max:.1f}",
-            f"b22_opt: {res.b22_opt:.2f}",
-            f"alpha_opt: {res.alpha_opt:.2f}",
-            f"evaluations: {len(res.trace)}",
-            f"notes: {res.notes}",
-        ]
-        _emit("\n".join(lines) + "\n", cfg.output)
-    return EXIT_PASS
-
-
-# --------------------------------------------------------------------------
-# bode
-
-
-def cmd_bode(cfg: RunConfig, target: str) -> int:
-    vc = _require_vc(cfg)
-    h = hybrid_matrix(cfg.params, vc)
+def _bode(
+    args: argparse.Namespace, params: SystemParams, vc: Optional[VirtualCoupler], grid: Grid
+) -> Report:
+    h = hybrid_matrix(params, _require_vc(vc))
+    target = args.target
     if target in ("h11", "h12", "h22"):
         rf = getattr(h, target)
     elif target.startswith("zto:"):
@@ -372,25 +328,36 @@ def cmd_bode(cfg: RunConfig, target: str) -> int:
             f"bad --target {target!r}: expected h11, h12, h22 or zto:<environment>"
         )
 
-    omegas = _grid_array(cfg)
-    if omegas is None:
-        omegas = default_grid(2000)
-    rows = frequency_response(rf, omegas)
+    omegas = _grid_array(grid)
+    rows = frequency_response(rf, default_grid(2000) if omegas is None else omegas)
+    payload = [{"omega_rad_s": w, "magnitude_db": m, "phase_deg": p} for w, m, p in rows]
+    lines = itertools.chain(
+        ["omega_rad_s,magnitude_db,phase_deg"],
+        (f"{_f(w)},{_f(m)},{_f(p)}" for w, m, p in rows),
+    )
+    return EXIT_PASS, payload, lines
 
-    if cfg.fmt == "json":
-        payload = [
-            {"omega_rad_s": w, "magnitude_db": m, "phase_deg": p} for w, m, p in rows
-        ]
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
-    else:
-        lines = [_BODE_HEADER]
-        lines += [f"{_f(w)},{_f(m)},{_f(p)}" for w, m, p in rows]
-        _emit("\n".join(lines) + "\n", cfg.output)
-    return EXIT_PASS
+
+# name: (run, help, options beyond the common ones as (flag, add_argument keywords))
+_COMMANDS = {
+    "check": (_check, "verdict for the configured coupler", ()),
+    "sweep": (_sweep, "margin and verdict along one parameter", (
+        ("--vary", dict(required=True, choices=("k22", "b22", "alpha"))),
+        ("--range", dict(required=True, dest="rng", help="lo:hi:points")),
+    )),
+    "optimize": (_optimize, "maximize coupler stiffness", (
+        ("--over", dict(choices=("b22", "b22+alpha"), default="b22",
+                        help="search space (default: b22)")),
+    )),
+    "bode": (_bode, "frequency response export", (
+        ("--target", dict(required=True,
+                          help="h11, h12, h22 or zto:<null|spring:Ke|damper:Be|voigt:Ke:Be>")),
+    )),
+}
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# argument parsing and the output path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -400,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "coupler for series damped elastic actuation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON parameter file")
         p.add_argument(
             "--criterion",
@@ -418,31 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
             default="csv",
             help="structured output format (default: csv)",
         )
-
-    p_check = sub.add_parser("check", help="verdict for the configured coupler")
-    common(p_check)
-
-    p_sweep = sub.add_parser("sweep", help="margin and verdict along one parameter")
-    common(p_sweep)
-    p_sweep.add_argument("--vary", required=True, choices=_SWEEPABLE)
-    p_sweep.add_argument("--range", required=True, dest="rng", help="lo:hi:points")
-
-    p_opt = sub.add_parser("optimize", help="maximize coupler stiffness")
-    common(p_opt)
-    p_opt.add_argument(
-        "--over",
-        choices=("b22", "b22+alpha"),
-        default="b22",
-        help="search space (default: b22)",
-    )
-
-    p_bode = sub.add_parser("bode", help="frequency response export")
-    common(p_bode)
-    p_bode.add_argument(
-        "--target",
-        required=True,
-        help="h11, h12, h22 or zto:<null|spring:Ke|damper:Be|voigt:Ke:Be>",
-    )
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -458,24 +402,19 @@ def _attach_triples(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_triples(sys.argv[1:] if argv is None else argv))
+    args = _build_parser().parse_args(_attach_triples(sys.argv[1:] if argv is None else argv))
     try:
         params, vc = load_config(args.config)
-        cfg = RunConfig(
-            params=params,
-            vc=vc,
-            grid=_parse_grid(args.grid) if args.grid else None,
-            output=args.output,
-            fmt=args.fmt,
-        )
-        if args.command == "check":
-            return cmd_check(cfg, args.criterion)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.criterion, args.vary, _parse_range(args.rng))
-        if args.command == "optimize":
-            return cmd_optimize(cfg, args.criterion, args.over)
-        return cmd_bode(cfg, args.target)
+        grid = _parse_triple(
+            args.grid, "--grid", "min:max:points", lambda lo, hi: 0 < lo < hi, "0 < min < max"
+        ) if args.grid else None
+        code, payload, lines = _COMMANDS[args.command][0](args, params, vc, grid)
+        if args.fmt == "json":
+            text = json.dumps(_finite(payload), indent=2)
+        else:
+            text = "\n".join(lines)
+        _emit(text + "\n", args.output)
+        return code
     except (ConfigError, InvalidParams, PoleAtFrequency) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -427,6 +427,12 @@ def _sup_feasible(
     return lo, hi
 
 
+def _require_tol(tol: float) -> None:
+    """The check both k22 bounds run first: tol is a nonnegative number."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+
+
 def _newton_root(q: Tuple[float, ...], x: float) -> Optional[float]:
     """Newton's iteration on the quartic q (highest degree first) from x while q rises.
 
@@ -684,8 +690,7 @@ class _DeterminantBound:
         return _probe(base, step, _witnesses(base, step, self.start), k22)
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
-        if not tol >= 0.0:
-            raise ValueError(f"tol must be nonnegative, got {tol!r}")
+        _require_tol(tol)
         if b22 <= 0 or not _isfinite(b22):
             return 0.0
 
@@ -822,7 +827,8 @@ class _LlewellynBound:
     Raises InvalidParams when no grid point has finite h11 and h12 samples,
     and bound() raises it when the margin holds at every k22 the doubling
     search tries below its 1e15 ceiling, i.e. when the grid does not bound
-    k22: at once when no sample has g > 0.
+    k22: at once when no sample has g > 0.  bound() raises ValueError for
+    a negative or NaN tol, as k22_upper_bound does.
     """
 
     def __init__(self, params: SystemParams, grid: Optional[np.ndarray] = None) -> None:
@@ -883,6 +889,7 @@ class _LlewellynBound:
         return _least_margin(self.margins(k22, b22))[1]
 
     def bound(self, b22: float, tol: float = 1e-3) -> float:
+        _require_tol(tol)
         if not (b22 > 0.0 and _isfinite(b22)):
             return 0.0
         if not self.feasible(0.0, b22):

@@ -895,18 +895,75 @@ def test_bad_bode_target(capsys):
 
 
 # ---------------------------------------------------------------------------
-# --output writes the same bytes the terminal would get
+# --format json is strict JSON: a float that is not finite is null
 # ---------------------------------------------------------------------------
 
 
-def test_output_file_matches_stdout(capsys, tmp_path):
-    args = ("sweep", "--config", TABLE, "--vary", "k22", "--range", "404:412:5")
-    _, stdout_text, _ = run(capsys, *args)
-    dest = tmp_path / "sweep.csv"
-    code = main([*args, "--output", str(dest)])
-    capsys.readouterr()
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_HUGE = {"Kf": 1e300, "Pm": 1e30}
+
+
+@pytest.mark.parametrize("merge, argv", [
+    (_HUGE, ("sweep", "--vary", "k22", "--range", "404:412:5")),
+    ({}, ("sweep", "--vary", "k22", "--range", "404:412:2", "--grid", "1e200:1e300:3")),
+], ids=["huge-plant", "huge-grid"])
+def test_sweep_json_writes_a_nan_margin_as_null(capsys, config_file, merge, argv):
+    cfg = config_file(**merge)
+    code, out, _ = run(capsys, *argv, "--config", cfg, "--format", "json")
     assert code == EXIT_PASS
-    assert dest.read_text() == stdout_text
+    rows = _strict_json(out)
+    assert rows and all(r["criterion"] is None for r in rows)
+    # the text format keeps nan
+    _, out, _ = run(capsys, *argv, "--config", cfg)
+    assert all(line.split(",")[1] == "nan" for line in out.splitlines()[1:])
+
+
+@pytest.mark.parametrize("merge, criterion", [
+    (_HUGE, "passivity"), ({"Kf": 1e200}, "passivity"), ({"Kf": 1e200}, "absolute"),
+], ids=["huge-plant", "Kf=1e200", "Kf=1e200-absolute"])
+def test_check_json_writes_an_infinite_margin_as_null(capsys, config_file, merge, criterion):
+    # condition (a)'s quartic margin overflows a float
+    argv = ("check", "--config", config_file(**merge), "--criterion", criterion)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_PASS
+    condition_a = _strict_json(out)["conditions"][0]
+    assert condition_a["passed"] and condition_a["margin"] is None
+    _, out, _ = run(capsys, *argv)
+    assert "condition_a: PASS (branch quartic-margin; margin inf)\n" in out
+
+
+# ---------------------------------------------------------------------------
+# --output writes the same bytes the terminal would get
+# ---------------------------------------------------------------------------
+
+_OUTPUT_RUNS = (
+    (EXIT_PASS, {}, ("check",)),
+    (EXIT_PASS, {}, ("check", "--criterion", "absolute")),
+    (EXIT_FAIL, {"k22": 450.0}, ("check", "--criterion", "absolute")),
+    (EXIT_PASS, {}, ("sweep", "--vary", "k22", "--range", "404:412:5")),
+    (EXIT_PASS, {}, ("optimize",)),
+    (EXIT_FAIL, {"Bf": 0.0}, ("optimize",)),
+    (EXIT_PASS, {}, ("bode", "--target", "zto:spring:386", "--grid", "1e-4:1e2:20")),
+)
+
+
+def test_output_file_matches_stdout(capsys, tmp_path, config_file):
+    # every subcommand in both formats, with a passing and a failing exit code
+    dest = tmp_path / "report"
+    for want, merge, args in _OUTPUT_RUNS:
+        for fmt in ("csv", "json"):
+            argv = (*args, "--config", config_file(**merge), "--format", fmt)
+            code, stdout_text, err = run(capsys, *argv)
+            assert (code, err) == (want, ""), argv
+            assert main([*argv, "--output", str(dest)]) == want, argv
+            assert capsys.readouterr() == ("", ""), argv
+            assert dest.read_bytes() == stdout_text.encode(), argv
 
 
 # ---------------------------------------------------------------------------

@@ -456,25 +456,37 @@ def test_a_band_consistent_with_feasible_leaves_the_bracket_unchanged(c, hi, wid
     "tol", [0.0, 1e-300, -1.0, math.nan], ids=["zero", "tiny", "negative", "nan"]
 )
 def test_bound_tolerance_below_the_float_spacing_ends_or_raises(tol):
-    outcome = []
+    # the determinant bound, then the absolute (Llewellyn) bound
+    llewellyn = passivity._LlewellynBound(NOM)
+    bounds = (
+        ("k22_upper_bound", lambda b22: k22_upper_bound(NOM, b22, tol=tol),
+         lambda k22: check_condition_c_ii(NOM, vc(k22, 0.1)).passed),
+        ("_LlewellynBound.bound", lambda b22: llewellyn.bound(b22, tol),
+         lambda k22: llewellyn.feasible(k22, 0.1)),
+    )
+    for name, bound, admits in bounds:
+        outcome = []
 
-    def run():
-        try:
-            outcome.append(k22_upper_bound(NOM, 0.1, tol=tol))
-        except ValueError as exc:
-            outcome.append(exc)
+        def run():
+            try:
+                outcome.append(bound(0.1))
+            except ValueError as exc:
+                outcome.append(exc)
 
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(1.0)
-    assert not worker.is_alive(), "k22_upper_bound still running after a second"
-    (result,) = outcome
-    if not tol >= 0:
-        assert isinstance(result, ValueError)
-        return
-    # bisected down to adjacent floats: the exact frontier at float resolution
-    assert check_condition_c_ii(NOM, vc(result, 0.1)).passed
-    assert not check_condition_c_ii(NOM, vc(math.nextafter(result, math.inf), 0.1)).passed
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(1.0)
+        assert not worker.is_alive(), f"{name} still running after a second"
+        (result,) = outcome
+        if not tol >= 0:
+            assert isinstance(result, ValueError), name
+            # before the early return of a b22 with no positive bound
+            with pytest.raises(ValueError):
+                bound(0.0)
+            continue
+        # bisected down to adjacent floats: the frontier at float resolution
+        assert admits(result), name
+        assert not admits(math.nextafter(result, math.inf)), name
 
 
 def _integer_plant(rng, **fixed):
