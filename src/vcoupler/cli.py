@@ -19,7 +19,8 @@ stdout or to the --output file.  The text format writes such floats as
 Exit codes are a stable scripting contract: 0 means the requested verdict
 passed (or data was produced), 1 means a fail verdict or infeasibility,
 2 means a configuration or usage error (among them an --output path that
-cannot be written, a bode grid point on a pole of the response and an
+cannot be written, a bode grid point on a pole of the response, an optimize
+--grid under the passivity criterion, whose k22 bound is exact, and an
 absolute-criterion grid on which h11 and h12 overflow at every point),
 reported as one "config error: ..." line on stderr, and 3 means an internal
 error, reported as one "internal error: ..." line on stderr: two exact
@@ -290,6 +291,9 @@ def _optimize(
     args: argparse.Namespace, params: SystemParams, vc: Optional[VirtualCoupler], grid: Grid
 ) -> Report:
     omegas = _grid_array(grid)
+    if omegas is not None and args.criterion == "passivity":
+        raise ConfigError("--grid does not apply to optimize under the passivity criterion, "
+                          "whose k22 bound is exact")
     search = maximize_k22 if args.over == "b22" else maximize_k22_over_alpha
     try:
         res = search(params, args.criterion, grid=omegas)
@@ -338,14 +342,19 @@ def _bode(
     return EXIT_PASS, payload, lines
 
 
+_CRITERION = ("--criterion", dict(choices=("passivity", "absolute"), default="passivity",
+                                  help="decision criterion (default: passivity)"))
+
 # name: (run, help, options beyond the common ones as (flag, add_argument keywords))
 _COMMANDS = {
-    "check": (_check, "verdict for the configured coupler", ()),
+    "check": (_check, "verdict for the configured coupler", (_CRITERION,)),
     "sweep": (_sweep, "margin and verdict along one parameter", (
+        _CRITERION,
         ("--vary", dict(required=True, choices=("k22", "b22", "alpha"))),
         ("--range", dict(required=True, dest="rng", help="lo:hi:points")),
     )),
     "optimize": (_optimize, "maximize coupler stiffness", (
+        _CRITERION,
         ("--over", dict(choices=("b22", "b22+alpha"), default="b22",
                         help="search space (default: b22)")),
     )),
@@ -370,12 +379,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON parameter file")
-        p.add_argument(
-            "--criterion",
-            choices=("passivity", "absolute"),
-            default="passivity",
-            help="decision criterion (default: passivity)",
-        )
         p.add_argument("--grid", help="frequency grid as min:max:points (rad/s)")
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument(

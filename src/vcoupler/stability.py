@@ -15,11 +15,11 @@ Three layers:
    Sturm counts on the gcd), and the Routh-Hurwitz count through the Cauchy
    index of the even and odd parts, read off a signed remainder chain,
    counts the right-half-plane roots of the remaining factor.  A numeric
-   root finder only reports the frequencies of the axis pairs counted, and
-   the residues at those pairs are judged in floats.
+   root finder only reports the frequencies of the axis pairs counted.
 
-3. positive_real combines layer 2 with an exact nonnegativity test of the
-   real part along the imaginary axis.
+3. positive_real decides positive realness exactly with two tests: layer 2
+   finds num + den strictly Hurwitz, and a Sturm test finds the real part
+   along the imaginary axis nonnegative.  No residue is computed.
 """
 
 from __future__ import annotations
@@ -51,14 +51,9 @@ __all__ = [
     "residues_positive_real",
     "DenominatorAnalysis",
     "analyze_denominator",
-    "axis_residue_fault",
     "PositiveRealVerdict",
     "positive_real",
 ]
-
-# Relative tolerance of axis_residue_fault's float test of a real residue
-_REL_TOL = 1e-9
-
 
 # --------------------------------------------------------------------------
 # rational functions
@@ -69,10 +64,11 @@ class RationalFunction:
 
     Construction trims leading zeros only; poles/zeros shared between
     numerator and denominator are cancelled by reduced(), which only
-    positive_real calls, since it needs the true pole locations.  There is
-    no rational arithmetic: each composition (perf.transmitted_impedance,
-    perf.z_width) multiplies the Polynomial numerators and denominators in
-    its own closed form and returns the result unreduced.
+    positive_real calls, since its Hurwitz test of num + den needs lowest
+    terms.  There is no rational arithmetic: each composition
+    (perf.transmitted_impedance, perf.z_width) multiplies the Polynomial
+    numerators and denominators in its own closed form and returns the
+    result unreduced.
     """
 
     __slots__ = ("num", "den")
@@ -284,54 +280,40 @@ def analyze_denominator(p: Polynomial) -> DenominatorAnalysis:
     )
 
 
-def axis_residue_fault(
-    num: Polynomial, den: Polynomial, pairs: Sequence[ImaginaryAxisPair]
-) -> Optional[Tuple[str, float]]:
-    """First imaginary-axis pole pair of num/den that breaks positive realness.
-
-    Returns ("multiple-pole", omega) for a pair of multiplicity above one,
-    ("residue", omega) for a simple pair whose residue num(j*omega) /
-    den'(j*omega) is not real (within _REL_TOL of its modulus) and
-    positive, and None when every pair passes.
-    """
-    slope = den.derivative()
-    for pair in pairs:
-        if pair.multiplicity > 1:
-            return "multiple-pole", pair.omega
-        s0 = 1j * pair.omega
-        r = num.eval(s0) / slope.eval(s0)
-        if not (abs(r.imag) <= _REL_TOL * (abs(r) + 1e-300) and r.real > 0):
-            return "residue", pair.omega
-    return None
-
-
 # --------------------------------------------------------------------------
 # positive realness
 
 
 @dataclass(frozen=True)
 class PositiveRealVerdict:
-    """Decomposed positive-realness verdict for a rational impedance.
+    """Decomposed positive-realness verdict for a rational impedance Z = num/den.
+
+    Z in lowest terms is positive real iff num + den is strictly Hurwitz and
+    Re Z(j*omega) >= 0 for every omega (Anderson & Vongpanitlerd, Network
+    Analysis and Synthesis, 1973).  S = (num - den)/(num + den) is then
+    analytic on the closed right half plane with |S(j*omega)| <= 1, so
+    |S| <= 1 there by the maximum principle and Z = (1 + S)/(1 - S) has
+    Re Z >= 0.  Conversely a positive-real Z has Re(Z + 1) > 0 on Re s > 0,
+    and coprimality keeps num + den nonzero at its axis poles.  No residue
+    at an axis pole, s = 0 or infinity needs checking.
 
     stable            no poles in the open right half plane
-    imaginary_axis_poles  pole frequencies on the axis (omega >= 0; 0 for s=0)
-    residues_ok       axis poles (incl. s=0 and s=inf) simple with real
-                      positive residues
+    sum_hurwitz       every root of num + den in the open left half plane
+                      (False for num + den = 0, i.e. Z = -1)
     real_part_nonneg  Re Z(j*omega) >= 0 for all omega
     witness_frequency omega with Re Z(j*omega) < 0 when the above fails
     margin            min over the probe grid of Re Z / |Z| (dimensionless)
     """
 
     stable: bool
-    imaginary_axis_poles: Tuple[float, ...]
-    residues_ok: bool
+    sum_hurwitz: bool
     real_part_nonneg: bool
     witness_frequency: Optional[float]
     margin: float
 
     @property
     def passive(self) -> bool:
-        return self.stable and self.residues_ok and self.real_part_nonneg
+        return self.sum_hurwitz and self.real_part_nonneg
 
 
 def real_part_even_polynomial(num: Polynomial, den: Polynomial) -> Polynomial:
@@ -350,49 +332,27 @@ def real_part_even_polynomial(num: Polynomial, den: Polynomial) -> Polynomial:
 
 
 def positive_real(rf: RationalFunction) -> PositiveRealVerdict:
-    """Positive realness of the impedance rf, decided exactly where possible.
+    """Positive realness of the impedance rf, decided exactly.
 
-    Pole-side checks run on the gcd-reduced function (true poles only), by
-    the generic exact root-location analysis (analyze_denominator) of its
-    denominator, whatever its degree.  The real-part condition is an exact
-    Sturm nonnegativity test; the reported margin and (on failure) witness
-    come from a 400-point log-spaced probe grid over [1e-3, 1e6] rad/s
-    augmented with the exact witness.
+    Both conditions of PositiveRealVerdict's theorem run on the gcd-reduced
+    function: analyze_denominator(num + den) decides strict Hurwitz, and an
+    exact Sturm nonnegativity test decides the real part along the axis.  A
+    positive-real function has no pole in the open right half plane, so
+    analyze_denominator(den) runs only to report stable on a failure.  The
+    margin and (on failure) witness come from a 400-point log-spaced probe
+    grid over [1e-3, 1e6] rad/s augmented with the exact witness.
     """
     red = rf.reduced()
     num, den = red.num, red.den
 
     if num.is_zero:
-        return PositiveRealVerdict(True, (), True, True, None, 0.0)
+        return PositiveRealVerdict(True, True, True, None, 0.0)
 
-    stable = True
-    residues_ok = True
-    pole_freqs: List[float] = []
-
-    # pole at infinity (improper impedance)
-    excess = num.degree - den.degree
-    if excess >= 2:
-        residues_ok = False
-    elif excess == 1:
-        if num.leading_coeff / den.leading_coeff <= 0:
-            residues_ok = False
-
-    analysis = analyze_denominator(den)
-    stable = analysis.open_rhp_free
-
-    if analysis.zero_root_multiplicity > 0:
-        pole_freqs.append(0.0)
-        if analysis.zero_root_multiplicity > 1:
-            residues_ok = False
-        else:
-            den1 = den.shift_down(1)
-            r0 = num.eval_exact(0) / den1.eval_exact(0)
-            if r0 <= 0:
-                residues_ok = False
-
-    pole_freqs += [pair.omega for pair in analysis.imaginary_pairs]
-    if axis_residue_fault(num, den, analysis.imaginary_pairs) is not None:
-        residues_ok = False
+    total = num + den
+    sum_hurwitz = False
+    if not total.is_zero:
+        a = analyze_denominator(total)
+        sum_hurwitz = a.open_rhp_free and not a.imaginary_pairs and not a.zero_root_multiplicity
 
     # real part along the axis, exact
     f = real_part_even_polynomial(num, den)
@@ -412,9 +372,8 @@ def positive_real(rf: RationalFunction) -> PositiveRealVerdict:
             margin = min(margin, zw.real / (abs(zw) + 1e-300))
 
     return PositiveRealVerdict(
-        stable=stable,
-        imaginary_axis_poles=tuple(sorted(pole_freqs)),
-        residues_ok=residues_ok,
+        stable=(sum_hurwitz and nonneg) or analyze_denominator(den).open_rhp_free,
+        sum_hurwitz=sum_hurwitz,
         real_part_nonneg=nonneg,
         witness_frequency=witness_omega,
         margin=margin,

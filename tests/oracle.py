@@ -1,19 +1,27 @@
-"""Fraction oracles of the plant: the coefficient formulas and the loop equations.
+"""Oracles: the plant's Fraction formulas and loop equations, and a float residue test.
 
 The library forms every plant polynomial once, on ints (model._plant_kernel).
 The formulas below are the same quantities written out in Fractions, term by
 term as the drive's algebra gives them, and loop_entries solves the control
 loop's equations at one point s with no polynomial at all.  Tests compare
 the library with both, exactly.
+
+axis_residue_fault judges the residues at the imaginary-axis poles of a
+one-port in floats, the generic route that the exact quartic residue
+conditions and positive_real's Hurwitz test of num + den replace.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 from vcoupler.model import SystemParams
 from vcoupler.poly import Polynomial, _exact
+from vcoupler.stability import ImaginaryAxisPair
+
+# Relative tolerance of axis_residue_fault's float test of a real residue
+_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -161,3 +169,24 @@ def loop_entries(params: SystemParams, s: Fraction) -> Tuple[Fraction, Fraction]
         return _det3([(r,) + row[1:] for r, row in zip(rhs, rows)]) / det
 
     return fs(1, 0), fs(0, 1)
+
+
+def axis_residue_fault(
+    num: Polynomial, den: Polynomial, pairs: Sequence[ImaginaryAxisPair]
+) -> Optional[Tuple[str, float]]:
+    """First imaginary-axis pole pair of num/den that breaks positive realness.
+
+    Returns ("multiple-pole", omega) for a pair of multiplicity above one,
+    ("residue", omega) for a simple pair whose residue num(j*omega) /
+    den'(j*omega) is not real (within _REL_TOL of its modulus) and
+    positive, and None when every pair passes.
+    """
+    slope = den.derivative()
+    for pair in pairs:
+        if pair.multiplicity > 1:
+            return "multiple-pole", pair.omega
+        s0 = 1j * pair.omega
+        r = num.eval(s0) / slope.eval(s0)
+        if not (abs(r.imag) <= _REL_TOL * (abs(r) + 1e-300) and r.real > 0):
+            return "residue", pair.omega
+    return None

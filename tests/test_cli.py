@@ -683,6 +683,28 @@ def test_oversized_number_in_the_config_is_a_config_error(capsys, tmp_path, digi
     assert err.startswith("config error: ") and message in err and err.count("\n") == 1
 
 
+def test_bode_has_no_criterion_option(capsys):
+    # bode decides nothing; it used to accept --criterion and ignore it
+    with pytest.raises(SystemExit) as exc:
+        main(["bode", "--config", TABLE, "--target", "h11", "--grid", "1:10:2",
+              "--criterion", "absolute"])
+    assert exc.value.code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: unrecognized arguments: --criterion absolute\n")
+
+
+@pytest.mark.parametrize("over", ["b22", "b22+alpha"])
+def test_optimize_grid_under_the_passivity_criterion_is_a_config_error(capsys, over):
+    # the passivity bound on k22 is exact; the grid used to be ignored silently
+    code, out, err = run(capsys, "optimize", "--config", TABLE, "--over", over, "--grid", "1:10:2")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (
+        "config error: --grid does not apply to optimize under the passivity criterion,"
+        " whose k22 bound is exact\n"
+    )
+
+
 def _benchmark_cli_commands():
     """CLI_COMMANDS of perfbench/workloads.py, the README commands the cli workload runs."""
     spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import KERNEL_EDGES, PLANT_FIELDS, draw_coupler, draw_plant, zero_gain_axis_family
-from oracle import h11_numerator_cubic, plant_coefficients, unreduced_entries
+from oracle import axis_residue_fault, h11_numerator_cubic, plant_coefficients, unreduced_entries
 from vcoupler import model, passivity, poly, stability
 from vcoupler.model import SystemParams, VirtualCoupler, derive_coefficients, nominal_params
 from vcoupler.optimize import maximize_k22, maximize_k22_over_alpha
@@ -32,7 +32,7 @@ from vcoupler.passivity import (
     two_port_grid_margins,
 )
 from vcoupler.poly import Polynomial, cubic_nonneg_closed_form, is_nonnegative_on
-from vcoupler.stability import analyze_denominator, axis_residue_fault, real_part_even_polynomial
+from vcoupler.stability import analyze_denominator, real_part_even_polynomial
 
 NOM = nominal_params()
 

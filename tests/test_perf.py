@@ -354,11 +354,13 @@ def test_transmitted_impedance_runs_no_gcd(monkeypatch):
 
 def test_gcd_runs_no_fraction_long_division(monkeypatch):
     # the two gcds positive_real takes: numerator with denominator (reduced)
-    # and the even and odd parts of the denominator (analyze_denominator)
+    # and the even and odd parts of num + den of the reduced Z_to
+    # (analyze_denominator's Hurwitz test)
     pairs = []
     for env in _RENDER_TERMINATIONS:
         z = transmitted_impedance(H, env)
-        pairs += [(z.num, z.den), z.den.even_odd_parts()]
+        red = z.reduced()
+        pairs += [(z.num, z.den), (red.num + red.den).even_odd_parts()]
     # Ke*b22 = Be*k22: Z_to carries the common factor (k22 + b22*s)
     h = hybrid_matrix(NOM, VirtualCoupler(k22=400.0, b22=0.25))
     z = transmitted_impedance(h, EnvironmentModel("voigt", 800.0, 0.5))

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import axis_residue_fault
 from vcoupler.errors import NoImaginaryPole
 from vcoupler.model import derive_coefficients, nominal_coupler, nominal_params
 from vcoupler.poly import Polynomial
 from vcoupler.stability import (
     RationalFunction,
     analyze_denominator,
-    axis_residue_fault,
     positive_real,
     quartic_hurwitz,
     real_part_even_polynomial,
@@ -163,7 +163,8 @@ def test_positive_real_canonical_cases(label, rf, expected):
 
 def test_positive_real_failure_details():
     v = positive_real(RationalFunction([-1, 1], [1, 1]))
-    assert not v.passive and v.stable and v.residues_ok and not v.real_part_nonneg
+    # num + den = 2s has its root on the axis
+    assert not v.passive and v.stable and not v.sum_hurwitz and not v.real_part_nonneg
     assert v.witness_frequency == pytest.approx(0.0, abs=1e-6)
     assert v.margin < -0.9  # Re at dc is -1 on a unit scale
 
@@ -171,7 +172,7 @@ def test_positive_real_failure_details():
     assert not v2.passive and not v2.stable
 
     v3 = positive_real(RationalFunction([1], [1, 0, 2, 0, 1]))
-    assert not v3.passive and v3.stable and not v3.residues_ok
+    assert not v3.passive and v3.stable and not v3.sum_hurwitz
 
     v4 = positive_real(RationalFunction([1], [-25, -5, 12, 12, 5, 1]))  # root at s = 1
     assert not v4.passive and not v4.stable
@@ -190,7 +191,7 @@ RESIDUE_FAULTS = [
 @pytest.mark.parametrize("label,rf", RESIDUE_FAULTS, ids=[c[0] for c in RESIDUE_FAULTS])
 def test_positive_real_rejects_each_residue_fault(label, rf):
     v = positive_real(rf)
-    assert not v.residues_ok and not v.passive
+    assert not v.sum_hurwitz and not v.passive
     if "axis" in label:
         pairs = analyze_denominator(rf.den).imaginary_pairs
         fault, omega = axis_residue_fault(rf.num, rf.den, pairs)
@@ -212,6 +213,72 @@ def test_positive_real_is_scale_invariant(a, b, gain, log_c):
     c = 10.0 ** log_c
     scaled = RationalFunction([c * x for x in num], list(den))
     assert positive_real(rf).passive == positive_real(scaled).passive
+
+
+# Two lossless tanks at 1 and 1 + delta rad/s: for these delta both pole pairs
+# round to one float frequency, where den' is 0 in floats, so no residue at
+# the axis poles can be judged in floats
+FOSTER_GAPS = [Fraction(m, 10**e) for e in range(7, 13) for m in (1, 2, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("delta", FOSTER_GAPS, ids=str)
+def test_foster_pair_with_nearly_equal_frequencies_is_positive_real(delta):
+    # Z = s/(s^2 + 1) + s/(s^2 + w^2) with w = 1 + delta
+    w2 = (1 + delta) ** 2
+    rf = RationalFunction([0, 1 + w2, 0, 2], [w2, 0, 1 + w2, 0, 1])
+    v = positive_real(rf)
+    assert v.passive and v.sum_hurwitz and v.stable
+
+
+def _one_port(terms):
+    """num/den of the sum of the terms, each (num, den) in ascending coefficients."""
+    num, den = Polynomial([]), Polynomial([1])
+    for n, d in terms:
+        n, d = Polynomial(n), Polynomial(d)
+        num, den = num * d + n * den, den * d
+    return RationalFunction(num, den)
+
+
+_GAIN = st.integers(1, 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tanks=st.lists(st.tuples(_GAIN, st.integers(1, 50)), min_size=1, max_size=3,
+                   unique_by=lambda t: t[1]),
+    lossless=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    dissipative=st.lists(st.tuples(st.sampled_from(["RC", "RL", "R"]), _GAIN, _GAIN),
+                         max_size=3),
+    flip=st.integers(0, 4),
+    square=st.integers(0, 2),
+)
+def test_foster_and_rc_rl_one_ports_are_positive_real(tanks, lossless, dissipative, flip, square):
+    # nonnegative terms: k*s/(s^2 + w^2) tanks, L*s, 1/(C*s), R, R/(1 + s/p), L*s/(1 + s/p)
+    axis = [([0, k], [w2, 0, 1]) for k, w2 in tanks]
+    inductor, elastance = lossless
+    if inductor:
+        axis.append(([0, inductor], [1]))
+    if elastance:
+        axis.append(([elastance], [0, 1]))
+    shapes = {"RC": lambda r, p: ([r * p], [p, 1]),
+              "RL": lambda r, p: ([0, r * p], [p, 1]),
+              "R": lambda r, p: ([r], [1])}
+    rest = [shapes[kind](r, p) for kind, r, p in dissipative]
+    assert positive_real(_one_port(axis + rest)).passive
+
+    # a negative residue at one axis pole, at s = 0 or at infinity
+    i = flip % len(axis)
+    n, d = axis[i]
+    flipped = axis[:i] + [([-c for c in n], d)] + axis[i + 1:]
+    v = positive_real(_one_port(flipped + rest))
+    assert not v.passive and not v.sum_hurwitz
+
+    # a double pole pair on the axis
+    i = square % len(tanks)
+    n, d = axis[i]
+    squared = axis[:i] + [(n, (Polynomial(d) * Polynomial(d)).coeffs)] + axis[i + 1:]
+    v = positive_real(_one_port(squared + rest))
+    assert not v.passive and not v.sum_hurwitz
 
 
 # ---------------------------------------------------------------------------
