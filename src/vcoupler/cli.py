@@ -18,11 +18,13 @@ stdout or to the --output file.  The text format writes such floats as
 
 Exit codes are a stable scripting contract: 0 means the requested verdict
 passed (or data was produced), 1 means a fail verdict or infeasibility,
-2 means a configuration or usage error (among them an --output path that
-cannot be written, a bode grid point on a pole of the response, an optimize
---grid under the passivity criterion, whose k22 bound is exact, and an
-absolute-criterion grid on which h11 and h12 overflow at every point),
-reported as one "config error: ..." line on stderr, and 3 means an internal
+2 means a usage error (argparse's message under the usage line of the
+subcommand given, also for an option that subcommand does not take) or a
+configuration error (among them an --output path that cannot be written, a
+bode grid point on a pole of the response, an optimize --grid under the
+passivity criterion, whose k22 bound is exact, and an absolute-criterion
+grid on which h11 and h12 overflow at every point), reported as one
+"config error: ..." line on stderr, and 3 means an internal
 error, reported as one "internal error: ..." line on stderr: two exact
 routes that disagree (such as the closed form and the Sturm chain on a (c)
 cubic) or any other unexpected exception.  The passivity criterion's grid
@@ -38,7 +40,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -369,15 +371,17 @@ _COMMANDS = {
 # argument parsing and the output path
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's, by name."""
     parser = argparse.ArgumentParser(
         prog="vcoupler",
         description="Passivity, absolute stability and design of a virtual "
         "coupler for series damped elastic actuation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (_, help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON parameter file")
         p.add_argument("--grid", help="frequency grid as min:max:points (rad/s)")
         p.add_argument("--output", help="write the report here instead of stdout")
@@ -390,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
-    return parser
+    return parser, commands
 
 
 def _attach_triples(argv: Sequence[str]) -> List[str]:
@@ -405,7 +409,10 @@ def _attach_triples(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(_attach_triples(sys.argv[1:] if argv is None else argv))
+    parser, commands = _build_parser()
+    args, extra = parser.parse_known_args(_attach_triples(sys.argv[1:] if argv is None else argv))
+    if extra:  # the subcommand's usage line lists the options it does take
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         params, vc = load_config(args.config)
         grid = _parse_triple(

@@ -78,10 +78,12 @@ class OptimizationResult:
     notes: str = ""
 
 
-def _normalize_criterion(criterion: str) -> str:
+def _normalize_criterion(criterion: str, grid: Optional[np.ndarray]) -> str:
     c = str(criterion).strip().lower()
     if c not in _CRITERIA:
         raise ValueError(f"criterion must be one of {_CRITERIA}, got {criterion!r}")
+    if c == "passivity" and grid is not None:
+        raise ValueError("grid does not apply to the passivity criterion, whose k22 bound is exact")
     return c
 
 
@@ -142,10 +144,12 @@ def maximize_k22(
     sweep acting as the unimodality guard for the local refinement.  The
     trace holds every evaluation, the 50 sweep points first.
 
-    Raises BaselineNotPassive when Bf = 0 or any coupler-independent
-    condition fails.
+    grid is the absolute criterion's frequency grid (default: 4000 points
+    over [1e-3, 1e6] rad/s).  Raises ValueError for an unknown criterion or
+    a grid under the passivity criterion, and BaselineNotPassive when
+    Bf = 0 or any coupler-independent condition fails.
     """
-    crit = _normalize_criterion(criterion)
+    crit = _normalize_criterion(criterion, grid)
     _require_baseline(params)
     bound = _DeterminantBound(params) if crit == "passivity" else _LlewellynBound(params, grid)
     return _search_b22(params, crit, bound)[0]
@@ -229,9 +233,9 @@ def maximize_k22_over_alpha(
     b22 = 4*Bf: at 4*Bf the frontier estimate finds no stationary minimum to
     start the next Newton from, so starting there costs a second eigenvalue
     fallback.  Each inner result is the one maximize_k22 returns, apart
-    from its trace.
+    from its trace; grid and the errors are maximize_k22's.
     """
-    crit = _normalize_criterion(criterion)
+    crit = _normalize_criterion(criterion, grid)
     _require_baseline(params)
 
     results: dict[float, OptimizationResult] = {}

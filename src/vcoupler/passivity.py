@@ -109,15 +109,7 @@ _UNBOUNDED_C_II = (
     "condition (c-ii) holds at every k22 tried up to the 1e15 search ceiling,"
     " so this plant's k22 bound lies beyond the search range"
 )
-# The sample and b22 ranges of _LlewellynBound's closed form (see its docstring)
-_RANGE = 1e60
-_B22_RANGE = 1e30
-# Rounding allowances: g's numerator is widened by _SLACK*(|Re h12| + |h12|),
-# far above the float margin's error (about 20 ulp of that), and each
-# threshold by _WINDOW of b22*w^2/g.
-_SLACK = 1e-12
-_WINDOW = 1e-9
-
+_LAST_DOUBLING = 2.0 ** 49  # the doubling search's last k22, below its 1e15 ceiling
 # Relative half-width of the certified float bracket of the k22 frontier.
 _BRACKET = 1e-9
 # Newton steps that may polish an earlier b22's stationary point of the
@@ -384,11 +376,8 @@ def check_condition_c_ii(params: SystemParams, coupler: VirtualCoupler) -> Condi
 
 
 def _sup_feasible(
-    feasible: Callable[[float], bool],
-    hi: Optional[float],
-    tol: float,
-    below: float = -math.inf,
-    above: float = math.inf,
+    feasible: Callable[[float], bool], hi: Optional[float], tol: float,
+    below: float = -math.inf, above: float = math.inf,
 ) -> Tuple[float, float]:
     """Search for the supremum k* of a downward-closed feasible set [0, k*].
 
@@ -401,8 +390,8 @@ def _sup_feasible(
 
     Returns (lo, top), the last k22 taken to pass and the last taken to
     fail: (hi, inf) when hi passes, (0.0, 0.0) when 0.0 fails.  Raises
-    RuntimeError when doubling passes 1e15.  _DeterminantBound certifies a
-    banded run by its two ends.
+    RuntimeError when the doubling takes _LAST_DOUBLING to pass.
+    _certified_sup certifies a banded run.
     """
     if hi is not None and (hi <= below or (hi < above and feasible(hi))):
         return hi, math.inf
@@ -413,9 +402,9 @@ def _sup_feasible(
     if hi is None:
         hi = 1.0
         while hi <= below or (hi < above and feasible(hi)):
-            hi *= 2.0
-            if hi > 1e15:
+            if hi >= _LAST_DOUBLING:
                 raise RuntimeError("k22 bound bracket failed to close")
+            hi *= 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -425,6 +414,39 @@ def _sup_feasible(
         else:
             hi = mid
     return lo, hi
+
+
+def _certified_sup(
+    probe: Callable[[float], bool], hi: Optional[float], tol: float, K: float
+) -> float:
+    """_sup_feasible(probe, hi, tol)[0] for a downward-closed probe, given an estimate K of k*^2.
+
+    1. band: every k22 at or below sqrt(K)*(1 - _BRACKET) is taken to pass
+       and every one at or above sqrt(K)*(1 + _BRACKET) to fail, so only a
+       k22 strictly inside is probed (K = inf: all pass; K <= 0 or NaN: no band);
+    2. certificate: an end that the band decided gets one probe.  The last
+       k22 taken to pass (_LAST_DOUBLING when none was taken to fail) must
+       pass and the last taken to fail must fail; lo = 0.0 needs no probe,
+       the bound being 0.0 whether or not 0.0 passes.  lo only rises and top
+       only falls, so every decision, and the result, was the all-probe
+       search's.  Otherwise the search runs again unbanded.
+    Raises RuntimeError when no k22 up to _LAST_DOUBLING fails.
+    """
+    below, above = -math.inf, math.inf
+    if K > 0.0:
+        k = math.sqrt(K)
+        below, above = k * (1.0 - _BRACKET), k * (1.0 + _BRACKET)
+    try:
+        lo, top = _sup_feasible(probe, hi, tol, below, above)
+    except RuntimeError:
+        if _LAST_DOUBLING > below or probe(_LAST_DOUBLING):
+            raise
+    else:
+        if (lo == 0.0 or lo > below or probe(lo)) and (
+            top == math.inf or top < above or not probe(top)
+        ):
+            return lo
+    return _sup_feasible(probe, hi, tol)[0]
 
 
 def _require_tol(tol: float) -> None:
@@ -639,38 +661,18 @@ class _DeterminantBound:
 
     Feasibility is downward-closed in k22: x**2*w = |N12 - D|**2 >= 0, so
     w >= 0 on x >= 0 and t decreases pointwise in K = k22**2.  bound()
-    decides a b22 in this order:
-    1. estimate: _frontier_k2 finds the frontier K* = min over x >= 0 of
-       (4*b22*r - b22**2*x*w)/w in floats;
-    2. band: _sup_feasible runs the search from the static probe
-       sqrt(4*b22*r0)/(Im + alpha*Kf), or by doubling from 1.0 when that
-       is not a finite float, with every k22 at or below
-       sqrt(K*)*(1 - 1e-9) taken to pass and every one at or above
-       sqrt(K*)*(1 + 1e-9) taken to fail; only a k22 strictly inside is
-       probed exactly, and an estimate that is not finite and positive
-       leaves every k22 to the exact probe;
-    3. certificate: an end of the returned bracket that the band decided
-       gets one exact probe; the last k22 taken to pass must pass, the
-       last taken to fail must fail.  lo only rises and top only falls, so
-       then every decision was that of the all-exact search and the bound
-       is its bound, bit for bit.  Otherwise the search runs again with
-       every k22 probed exactly.
-    An exact probe (_probe) tries three rules in order, each exact:
-    1. witnesses: the cubic's value at x = 0, at x0, the estimate's
-       stationary point, where a probe just above the frontier turns
-       negative, and, when t3 = 0 leaves a quadratic, its x**2 coefficient
-       as x -> inf; a negative value fails the probe;
-    2. the closed form on the coefficients rounded down (floor) to 128
-       bits (129 for a negative longest one): on x >= 0 that cubic is at
-       most the exact one over a power of two, so its pass is a pass;
-    3. the closed form on the full integers, several hundred bits long.
-    So the verdict is always the closed form's own.
+    estimates the frontier K* = min over x >= 0 of (4*b22*r - b22**2*x*w)/w
+    in floats (_frontier_k2) and runs the search shared with _LlewellynBound
+    (_certified_sup) from the static probe sqrt(4*b22*r0)/(Im + alpha*Kf),
+    or by doubling when that is not a finite float, so the bound is the
+    all-exact search's, bit for bit.  Each probe is _probe's exact verdict,
+    witnessed at x = 0, at the estimate's stationary point x0 (where a probe
+    just above the frontier turns negative) and as x -> inf when t3 = 0.
 
     admits(b22, k22) is one such probe, witnessed at x = 0 and at start.
-    bound() returns 0.0 or a k22 that passed an exact probe, and a feasible
-    k22 is at most the supremum; so when admits(b22, k) fails for some
-    k > 0, bound(b22) < k.  maximize_k22_over_alpha's pruned sweep skips
-    such a b22 without calling bound().
+    bound() returns 0.0 or a k22 that passed an exact probe, so a failing
+    admits(b22, k) with k > 0 proves bound(b22) < k: the pruned sweep of
+    maximize_k22_over_alpha skips such a b22 without calling bound().
     """
 
     def __init__(self, params: SystemParams, start: Optional[float] = None) -> None:
@@ -705,23 +707,8 @@ class _DeterminantBound:
             self.start = x
         probe = functools.partial(_probe, base, step, _witnesses(base, step, x))
 
-        below, above = -math.inf, math.inf
-        if 0.0 < K < math.inf:
-            k = math.sqrt(K)
-            below, above = k * (1.0 - _BRACKET), k * (1.0 + _BRACKET)
         try:
-            lo, top = _sup_feasible(probe, hi, tol, below, above)
-        except RuntimeError:  # no k22 below 1e15 taken to fail
-            pass
-        else:
-            # an end that the band decided is certified by one exact probe;
-            # the bound is 0.0 whether or not k22 = 0 passes
-            if (lo == 0.0 or lo > below or probe(lo)) and (
-                top == math.inf or top < above or not probe(top)
-            ):
-                return lo
-        try:
-            return _sup_feasible(probe, hi, tol)[0]
+            return _certified_sup(probe, hi, tol, K)
         except RuntimeError:
             raise InvalidParams(_UNBOUNDED_C_II) from None
 
@@ -734,9 +721,8 @@ def k22_upper_bound(params: SystemParams, b22: float, tol: float = 1e-3) -> floa
     (tol = 0).  Returns 0.0 when no positive k22 is feasible (including
     b22 <= 0 and b22 > 4*Bf).  Raises ValueError for a negative or NaN tol,
     and InvalidParams when every k22 up to the 1e15 search ceiling passes.
-    The search and its exact probes are described at _DeterminantBound; to
-    bound many b22 of one plant, keep one _DeterminantBound, as the
-    optimizer does.
+    The search is described at _DeterminantBound; to bound many b22 of one
+    plant, keep one _DeterminantBound, as the optimizer does.
     """
     return _DeterminantBound(params).bound(b22, tol)
 
@@ -787,6 +773,21 @@ def _least_margin(margins: np.ndarray) -> Tuple[float, bool]:
     return least, least >= -_LLEWELLYN_TOL
 
 
+def _llewellyn_margin(k22: float, b22: float, re11, re12, abs12, w2):
+    """Llewellyn margins of (k22, b22) at samples, as arrays or np.float64 scalars.
+
+    One formula for the grid and for _LlewellynBound's witness sample, so a
+    sample's margin is its grid element's, bit for bit.  NaN at a pole.
+    """
+    with np.errstate(all="ignore"):
+        # at k22 = 0 the k22 term is 0 at every sample, w = 0 included (not 0*(0/0))
+        re22 = 1.0 / (b22 + (k22 * (k22 / (b22 * w2)) if k22 else 0.0))
+        prod = re11 * re22
+        L = 2.0 * prod + re12 - abs12
+        scale = 2.0 * np.abs(prod) + 2.0 * abs12 + _TINY
+        return L / scale
+
+
 class _LlewellynBound:
     """Largest k22 at which the sampled Llewellyn margin holds, per b22.
 
@@ -799,36 +800,26 @@ class _LlewellynBound:
     at every sample (w = 0 too), and 0 at b22 = 0, with no b22**2 to
     underflow.
 
-    bound(b22) returns exactly what bisecting feasible(., b22) returns, but
-    decides the probes in closed form.  At a sample with Re h11 > 0,
-    margin >= -tol reads Re h22 >= g with
+    bound(b22) returns what bisecting feasible(., b22) returns, by the
+    search shared with _DeterminantBound (_certified_sup).  The estimate:
+    at a sample with Re h11 > 0, margin >= -tol reads
+    Re h22 = b22*w^2/(k22^2 + b22^2*w^2) >= g with
         g = (|h12| - Re h12 - 2*tol*|h12| - tol*_TINY) / (2*Re h11*(1 + tol)),
-    and Re h22 = b22*w^2 / (k22^2 + b22^2*w^2) falls with k22, so a sample
-    with g > 0 holds iff k22^2 <= b22*w^2/g - b22^2*w^2, and one with g <= 0
-    at every k22.  So k*^2 = min over {g > 0} of (b22*w^2/g - b22^2*w^2)
-    decides each probe: one vector op per b22 instead of about 30 grid
-    evaluations.  _sup_feasible takes k22 at or below the square root of
-    the lower threshold to pass and at or above that of the upper one to
-    fail.  The closed form needs Re h11, |h12| and w^2 of every finite
-    sample in [1/_RANGE, _RANGE] and b22 in [1/_B22_RANGE, _B22_RANGE].
-    Then, at each k22 the search can probe (k22 <= 2**49), b22*w^2 lies in
-    [1e-90, 1e90], k22*(k22/(b22*w^2)) is at most about 1e120 (or too small
-    to change the sum), Re h22 lies in [1e-120, 1e30] and its product with
-    Re h11 in [1e-180, 1e90]: every float step of the margin is a normal
-    double, so its verdict is the exact one up to rounding.  The grid
-    margin still decides
-    - feasible(0, b22);
-    - a probe inside the rounding band around k* (the _WINDOW and _SLACK
-      allowances, at least 1e-9 of k*^2);
-    - every probe when a finite sample has Re h11 <= 0 (there the margin
-      does not fall with k22) or a magnitude outside _RANGE, or b22 lies
-      outside _B22_RANGE.
+    i.e. k22^2 <= b22*(c - b22*w^2) with c = w^2/g if g > 0 (else no bound).
+    K is the least over the samples, and a probe first evaluates the sample
+    attaining it, failing without the grid when its margin is below -tol.
+    The certificate needs feasible downward-closed in floats.  A non-finite
+    sample is NaN at every k22, and fmin skips it.  At the others, when
+    Re h11 >= 0 and 4*(max Re h11/b22 + max |h12|) is finite, each float
+    step of the margin is finite and monotone in k22: Re h22 does not rise,
+    so neither does L = 2*Re h11*Re h22 + Re h12 - |h12|; L >= 0 passes, and
+    where L < 0 the margin L/scale does not rise as scale > 0 falls too.
+    Otherwise (say a subnormal b22, whose 1/b22 overflows) the grid decides
+    every probe.
 
-    Raises InvalidParams when no grid point has finite h11 and h12 samples,
-    and bound() raises it when the margin holds at every k22 the doubling
-    search tries below its 1e15 ceiling, i.e. when the grid does not bound
-    k22: at once when no sample has g > 0.  bound() raises ValueError for
-    a negative or NaN tol, as k22_upper_bound does.
+    Raises InvalidParams when no grid point has finite h11 and h12 samples;
+    bound() raises it when no k22 below the doubling search's 1e15 ceiling
+    fails the margin, and ValueError for a negative or NaN tol.
     """
 
     def __init__(self, params: SystemParams, grid: Optional[np.ndarray] = None) -> None:
@@ -846,44 +837,24 @@ class _LlewellynBound:
 
     def margins(self, k22: float, b22: float) -> np.ndarray:
         """Normalized Llewellyn margins of the coupler (k22, b22) on the grid; NaN at a pole."""
-        with np.errstate(all="ignore"):
-            # at k22 = 0 the k22 term is 0 at every sample, w = 0 included (not 0*(0/0))
-            re22 = 1.0 / (b22 + (k22 * (k22 / (b22 * self._w2)) if k22 else 0.0))
-            prod = self._re11 * re22
-            L = 2.0 * prod + self._re12 - self._abs12
-            scale = 2.0 * np.abs(prod) + 2.0 * self._abs12 + _TINY
-            return L / scale
+        return _llewellyn_margin(k22, b22, self._re11, self._re12, self._abs12, self._w2)
 
     @functools.cached_property
-    def _edges(self) -> Optional[Tuple[np.ndarray, ...]]:
-        """(w2_h, c_h, w2_f, c_f) for the closed form, or None for grid-only.
-
-        A probe surely holds when k22^2 < b22*min(c_h - b22*w2_h) and surely
-        fails when k22^2 > b22*min(c_f - b22*w2_f).  Both c are w^2/g, with
-        g's numerator widened by the slack (up for c_h, down for c_f) and c
-        scaled by 1 -/+ _WINDOW.  Samples with a non-finite Re h11, Re h12 or
-        |h12| have a NaN margin at every probe and drop out, as in nanmin.
-        """
-        tol = _LLEWELLYN_TOL
+    def _estimate(self) -> Optional[Tuple[np.ndarray, np.ndarray, float, float]]:
+        """(c, w^2) with c = w^2/g at the finite samples where g > 0 and c is finite, and
+        (inf, 0.0) elsewhere, so b22*(c - b22*w^2) is never NaN; then max Re h11 and
+        max |h12| over the finite samples.  None when a finite sample has Re h11 < 0."""
         finite = np.isfinite(self._re11) & np.isfinite(self._re12) & np.isfinite(self._abs12)
-        re11, re12, abs12, w2 = (
-            a[finite] for a in (self._re11, self._re12, self._abs12, self._w2)
-        )
-        if not re11.size or not all(
-            np.all((a >= 1.0 / _RANGE) & (a <= _RANGE)) for a in (re11, abs12, w2)
-        ):
+        if np.any(self._re11[finite] < 0.0):
             return None
-        num = abs12 - re12 - 2.0 * tol * abs12 - tol * _TINY
-        slack = _SLACK * (np.abs(re12) + abs12)
-        scale = 2.0 * (1.0 + tol) * re11 * w2  # w^2/g = scale/num
-        can_fail = num + slack > 0.0
-        must_fail = num - slack > 0.0
-        return (
-            w2[can_fail],
-            scale[can_fail] / (num + slack)[can_fail] * (1.0 - _WINDOW),
-            w2[must_fail],
-            scale[must_fail] / (num - slack)[must_fail] * (1.0 + _WINDOW),
-        )
+        tol = _LLEWELLYN_TOL
+        with np.errstate(all="ignore"):
+            num = self._abs12 - self._re12 - 2.0 * tol * self._abs12 - tol * _TINY
+            g = num / (2.0 * self._re11 * (1.0 + tol))
+            c = self._w2 / g
+        bounds = finite & (g > 0.0) & (c < math.inf)
+        peaks = (float(np.max(a[finite], initial=0.0)) for a in (self._re11, self._abs12))
+        return (np.where(bounds, c, math.inf), np.where(bounds, self._w2, 0.0), *peaks)
 
     def feasible(self, k22: float, b22: float) -> bool:
         return _least_margin(self.margins(k22, b22))[1]
@@ -892,21 +863,22 @@ class _LlewellynBound:
         _require_tol(tol)
         if not (b22 > 0.0 and _isfinite(b22)):
             return 0.0
-        if not self.feasible(0.0, b22):
-            return 0.0
-        # the grid has passed k22 = 0 already, and decides every k22 in (0, inf)
-        below, above = 0.0, math.inf
-        if self._edges is not None and 1.0 / _B22_RANGE <= b22 <= _B22_RANGE:
-            w2_h, c_h, w2_f, c_f = self._edges
-            if not w2_h.size:
-                raise InvalidParams(_UNBOUNDED)
-            below = math.sqrt(max(b22 * float(np.min(c_h - b22 * w2_h)), 0.0))
-            if w2_f.size:
-                above = math.sqrt(max(b22 * float(np.min(c_f - b22 * w2_f)), 0.0))
+        K, witness = math.nan, None
+        est = self._estimate
+        if est is not None and 4.0 * (est[2] * (1.0 / b22) + est[3]) < math.inf:
+            with np.errstate(all="ignore"):
+                Ks = b22 * (est[0] - b22 * est[1])
+            i = int(np.argmin(Ks))
+            K, witness = float(Ks[i]), (self._re11[i], self._re12[i], self._abs12[i], self._w2[i])
+
+        def probe(k22: float) -> bool:
+            if witness is not None and _llewellyn_margin(k22, b22, *witness) < -_LLEWELLYN_TOL:
+                return False
+            return self.feasible(k22, b22)
+
         try:
-            return _sup_feasible(lambda k22: self.feasible(k22, b22), None, tol, below, above)[0]
+            return _certified_sup(probe, None, tol, K)
         except RuntimeError:
-            # the doubling search met no failing k22 below its 1e15 ceiling
             raise InvalidParams(_UNBOUNDED) from None
 
 

@@ -691,6 +691,7 @@ def test_bode_has_no_criterion_option(capsys):
     assert exc.value.code == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == ""
+    assert err.startswith("usage: vcoupler bode ")
     assert err.endswith("error: unrecognized arguments: --criterion absolute\n")
 
 

@@ -269,6 +269,13 @@ def test_unknown_criterion_is_rejected():
         maximize_k22(NOM, criterion="bogus")
 
 
+@pytest.mark.parametrize("search", [maximize_k22, maximize_k22_over_alpha])
+def test_grid_under_the_passivity_criterion_is_rejected(search):
+    # the passivity bound on k22 is exact; the grid used to be ignored silently
+    with pytest.raises(ValueError, match="grid does not apply to the passivity criterion"):
+        search(NOM, "passivity", grid=np.logspace(0, 1, 2))
+
+
 # ---------------------------------------------------------------------------
 # the closed-form Llewellyn bound against bisection of the grid margin
 # ---------------------------------------------------------------------------
@@ -293,13 +300,12 @@ def _closed_form_bound(search, b22):
 
 
 def _count_grid_probes(monkeypatch):
-    """Count feasible() calls at k22 > 0, i.e. probes the grid decides."""
+    """Count feasible() calls, i.e. probes the grid decides."""
     probes = []
     feasible = _LlewellynBound.feasible
 
     def counted(self, k22, b22):
-        if k22 > 0.0:
-            probes.append((k22, b22))
+        probes.append((k22, b22))
         return feasible(self, k22, b22)
 
     monkeypatch.setattr(_LlewellynBound, "feasible", counted)
@@ -308,10 +314,13 @@ def _count_grid_probes(monkeypatch):
 
 @pytest.mark.parametrize(
     "grid",
-    [default_grid(4000), np.logspace(3, 6, 4000)],
-    ids=["default-grid", "banded-grid"],
+    [default_grid(4000), np.logspace(3, 6, 4000), np.logspace(-40, 6, 4000),
+     np.logspace(-3, 70, 400)],
+    ids=["default-grid", "banded-grid", "underflowing-grid", "overflowing-grid"],
 )
 def test_closed_form_bound_equals_grid_bisection(grid, monkeypatch):
+    # the certified band needs at most two grid probes per bounded b22, also
+    # where omega**2 and w**2/g underflow or overflow
     rng = np.random.default_rng(1952)
     plants = [NOM] + [draw_plant(rng, 0.3) for _ in range(20)]
     probes = _count_grid_probes(monkeypatch)
@@ -319,57 +328,92 @@ def test_closed_form_bound_equals_grid_bisection(grid, monkeypatch):
     for params in plants:
         search = _LlewellynBound(params, grid)
         b_hi = 4.0 * params.Bf
-        for b22 in [b_hi * i / 8 for i in range(1, 9)] + [1.25 * b_hi]:
+        for b22 in [b_hi * i / 8 for i in range(1, 9)] + [1.25 * b_hi, 5e-300, 1e40]:
             expected = _bisected_bound(search, b22)
             del probes[:]
             got = _closed_form_bound(search, b22)
             assert got == expected, (params, b22)
-            if search._edges is not None and got:
+            if search._estimate is not None and got:
                 bounded += 1
-                assert len(probes) <= 2  # the closed form decided the rest
+                assert len(probes) <= 2, (params, b22)  # the band decided the rest
     assert bounded >= 100
 
 
 def test_closed_form_bound_hands_the_rounding_band_to_the_grid(monkeypatch):
-    # on the nominal plant some bisection probes land within the rounding
-    # band of k*, where only the grid margin can tell the float verdict
+    # at tol = 1e-3 the grid only certifies the passing end of the bracket
+    # (the witness sample fails the other); at tol = 0 the bisection runs
+    # into the band around k*, where every probe is decided exactly
     probes = _count_grid_probes(monkeypatch)
     search = _LlewellynBound(NOM, default_grid(4000))
     b_hi = 4.0 * NOM.Bf
-    in_band = []
-    for b22 in (b_hi * i / 400 for i in range(1, 401)):
-        expected = _bisected_bound(search, b22)
-        del probes[:]
-        assert search.bound(b22) == expected
-        in_band += [search.feasible(k22, b22) for k22, _ in list(probes)]
-    assert True in in_band and False in in_band
+    in_band = 0
+    for b22 in (b_hi * i / 200 for i in range(1, 201)):
+        for tol in (1e-3, 0.0):
+            expected = _bisected_bound(search, b22, tol)
+            del probes[:]
+            assert search.bound(b22, tol) == expected
+            if tol:
+                assert probes == [(expected, b22)]
+            else:
+                in_band += len(probes) > 2
+    assert in_band >= 150
 
 
-def test_closed_form_bound_leaves_non_finite_samples_out():
+def test_closed_form_bound_leaves_non_finite_samples_out(monkeypatch):
     # NaN frequencies and 1e200 rad/s (where h11 overflows) give NaN
-    # samples, which nanmin skips; the rest of the grid takes the closed form
+    # samples, which fmin skips; the rest of the grid gives the estimate
     grid = np.concatenate([default_grid(500), [np.nan, 1e200, np.nan]])
     search = _LlewellynBound(NOM, grid)
-    assert search._edges is not None
+    assert search._estimate is not None
+    probes = _count_grid_probes(monkeypatch)
     for b22 in (0.05, 0.13, 0.17, 4.0 * NOM.Bf):
-        assert _closed_form_bound(search, b22) == _bisected_bound(search, b22)
+        expected = _bisected_bound(search, b22)
+        del probes[:]
+        assert _closed_form_bound(search, b22) == expected
+        assert len(probes) <= 2
 
 
-def test_overflowing_samples_send_every_probe_to_the_grid():
-    # above 1e154 rad/s omega**2 overflows; the closed form is not used
+def test_overflowing_samples_send_every_probe_to_the_grid(monkeypatch):
+    # above 1e154 rad/s omega**2 overflows and h11 is NaN; those samples drop
+    # out and the estimate still bands the search
     search = _LlewellynBound(NOM, np.logspace(-3, 200, 50))
-    assert search._edges is None
+    assert search._estimate is not None
+    probes = _count_grid_probes(monkeypatch)
     for b22 in (0.05, 0.13, 0.17):
-        assert _closed_form_bound(search, b22) == _bisected_bound(search, b22)
+        expected = _bisected_bound(search, b22)
+        del probes[:]
+        assert _closed_form_bound(search, b22) == expected
+        assert len(probes) <= 2
+
+
+def test_overflowing_omega_squared_sample_that_fails_everywhere_is_certified():
+    # where b22*w**2 overflows, Re h22 = 1/b22 at every k22, so a sample can
+    # fail at k22 = 0 while its estimate reads inf; the certificate's probe
+    # at the doubling ceiling fails, and the search falls back to the grid
+    search = _LlewellynBound(NOM, np.logspace(-3, 0, 20))
+    search._w2[-1], search._re11[-1], search._re12[-1], search._abs12[-1] = np.inf, 1.0, 0.0, 1.0
+    assert not search.feasible(0.0, 10.0)
+    assert search.bound(10.0) == _bisected_bound(search, 10.0) == 0.0
+
+
+@pytest.mark.parametrize("b22", [5e-324, 1e-310, 3e-309])
+def test_subnormal_b22_sends_every_probe_to_the_grid(b22):
+    # 1/b22 overflows, so every margin is NaN at k22 = 0 but not at some
+    # k22 > 0: feasibility is not downward-closed, and a band would move the
+    # bound at tol = 0 off the bisection's 0.0
+    search = _LlewellynBound(NOM)
+    assert not search.feasible(0.0, b22) and search.feasible(1e-160, b22)
+    for tol in (1e-3, 0.0):
+        assert search.bound(b22, tol) == _bisected_bound(search, b22, tol) == 0.0
 
 
 def test_negative_re_h11_sends_every_probe_to_the_grid():
     # a plant failing (c-i) has Re h11 < 0 on part of the grid, where the
-    # margin is not the falling function of k22 that the closed form inverts
+    # margin is not the falling function of k22 that the estimate inverts
     params = draw_plant(np.random.default_rng(5), 0.3)
     search = _LlewellynBound(params, default_grid(4000))
     assert np.nanmin(search._re11) < 0.0
-    assert search._edges is None
+    assert search._estimate is None
     for b22 in (4.0 * params.Bf * i / 8 for i in range(1, 9)):
         assert _closed_form_bound(search, b22) == _bisected_bound(search, b22)
 
@@ -408,4 +452,5 @@ def test_grid_that_cannot_bound_k22_raises_at_once(hi, monkeypatch):
     )
     with pytest.raises(InvalidParams, match="the grid does not bound k22"):
         search.bound(0.17)
-    assert calls == [0.0]
+    # the estimate takes every k22 to pass; one grid probe certifies the last
+    assert calls == [passivity._LAST_DOUBLING]
